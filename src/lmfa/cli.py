@@ -106,7 +106,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         log = read_log(args.log)
     except FileNotFoundError:
         raise ConfigError(f"log file not found: {args.log}") from None
-    except ValueError as exc:  # malformed JSON or wrong schema
+    except (OSError, ValueError) as exc:
+        # a directory or unreadable file, bad JSON, wrong schema, missing field
         raise ConfigError(f"unreadable match log {args.log}: {exc}") from exc
     verdict = verify_replay(log)
     if verdict.ok:
@@ -126,10 +127,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(logs_dir.glob("match_*.json"))
     if not paths:
         raise ConfigError(f"no match logs in {logs_dir}")
-    try:
-        logs = [read_log(p) for p in paths]
-    except ValueError as exc:  # malformed JSON or wrong schema
-        raise ConfigError(f"unreadable match log: {exc}") from exc
+    logs = []
+    for path in paths:
+        try:
+            logs.append(read_log(path))
+        except (OSError, ValueError) as exc:  # as in cmd_replay
+            raise ConfigError(f"unreadable match log {path}: {exc}") from exc
+    # Schedule order, not file-name order (match_10_* sorts before
+    # match_2_*), so heatmap rows come out as `tournament` wrote them.
+    logs.sort(key=lambda log: (log["pair_index"], log["repeat_index"]))
     result = result_from_logs(logs)
     out = Path(args.out) if args.out else logs_dir
     # write_reports checks the result is complete before it writes a file,

@@ -19,10 +19,10 @@ this is what makes mirrored runs exact mirror images.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import Button, Chord, normalize_chord
+from lmfa.engine.buttons import BIT, MASK_OF, NORMALIZE, Button, Chord
 from lmfa.engine.moves import (
     MOVES_BY_ID,
     MoveDef,
@@ -59,6 +59,12 @@ HITSTUN_FRAMES = 18
 KNOCKDOWN_FRAMES = 45
 CHIP_DIVISOR = 10  # blocked damage lands at floor(damage / 10)
 PRESS_HISTORY_FRAMES = 48
+
+_UP = BIT[Button.UP]
+_LEFT = BIT[Button.LEFT]
+_RIGHT = BIT[Button.RIGHT]
+_C = BIT[Button.C]
+_FIREBALL = MOVES_BY_ID["fireball"]
 
 
 class EngineError(Exception):
@@ -150,74 +156,81 @@ def _clamp_x(x: int, width: int) -> int:
 
 def _advance_fighter(
     fs: FighterState,
-    chord_in: Chord,
+    held: int,
     frame: int,
     width: int,
     fireball_available: bool,
 ) -> Tuple[FighterState, Optional[MoveDef]]:
     """Per-fighter update for one frame; returns (fighter, projectile spawn).
 
-    Depends only on the fighter's own state and input, never on the
-    opponent, so both sides advance from the same snapshot.
+    ``held`` is the fighter's normalized chord mask. Depends only on the
+    fighter's own state and input, never on the opponent, so both sides
+    advance from the same snapshot.
     """
-    held = normalize_chord(chord_in)
-    fresh = held - fs.prev_chord
+    fresh = held & ~fs.prev_chord
+    presses = fs.presses
     cutoff = frame - PRESS_HISTORY_FRAMES
-    presses = tuple(ev for ev in fs.presses if ev[0] > cutoff)
+    if presses and presses[0][0] <= cutoff:  # ascending by frame
+        presses = tuple(ev for ev in presses if ev[0] > cutoff)
     if fresh:
         presses = presses + ((frame, fresh),)
-    fs = replace(fs, prev_chord=held, presses=presses)
 
+    x = fs.x
+    y = fs.y
     phase = fs.phase
+    spawn: Optional[MoveDef] = None
+    kind = type(phase)
 
-    if isinstance(phase, Hitstun):
-        left = phase.left - 1
-        return replace(fs, phase=IDLE if left <= 0 else Hitstun(left)), None
-
-    if isinstance(phase, KnockedDown):
-        left = phase.left - 1
-        return replace(fs, phase=IDLE if left <= 0 else KnockedDown(left)), None
-
-    if isinstance(phase, MoveActive):
+    if kind is Hitstun:
+        phase = IDLE if phase.left <= 1 else Hitstun(phase.left - 1)
+    elif kind is KnockedDown:
+        phase = IDLE if phase.left <= 1 else KnockedDown(phase.left - 1)
+    elif kind is MoveActive:
         move = MOVES_BY_ID[phase.move_id]
         t = phase.t + 1
         if t >= move.total_frames:
-            return replace(fs, phase=IDLE), None
-        x = fs.x
-        spawn: Optional[MoveDef] = None
-        if move.is_active_frame(t):
-            if move.advance_per_active_frame:
-                x = _clamp_x(x + move.advance_per_active_frame * fs.facing.sign, width)
-            if move.kind is MoveKind.PROJECTILE and t == move.startup:
-                spawn = move
-        return replace(fs, x=x, phase=MoveActive(move.id, t, phase.hit_done)), spawn
-
-    if isinstance(phase, Jumping):
+            phase = IDLE
+        else:
+            if move.is_active_frame(t):
+                if move.advance_per_active_frame:
+                    x = _clamp_x(x + move.advance_per_active_frame * fs.facing.sign, width)
+                if move.kind is MoveKind.PROJECTILE and t == move.startup:
+                    spawn = move
+            phase = MoveActive(move.id, t, phase.hit_done)
+    elif kind is Jumping:
         t = phase.t + 1
         x = _clamp_x(phase.origin_x + _scaled_drift(phase.drift, t), width)
         if t >= JUMP_FRAMES:
-            return replace(fs, x=x, y=0, phase=IDLE), None
-        return (
-            replace(fs, x=x, y=jump_height(t), phase=Jumping(t, phase.origin_x, phase.drift)),
-            None,
+            y = 0
+            phase = IDLE
+        else:
+            y = jump_height(t)
+            phase = Jumping(t, phase.origin_x, phase.drift)
+    else:
+        # Grounded and actionable: idle, walking, or blocking.
+        move = first_triggered_move(
+            presses, frame, fs.facing.sign, held, fresh, fireball_available
         )
+        if move is not None:
+            phase = MoveActive(move.id, 0)
+        elif held & _C:
+            phase = BLOCKING
+        elif held & _UP:
+            drift = JUMP_DRIFT if held & _RIGHT else -JUMP_DRIFT if held & _LEFT else 0
+            phase = Jumping(0, x, drift)
+        elif held & _RIGHT:
+            x = _clamp_x(x + WALK_SPEED, width)
+            phase = WALKING
+        elif held & _LEFT:
+            x = _clamp_x(x - WALK_SPEED, width)
+            phase = WALKING
+        else:
+            phase = IDLE
 
-    # Grounded and actionable: idle, walking, or blocking.
-    move = first_triggered_move(
-        presses, frame, fs.facing.sign, held, fresh, fireball_available
+    return (
+        FighterState(fs.health, x, y, fs.facing, phase, fs.last_actions, held, presses),
+        spawn,
     )
-    if move is not None:
-        return replace(fs, phase=MoveActive(move.id, 0)), None
-    if Button.C in held:
-        return replace(fs, phase=BLOCKING), None
-    if Button.UP in held:
-        drift = JUMP_DRIFT if Button.RIGHT in held else -JUMP_DRIFT if Button.LEFT in held else 0
-        return replace(fs, phase=Jumping(0, fs.x, drift)), None
-    if Button.RIGHT in held:
-        return replace(fs, x=_clamp_x(fs.x + WALK_SPEED, width), phase=WALKING), None
-    if Button.LEFT in held:
-        return replace(fs, x=_clamp_x(fs.x - WALK_SPEED, width), phase=WALKING), None
-    return replace(fs, phase=IDLE), None
 
 
 class _Hit:
@@ -310,70 +323,62 @@ def step(state: GameState, input_p1: Chord, input_p2: Chord) -> GameState:
 
     frame = state.frame
     width = state.arena_width
-    live_owner = {p.owner for p in state.projectiles}
+    owners = [p.owner for p in state.projectiles]
 
     p1, spawn1 = _advance_fighter(
-        state.p1, input_p1, frame, width, Player.P1 not in live_owner
+        state.p1, NORMALIZE[MASK_OF[input_p1]], frame, width, Player.P1 not in owners
     )
     p2, spawn2 = _advance_fighter(
-        state.p2, input_p2, frame, width, Player.P2 not in live_owner
+        state.p2, NORMALIZE[MASK_OF[input_p2]], frame, width, Player.P2 not in owners
     )
 
     # Projectiles move before new ones spawn; off-arena shots despawn.
     projectiles = [
-        replace(p, x=p.x + p.vx)
+        Projectile(p.owner, p.x + p.vx, p.y, p.vx)
         for p in state.projectiles
         if 0 <= p.x + p.vx <= width
     ]
     for owner, fighter, spawn in ((Player.P1, p1, spawn1), (Player.P2, p2, spawn2)):
         if spawn is not None:
-            px = _clamp_x(
-                fighter.x + spawn.projectile_spawn_offset * fighter.facing.sign, width
-            )
-            projectiles.append(
-                Projectile(
-                    owner=owner,
-                    x=px,
-                    y=0,
-                    vx=spawn.projectile_speed * fighter.facing.sign,
-                )
-            )
+            sign = fighter.facing.sign
+            px = _clamp_x(fighter.x + spawn.projectile_spawn_offset * sign, width)
+            projectiles.append(Projectile(owner, px, 0, spawn.projectile_speed * sign))
     projectiles.sort(key=lambda p: p.owner.value)
 
     # Collect all hits from the post-move snapshot, then apply both sides at
     # once; simultaneous trades land for both players (double KO possible).
-    fighters: Dict[Player, FighterState] = {Player.P1: p1, Player.P2: p2}
-    hits_on: Dict[Player, List[_Hit]] = {Player.P1: [], Player.P2: []}
-    for attacker_id in (Player.P1, Player.P2):
-        target_id = attacker_id.other
-        move = _melee_hit(fighters[attacker_id], fighters[target_id])
-        if move is not None:
-            attacker = fighters[attacker_id]
-            hits_on[target_id].append(
-                _Hit(move.damage, move.knockback, attacker.facing.sign, move.knockdown)
-            )
-            fighters[attacker_id] = replace(
-                attacker, phase=replace(attacker.phase, hit_done=True)
-            )
+    # Marking an attacker's hit as done changes nothing _melee_hit reads of
+    # it as a target, so both melee checks can run first.
+    hits_on_p1: List[_Hit] = []
+    hits_on_p2: List[_Hit] = []
+    move1 = _melee_hit(p1, p2)
+    move2 = _melee_hit(p2, p1)
+    if move1 is not None:
+        hits_on_p2.append(_Hit(move1.damage, move1.knockback, p1.facing.sign, move1.knockdown))
+        p1 = replace(p1, phase=replace(p1.phase, hit_done=True))
+    if move2 is not None:
+        hits_on_p1.append(_Hit(move2.damage, move2.knockback, p2.facing.sign, move2.knockdown))
+        p2 = replace(p2, phase=replace(p2.phase, hit_done=True))
 
     surviving: List[Projectile] = []
     for proj in projectiles:
-        target_id = proj.owner.other
-        target = fighters[target_id]
-        move = MOVES_BY_ID["fireball"]
+        if proj.owner is Player.P1:
+            target, hits = p2, hits_on_p2
+        else:
+            target, hits = p1, hits_on_p1
         if (
             not isinstance(target.phase, KnockedDown)
-            and target.y <= move.projectile_clear_height
-            and abs(proj.x - target.x) <= move.projectile_hit_radius
+            and target.y <= _FIREBALL.projectile_clear_height
+            and abs(proj.x - target.x) <= _FIREBALL.projectile_hit_radius
         ):
-            hits_on[target_id].append(
-                _Hit(move.damage, move.knockback, 1 if proj.vx > 0 else -1, False)
+            hits.append(
+                _Hit(_FIREBALL.damage, _FIREBALL.knockback, 1 if proj.vx > 0 else -1, False)
             )
         else:
             surviving.append(proj)
 
-    p1 = _resolve_damage(fighters[Player.P1], hits_on[Player.P1], width)
-    p2 = _resolve_damage(fighters[Player.P2], hits_on[Player.P2], width)
+    p1 = _resolve_damage(p1, hits_on_p1, width)
+    p2 = _resolve_damage(p2, hits_on_p2, width)
 
     p2_x = p2.x
     p1_x = p1.x
@@ -382,14 +387,13 @@ def step(state: GameState, input_p1: Chord, input_p2: Chord) -> GameState:
 
     frame += 1
     timer = state.timer_frames - 1
-    round_over = _check_round_end(p1, p2, timer, frame)
-
-    return replace(
-        state,
-        frame=frame,
-        timer_frames=timer,
-        p1=p1,
-        p2=p2,
-        projectiles=tuple(surviving),
-        round_over=round_over,
+    return GameState(
+        frame,
+        timer,
+        width,
+        p1,
+        p2,
+        tuple(surviving),
+        state.rng_seed,
+        _check_round_end(p1, p2, timer, frame),
     )

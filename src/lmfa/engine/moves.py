@@ -3,7 +3,8 @@
 The table lives in move_table.json (shipped with the package) so tests,
 docs, and the engine share one source of truth. Triggers are written in
 facing-relative tokens; the matcher translates a fighter's recent button
-presses into that space before comparing.
+presses into that space before comparing. ``chord_tokens`` is the set form
+of that translation; the matcher itself uses the integer tables below it.
 
 Trigger semantics:
   * A chord trigger fires when every trigger button is held this frame and
@@ -21,9 +22,10 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from lmfa.engine.buttons import Button, Chord
+from lmfa.engine.buttons import BIT, Button, Chord
+from lmfa.engine.state import PressEvent
 
 
 class MoveKind(enum.Enum):
@@ -147,37 +149,68 @@ def chord_tokens(c: Chord, facing_sign: int) -> TokenSet:
     return frozenset(out)
 
 
-PressEvent = Tuple[int, Chord]  # (frame, freshly pressed buttons)
+# -- mask form --------------------------------------------------------------
+#
+# The engine matches triggers on integers: a token mask has bit i set for
+# the i-th TriggerToken, TOKENS[facing_sign][chord_mask] is the token mask
+# of a chord mask, and each trigger step is precomputed as a token mask.
+
+_TOKEN_BIT: Dict[TriggerToken, int] = {t: 1 << i for i, t in enumerate(TriggerToken)}
+
+
+def token_mask(tokens: TokenSet) -> int:
+    mask = 0
+    for tok in tokens:
+        mask |= _TOKEN_BIT[tok]
+    return mask
+
+
+def _token_table(facing_sign: int) -> Tuple[int, ...]:
+    forward, back = _TOKEN_BIT[TriggerToken.FORWARD], _TOKEN_BIT[TriggerToken.BACK]
+    by_button = {b: _TOKEN_BIT[t] for b, t in _ABSOLUTE_TOKENS.items()}
+    by_button[Button.RIGHT] = forward if facing_sign > 0 else back
+    by_button[Button.LEFT] = back if facing_sign > 0 else forward
+    return tuple(
+        sum(tok for b, tok in by_button.items() if mask & BIT[b]) for mask in range(256)
+    )
+
+
+TOKENS: Dict[int, Tuple[int, ...]] = {1: _token_table(1), -1: _token_table(-1)}
+
+# (move, trigger steps as token masks), in table order
+_TRIGGER_MASKS: Tuple[Tuple[MoveDef, Tuple[int, ...]], ...] = tuple(
+    (move, tuple(token_mask(step) for step in move.trigger)) for move in MOVE_TABLE
+)
 
 
 def match_trigger(
-    move: MoveDef,
+    steps: Tuple[int, ...],
     presses: Sequence[PressEvent],
     now: int,
-    facing_sign: int,
-    held: Chord,
-    fresh: Chord,
+    tokens: Tuple[int, ...],
+    held: int,
+    fresh: int,
 ) -> bool:
-    """True when the move's trigger completes on the current frame.
+    """True when a trigger, given as token-mask steps, completes this frame.
 
-    ``presses`` is the fighter's fresh-press history, ascending by frame
-    and including the current frame's event if any.
+    ``held`` and ``fresh`` are token masks of this frame's input;
+    ``tokens`` is the facing's chord-to-token table. ``presses`` is the
+    fighter's fresh-press history of chord masks, ascending by frame and
+    including the current frame's event if any.
     """
-    last = move.trigger[-1]
-    held_tokens = chord_tokens(held, facing_sign)
-    fresh_tokens = chord_tokens(fresh, facing_sign)
-    if not (last <= held_tokens and last & fresh_tokens):
+    last = steps[-1]
+    if held & last != last or not fresh & last:
         return False
     # Earlier steps: backwards-greedy over press events, strictly older frames.
     t = now
-    for step in reversed(move.trigger[:-1]):
+    for step in reversed(steps[:-1]):
         matched: Optional[int] = None
         for frame, pressed in reversed(presses):
             if frame >= t:
                 continue
             if t - frame > GAP_WINDOW_FRAMES:
                 break
-            if step <= chord_tokens(pressed, facing_sign):
+            if tokens[pressed] & step == step:
                 matched = frame
                 break
         if matched is None:
@@ -190,21 +223,24 @@ def first_triggered_move(
     presses: Sequence[PressEvent],
     now: int,
     facing_sign: int,
-    held: Chord,
-    fresh: Chord,
+    held: int,
+    fresh: int,
     fireball_available: bool,
 ) -> Optional[MoveDef]:
     """Scan the table in priority order; honors the one-projectile rule.
 
-    A fireball trigger whose owner already has a live projectile is
-    skipped, letting lower-priority triggers (the bare punch) claim the
-    press instead.
+    ``held`` and ``fresh`` are normalized chord masks. A fireball trigger
+    whose owner already has a live projectile is skipped, letting
+    lower-priority triggers (the bare punch) claim the press instead.
     """
     if not fresh:
         return None
-    for move in MOVE_TABLE:
+    tokens = TOKENS[facing_sign]
+    held_tokens = tokens[held]
+    fresh_tokens = tokens[fresh]
+    for move, steps in _TRIGGER_MASKS:
         if move.kind is MoveKind.PROJECTILE and not fireball_available:
             continue
-        if match_trigger(move, presses, now, facing_sign, held, fresh):
+        if match_trigger(steps, presses, now, tokens, held_tokens, fresh_tokens):
             return move
     return None

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
-from lmfa.engine.buttons import Chord, EMPTY_CHORD, mirror_chord
+from lmfa.engine.buttons import MIRROR
 
 HEALTH_MAX = 1000
 
@@ -40,7 +40,7 @@ class Facing(enum.Enum):
 
     @property
     def sign(self) -> int:
-        return self.value
+        return self._value_  # the member's value, without Enum's slower descriptor
 
     @property
     def flipped(self) -> "Facing":
@@ -124,7 +124,7 @@ def phase_code(phase: Phase) -> str:
     raise TypeError(f"unknown phase {phase!r}")
 
 
-PressEvent = Tuple[int, Chord]
+PressEvent = Tuple[int, int]  # (frame, mask of freshly pressed buttons)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +135,10 @@ class FighterState:
     facing: Facing
     phase: Phase
     last_actions: Tuple[str, ...] = ()
-    # Input bookkeeping for the trigger matcher; part of the state so that
-    # stepping stays a pure function of (state, inputs).
-    prev_chord: Chord = EMPTY_CHORD
+    # Input bookkeeping for the trigger matcher, as chord masks (see
+    # engine.buttons); part of the state so that stepping stays a pure
+    # function of (state, inputs).
+    prev_chord: int = 0
     presses: Tuple[PressEvent, ...] = ()
 
     @property
@@ -240,8 +241,8 @@ def mirror_fighter(fs: FighterState, width: int) -> FighterState:
         facing=fs.facing.flipped,
         phase=_mirror_phase(fs.phase, width),
         last_actions=tuple(mirror_action_text(a) for a in fs.last_actions),
-        prev_chord=mirror_chord(fs.prev_chord),
-        presses=tuple((f, mirror_chord(c)) for f, c in fs.presses),
+        prev_chord=MIRROR[fs.prev_chord],
+        presses=tuple((f, MIRROR[m]) for f, m in fs.presses),
     )
 
 

@@ -18,12 +18,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from lmfa.config import config_from_dict
 from lmfa.engine import (
+    Chord,
     RoundOverError,
     decode_chord,
     new_match,
     step,
     trace_line,
 )
+from lmfa.engine.buttons import CHORD_OF, ENCODE
 from lmfa.tourney.match import (
     BUTTON_NAMES,
     BUTTON_ORDER,
@@ -244,6 +246,15 @@ class ReplayVerdict:
     detail: str = ""
 
 
+_CHORD_BY_CODE: Dict[str, Chord] = {ENCODE[m]: CHORD_OF[m] for m in range(256)}
+
+
+def _decode(text: str) -> Chord:
+    """Canonical codes by table; any other spelling decode_chord accepts."""
+    c = _CHORD_BY_CODE.get(text)
+    return decode_chord(text) if c is None else c
+
+
 def verify_replay(log_data: dict) -> ReplayVerdict:
     """Re-run the engine over the logged inputs and compare digest chains.
 
@@ -262,13 +273,16 @@ def verify_replay(log_data: dict) -> ReplayVerdict:
         return ReplayVerdict(
             False, "state_divergence", 0, "initial state digest mismatch"
         )
-    for i, (enc1, enc2) in enumerate(log["input_trace"]):
+    for i, row in enumerate(log["input_trace"]):
         try:
-            state = step(state, decode_chord(enc1), decode_chord(enc2))
-        except ValueError:
+            enc1, enc2 = row
+            c1, c2 = _decode(enc1), _decode(enc2)
+        except (ValueError, TypeError):  # not a pair of strings, or an unknown code
             return ReplayVerdict(
                 False, "state_divergence", i + 1, f"invalid chord encoding at frame {i}"
             )
+        try:
+            state = step(state, c1, c2)
         except RoundOverError:  # trace longer than the match it claims to be
             return ReplayVerdict(
                 False, "state_divergence", i + 1, f"trace continues past round end at frame {i}"

@@ -37,6 +37,7 @@ from lmfa.engine import (
     step,
     trace_line,
 )
+from lmfa.engine.buttons import BIT, ENCODE, MASK_OF
 from lmfa.observe.describe import describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
 from lmfa.observe.window import FrameHistory, WINDOW_SPACING, sample_window_encoded
@@ -115,6 +116,15 @@ def empty_button_counts() -> Dict[str, Dict[str, int]]:
     }
 
 
+def _expand_histogram(histogram: List[int]) -> Dict[str, int]:
+    """Held-frame count per button from a frame count per chord mask."""
+    counts = {}
+    for b in BUTTON_ORDER:
+        bit = BIT[b]
+        counts[BUTTON_NAMES[b]] = sum(n for mask, n in enumerate(histogram) if mask & bit)
+    return counts
+
+
 class _PlanFeed:
     """Streams a plan's per-frame chords; empty after exhaustion."""
 
@@ -158,9 +168,10 @@ def run_match(
     history = FrameHistory() if needs_frames else None
 
     feeds = {Player.P1: _PlanFeed(), Player.P2: _PlanFeed()}
+    feed1, feed2 = feeds[Player.P1], feeds[Player.P2]
     decisions: List[DecisionRecord] = []
     input_trace: List[Tuple[str, str]] = []
-    counts = empty_button_counts()
+    hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
     digests = [initial_digest(config, seed, state)]
     tick = 0
 
@@ -198,13 +209,13 @@ def run_match(
                 state = record_action(state, player, text)
             tick += 1
 
-        c1 = feeds[Player.P1].next_chord()
-        c2 = feeds[Player.P2].next_chord()
-        enc1, enc2 = encode_chord(c1), encode_chord(c2)
+        c1 = feed1.next_chord()
+        c2 = feed2.next_chord()
+        m1, m2 = MASK_OF[c1], MASK_OF[c2]
+        enc1, enc2 = ENCODE[m1], ENCODE[m2]
         input_trace.append((enc1, enc2))
-        for side, c in (("P1", c1), ("P2", c2)):
-            for b in c:
-                counts[side][BUTTON_NAMES[b]] += 1
+        hist1[m1] += 1
+        hist2[m2] += 1
 
         state = step(state, c1, c2)
         digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
@@ -221,7 +232,10 @@ def run_match(
         input_trace=tuple(input_trace),
         state_digests=tuple(digests),
         result=state.round_over,
-        button_counts=counts,
+        button_counts={
+            "P1": _expand_histogram(hist1),
+            "P2": _expand_histogram(hist2),
+        },
     )
 
 
@@ -285,12 +299,39 @@ class UnsupportedSchemaError(ValueError):
     pass
 
 
+class MalformedLogError(ValueError):
+    """A log of the supported schema lacks a field its consumers read, or
+    holds one of the wrong type."""
+
+
+_REQUIRED_LOG_KEYS = (
+    "config",
+    "p1",
+    "p2",
+    "seed",
+    "pair_index",
+    "repeat_index",
+    "result",
+    "input_trace",
+    "state_digests",
+    "button_counts",
+)
+
+
 def log_from_dict(data: dict) -> dict:
-    """Validate the schema version and return the raw dict for consumers."""
-    if data.get("schema") != LOG_SCHEMA:
+    """Validate the schema version and the top-level fields that replay and
+    aggregation read, and return the raw dict for consumers."""
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != LOG_SCHEMA:
         raise UnsupportedSchemaError(
-            f"unsupported log schema {data.get('schema')!r} (want {LOG_SCHEMA})"
+            f"unsupported log schema {schema!r} (want {LOG_SCHEMA})"
         )
+    missing = [key for key in _REQUIRED_LOG_KEYS if key not in data]
+    if missing:
+        raise MalformedLogError(f"log lacks field(s): {', '.join(missing)}")
+    for key in ("pair_index", "repeat_index"):
+        if type(data[key]) is not int:
+            raise MalformedLogError(f"log field {key!r} is not an integer")
     return data
 
 

@@ -178,6 +178,18 @@ class TestReplay:
         assert main(["replay", str(path)]) == EXIT_CONFIG
         assert "unsupported log schema" in capsys.readouterr().err
 
+    def test_missing_field_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"schema": "lmfa-log/1"}))
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+        assert "lacks field(s): config" in capsys.readouterr().err
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dir.json"
+        path.mkdir()
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+        assert "dir.json" in capsys.readouterr().err
+
 
 class TestReport:
     def test_fixture_logs_produce_expected_rates(self, tmp_path, capsys):
@@ -239,3 +251,50 @@ class TestReport:
         assert sorted(p.name for p in logs_dir.iterdir()) == sorted(
             p.name for p in logs_dir.glob("match_*.json")
         )
+
+    def test_missing_field_exit_2(self, tmp_path, capsys):
+        logs = fixture_logs()
+        del logs[4]["pair_index"]
+        logs_dir = tmp_path / "logs"
+        logs_dir.mkdir()
+        for i, log in enumerate(logs):
+            (logs_dir / f"match_{i}_0_{log['p1']}_vs_{log['p2']}.json").write_text(json.dumps(log))
+        assert main(["report", str(logs_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "match_4_0_" in err and "pair_index" in err
+
+    def test_directory_named_like_log_exit_2(self, tmp_path, capsys):
+        logs_dir = write_logs(tmp_path / "logs", fixture_logs())
+        (logs_dir / "match_99_0_a_vs_b.json").mkdir()
+        assert main(["report", str(logs_dir), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert "match_99_0_a_vs_b.json" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_report_reproduces_six_agent_tournament_bytes(self, tmp_path):
+        # 15 pairs: file-name order (match_10_* before match_2_*) differs
+        # from schedule order, which is what the heatmap rows follow.
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(
+            tmp_path,
+            BOTS_4
+            + [
+                {"id": "rand2", "kind": "scripted", "policy": "random", "seed": 8},
+                {"id": "rand3", "kind": "scripted", "policy": "random", "seed": 9},
+            ],
+        )
+        out = tmp_path / "t"
+        assert main(["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]) == EXIT_OK
+        assert len(list(out.glob("match_*.json"))) == 15
+        reports = tmp_path / "r"
+        assert main(["report", str(out), "--out", str(reports)]) == EXIT_OK
+        names = (
+            "tournament.json",
+            "matrix.csv",
+            "win_rates.csv",
+            "heatmap.csv",
+            "heatmap_norm.csv",
+            "heatmap_norm.dat",
+        )
+        assert sorted(p.name for p in reports.iterdir()) == sorted(names)
+        for name in names:
+            assert (reports / name).read_bytes() == (out / name).read_bytes(), name

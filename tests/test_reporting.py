@@ -219,6 +219,16 @@ class TestVerifyReplay:
         assert not verdict.ok
         assert verdict.kind == "result_forgery"
 
+    def test_malformed_trace_row_is_divergence(self):
+        base = log_to_dict(self.make_log())
+        for bad in (["C"], ["", "", ""], 7, ["A", 5]):
+            data = {**base, "input_trace": list(base["input_trace"])}
+            data["input_trace"][3] = bad
+            verdict = verify_replay(data)
+            assert not verdict.ok
+            assert verdict.kind == "state_divergence"
+            assert verdict.first_divergent_frame == 4
+
     def test_schema_version_checked(self):
         data = log_to_dict(self.make_log())
         data["schema"] = "lmfa-log/2"
