@@ -54,7 +54,12 @@ class MockAgentServer:
                     payload = {"_raw": body.decode("utf-8", "replace")}
                 with outer._lock:
                     outer.requests.append(
-                        {"path": self.path, "headers": dict(self.headers), "json": payload}
+                        {
+                            "path": self.path,
+                            "headers": dict(self.headers),
+                            "body": body,
+                            "json": payload,
+                        }
                     )
                     index = outer._counter
                     outer._counter += 1

@@ -11,21 +11,32 @@ An optional adapter reshapes the request into the common chat-completions
 form (system message plus one user message with interleaved image parts)
 for endpoints that only speak that dialect. The env var LMFA_AUTH_HEADER
 ("Header-Name: value") is attached verbatim when set.
+
+The body is exactly ``json.dumps(build_wire_request(...)).encode()``, but
+frames are spliced in as pre-encoded bytes rather than re-scanned.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import requests
 
 from lmfa.agents.specs import AgentSpec, FailureKind
-from lmfa.observe.describe import Observation
+from lmfa.observe.describe import Observation, WireText
 
 PROTOCOL = "lmfa/1"
 REPLY_FORMAT = "single_command_last_line"
 AUTH_ENV_VAR = "LMFA_AUTH_HEADER"
+FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
+
+
+def _frame_url(b64: str) -> str:
+    if isinstance(b64, WireText):
+        return b64.prefixed(FRAME_URL_PREFIX)
+    return FRAME_URL_PREFIX + b64
 
 
 def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) -> dict:
@@ -35,7 +46,7 @@ def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) ->
             content.append(
                 {
                     "type": "image_url",
-                    "image_url": {"url": f"data:image/x-portable-pixmap;base64,{b64}"},
+                    "image_url": {"url": _frame_url(b64)},
                 }
             )
         return {
@@ -52,6 +63,39 @@ def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) ->
         "state_text": obs.state_text,
         "reply_format": REPLY_FORMAT,
     }
+
+
+def encode_wire_request(payload) -> bytes:
+    """``json.dumps(payload).encode()``, byte for byte, with every WireText
+    written from its ``pieces`` instead of being scanned."""
+    out: List[bytes] = []
+    _write_json(payload, out)
+    return b"".join(out)
+
+
+def _write_json(value, out: List[bytes]) -> None:
+    if isinstance(value, WireText):
+        out.append(b'"')
+        out.extend(value.pieces)
+        out.append(b'"')
+    elif isinstance(value, dict):
+        out.append(b"{")
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                out.append(b", ")
+            out.append(json.dumps(key).encode())
+            out.append(b": ")
+            _write_json(item, out)
+        out.append(b"}")
+    elif isinstance(value, (list, tuple)):
+        out.append(b"[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(b", ")
+            _write_json(item, out)
+        out.append(b"]")
+    else:
+        out.append(json.dumps(value).encode())
 
 
 def extract_reply_text(spec: AgentSpec, body: dict) -> str:
@@ -78,14 +122,14 @@ def query_remote(
     Timeouts and transport errors are retried up to max_retries; malformed
     response bodies are parse failures and are never retried.
     """
-    payload = build_wire_request(spec, obs, system_prompt)
+    body = encode_wire_request(build_wire_request(spec, obs, system_prompt))
     headers = request_headers()
     timeout_s = spec.timeout_ms / 1000
     failure: Optional[FailureKind] = None
     for _ in range(spec.max_retries + 1):
         try:
             response = requests.post(
-                spec.endpoint, json=payload, headers=headers, timeout=timeout_s
+                spec.endpoint, data=body, headers=headers, timeout=timeout_s
             )
         except requests.Timeout:
             failure = FailureKind.TIMEOUT

@@ -18,7 +18,7 @@ from __future__ import annotations
 import base64
 import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from lmfa.engine.state import Facing, GameState, Player
 from lmfa.observe.raster import FrameImage, ppm_bytes
@@ -54,13 +54,42 @@ class Observation:
     features: ObservationFeatures
 
 
+class WireText(str):
+    """ASCII text that needs no JSON escaping, kept together with its bytes.
+
+    ``pieces`` are the text's bytes in order. A JSON writer splices them
+    between quotes instead of scanning the text and encoding it again
+    (``lmfa.agents.remote.encode_wire_request``); the caller of ``of``
+    guarantees that no piece holds a quote, a backslash or a control byte.
+    Base64 frames are WireText, and so are their prefixed forms.
+    """
+
+    pieces: Tuple[bytes, ...]
+
+    @classmethod
+    def of(cls, *pieces: bytes) -> "WireText":
+        text = cls(b"".join(pieces), "ascii")
+        text.pieces = pieces
+        return text
+
+    def prefixed(self, prefix: str) -> "WireText":
+        """``prefix + self``, sharing this text's bytes; built once per prefix,
+        however many requests carry it (two threads racing here both build
+        an equal text, and either may be kept)."""
+        memo: Dict[str, WireText] = self.__dict__.setdefault("_prefixed", {})
+        text = memo.get(prefix)
+        if text is None:
+            text = memo[prefix] = WireText.of(prefix.encode("ascii"), *self.pieces)
+        return text
+
+
 def encode_payload_base64(payload: bytes) -> str:
     """Standard base64, no line wrapping."""
     return base64.b64encode(payload).decode("ascii")
 
 
-def encode_frame_base64(image: FrameImage) -> str:
-    return encode_payload_base64(ppm_bytes(image))
+def encode_frame_base64(image: FrameImage) -> WireText:
+    return WireText.of(base64.b64encode(ppm_bytes(image)))
 
 
 def decode_frame_base64(text: str) -> bytes:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
@@ -40,7 +42,12 @@ from lmfa.engine import (
 from lmfa.engine.buttons import BIT, ENCODE, MASK_OF
 from lmfa.observe.describe import describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
-from lmfa.observe.window import FrameHistory, WINDOW_SPACING, sample_window_encoded
+from lmfa.observe.window import (
+    FrameHistory,
+    WINDOW_SIZE,
+    WINDOW_SPACING,
+    sample_window_encoded,
+)
 
 LOG_SCHEMA = "lmfa-log/1"
 
@@ -165,7 +172,20 @@ def run_match(
     needs_frames = any(s.kind is AgentKind.REMOTE for s in specs.values())
     # every-4th-frame rendering suffices when ticks land on multiples of 4
     render_every = 1 if interval % WINDOW_SPACING else WINDOW_SPACING
-    history = FrameHistory() if needs_frames else None
+    # a window reaches WINDOW_SPACING*(WINDOW_SIZE-1) frames back; older
+    # renders are never sampled again
+    history = (
+        FrameHistory(WINDOW_SPACING * (WINDOW_SIZE - 1) // render_every + 1)
+        if needs_frames
+        else None
+    )
+    # two remote agents on different endpoints are queried side by side;
+    # agents sharing an endpoint stay serial, so it sees P1's request first
+    side_by_side = (
+        p1.kind is AgentKind.REMOTE
+        and p2.kind is AgentKind.REMOTE
+        and p1.endpoint != p2.endpoint
+    )
 
     feeds = {Player.P1: _PlanFeed(), Player.P2: _PlanFeed()}
     feed1, feed2 = feeds[Player.P1], feeds[Player.P2]
@@ -175,50 +195,55 @@ def run_match(
     digests = [initial_digest(config, seed, state)]
     tick = 0
 
-    while state.round_over is None:
-        frame = state.frame
-        if history is not None and frame % render_every == 0:
-            image = annotate(render(state), state)
-            history.append(frame, image, encode_frame_base64(image))
+    helper_pool = ThreadPoolExecutor(1, "lmfa-p2") if side_by_side else nullcontext()
+    with helper_pool as helper:  # joins the helper thread even if the loop raises
+        while state.round_over is None:
+            frame = state.frame
+            if history is not None and frame % render_every == 0:
+                image = annotate(render(state), state)
+                history.append(frame, image, encode_frame_base64(image))
 
-        if frame % interval == 0:
-            frames = (
-                tuple(sample_window_encoded(history, frame))
-                if history is not None
-                else ()
-            )
-            # both observations come from the same pre-decision state, so
-            # querying P1 first cannot leak information to P2
-            observations = {
-                player: describe_state(
-                    state,
-                    player,
-                    frames=frames if specs[player].kind is AgentKind.REMOTE else (),
-                    decision_index=tick,
+            if frame % interval == 0:
+                frames = (
+                    tuple(sample_window_encoded(history, frame))
+                    if history is not None
+                    else ()
                 )
-                for player in (Player.P1, Player.P2)
-            }
-            issued = {}
-            for player in (Player.P1, Player.P2):
-                decision = act(specs[player], observations[player], prompt)
-                plan = resolve(decision.command, state.fighter(player).facing)
-                feeds[player].reset(plan)
-                decisions.append(DecisionRecord(player, tick, decision, plan))
-                issued[player] = decision.command.normalized
-            for player, text in issued.items():
-                state = record_action(state, player, text)
-            tick += 1
+                # both observations come from the same pre-decision state, so
+                # neither decision can leak information to the other
+                obs1, obs2 = (
+                    describe_state(
+                        state,
+                        player,
+                        frames=frames if specs[player].kind is AgentKind.REMOTE else (),
+                        decision_index=tick,
+                    )
+                    for player in (Player.P1, Player.P2)
+                )
+                if helper is not None:
+                    # P1 is queried on this thread while P2's query runs on the helper
+                    pending = helper.submit(act, p2, obs2, prompt)
+                    chosen = (act(p1, obs1, prompt), pending.result())
+                else:
+                    chosen = (act(p1, obs1, prompt), act(p2, obs2, prompt))
+                for player, decision in zip((Player.P1, Player.P2), chosen):
+                    plan = resolve(decision.command, state.fighter(player).facing)
+                    feeds[player].reset(plan)
+                    decisions.append(DecisionRecord(player, tick, decision, plan))
+                for player, decision in zip((Player.P1, Player.P2), chosen):
+                    state = record_action(state, player, decision.command.normalized)
+                tick += 1
 
-        c1 = feed1.next_chord()
-        c2 = feed2.next_chord()
-        m1, m2 = MASK_OF[c1], MASK_OF[c2]
-        enc1, enc2 = ENCODE[m1], ENCODE[m2]
-        input_trace.append((enc1, enc2))
-        hist1[m1] += 1
-        hist2[m2] += 1
+            c1 = feed1.next_chord()
+            c2 = feed2.next_chord()
+            m1, m2 = MASK_OF[c1], MASK_OF[c2]
+            enc1, enc2 = ENCODE[m1], ENCODE[m2]
+            input_trace.append((enc1, enc2))
+            hist1[m1] += 1
+            hist2[m2] += 1
 
-        state = step(state, c1, c2)
-        digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
+            state = step(state, c1, c2)
+            digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
 
     return MatchLog(
         config=config,
@@ -316,11 +341,16 @@ _REQUIRED_LOG_KEYS = (
     "state_digests",
     "button_counts",
 )
+_REQUIRED_NESTED_KEYS = {
+    "result": ("winner", "winner_health", "end_reason", "frames_elapsed"),
+    "button_counts": ("P1", "P2"),
+}
+_WINNER_VALUES = tuple(w.value for w in Winner)
 
 
 def log_from_dict(data: dict) -> dict:
-    """Validate the schema version and the top-level fields that replay and
-    aggregation read, and return the raw dict for consumers."""
+    """Validate the schema version and the fields that replay and aggregation
+    read, top-level and nested, and return the raw dict for consumers."""
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != LOG_SCHEMA:
         raise UnsupportedSchemaError(
@@ -332,6 +362,16 @@ def log_from_dict(data: dict) -> dict:
     for key in ("pair_index", "repeat_index"):
         if type(data[key]) is not int:
             raise MalformedLogError(f"log field {key!r} is not an integer")
+    for key, subkeys in _REQUIRED_NESTED_KEYS.items():
+        if not isinstance(data[key], dict):
+            raise MalformedLogError(f"log field {key!r} is not an object")
+        missing = [f"{key}.{sub}" for sub in subkeys if sub not in data[key]]
+        if missing:
+            raise MalformedLogError(f"log lacks field(s): {', '.join(missing)}")
+    if data["result"]["winner"] not in _WINNER_VALUES:
+        raise MalformedLogError(
+            f"log field 'result.winner' is not one of {', '.join(_WINNER_VALUES)}"
+        )
     return data
 
 

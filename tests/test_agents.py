@@ -24,9 +24,11 @@ from lmfa.agents import (
     load_agents_file,
 )
 from lmfa.agents.bots import decide
+from lmfa.agents.remote import encode_wire_request
 from lmfa.config import MatchConfig
-from lmfa.engine import Player, new_match
-from lmfa.observe.describe import describe_state
+from lmfa.engine import Button, Player, chord, new_match, step
+from lmfa.observe.describe import describe_state, encode_frame_base64
+from lmfa.observe.raster import annotate, render
 
 
 def bot(policy: BotPolicy, seed: int = 0, script_path: str = "") -> AgentSpec:
@@ -242,6 +244,61 @@ class TestWireRequest:
         assert user[1]["image_url"]["url"].startswith(
             "data:image/x-portable-pixmap;base64,"
         )
+
+
+MODEL_NAME = 'mödel "x" \\ ✓'
+SYSTEM_PROMPT = 'sys — “quoted” "x"\n\\'
+
+
+def rendered_frames(count: int) -> tuple:
+    state = new_match(MatchConfig(), 1)
+    frames = []
+    for _ in range(count):
+        frames.append(encode_frame_base64(annotate(render(state), state)))
+        state = step(state, chord(Button.RIGHT), chord(Button.LEFT, Button.A))
+    return tuple(frames)
+
+
+class TestWireBody:
+    """The posted body is json.dumps(build_wire_request(...)).encode()."""
+
+    @pytest.mark.parametrize("wire_format", ["lmfa", "chat"])
+    @pytest.mark.parametrize(
+        "frames",
+        [rendered_frames(3), (), ("AAAA", 'B"\\é\n')],
+        ids=["rendered", "none", "plain-str"],
+    )
+    def test_posted_bytes_equal_json_dumps(self, wire_format, frames):
+        obs = describe_state(new_match(MatchConfig(), 1), Player.P2, frames=frames)
+        with MockAgentServer(replies=["A"], wire_format=wire_format) as server:
+            spec = AgentSpec(
+                id="w",
+                kind=AgentKind.REMOTE,
+                endpoint=server.url,
+                model_name=MODEL_NAME,
+                wire_format=wire_format,
+            )
+            decision = act(spec, obs, SYSTEM_PROMPT)
+        expected = json.dumps(build_wire_request(spec, obs, SYSTEM_PROMPT)).encode()
+        assert decision.failure is None
+        assert encode_wire_request(build_wire_request(spec, obs, SYSTEM_PROMPT)) == expected
+        assert [r["body"] for r in server.requests] == [expected]
+
+    def test_chat_url_built_once_and_shares_frame_bytes(self):
+        (frame,) = rendered_frames(1)
+        obs = describe_state(new_match(MatchConfig(), 1), Player.P1, frames=(frame,))
+        spec = AgentSpec(
+            id="c", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format="chat"
+        )
+
+        def url():
+            content = build_wire_request(spec, obs, "sys")["messages"][1]["content"]
+            return content[1]["image_url"]["url"]
+
+        first = url()
+        assert first == "data:image/x-portable-pixmap;base64," + frame
+        assert url() is first
+        assert first.pieces[-1] is frame.pieces[0]
 
 
 class TestAgentsFile:

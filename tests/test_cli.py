@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from outcome_fixture import fixture_logs
 from lmfa.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, EXIT_SETUP, main
 from lmfa.engine import Button, decode_chord, encode_chord
@@ -190,6 +192,14 @@ class TestReplay:
         assert main(["replay", str(path)]) == EXIT_CONFIG
         assert "dir.json" in capsys.readouterr().err
 
+    def test_missing_nested_field_exit_2(self, tmp_path, capsys):
+        path = self.run_one(tmp_path)
+        data = json.loads(path.read_text())
+        del data["result"]["winner"]
+        path.write_text(json.dumps(data))
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+        assert "result.winner" in capsys.readouterr().err
+
 
 class TestReport:
     def test_fixture_logs_produce_expected_rates(self, tmp_path, capsys):
@@ -262,6 +272,32 @@ class TestReport:
         assert main(["report", str(logs_dir)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "match_4_0_" in err and "pair_index" in err
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("result", "winner"), None, "result.winner"),
+            (("result", "frames_elapsed"), None, "result.frames_elapsed"),
+            (("button_counts", "P2"), None, "button_counts.P2"),
+            (("result",), [], "'result' is not an object"),
+            (("result", "winner"), "P3", "'result.winner'"),
+        ],
+    )
+    def test_malformed_nested_field_exit_2(self, tmp_path, capsys, path, value, named):
+        logs = fixture_logs()
+        *parents, key = path
+        target = logs[4]
+        for parent in parents:
+            target = target[parent]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        logs_dir = write_logs(tmp_path / "logs", logs)
+        assert main(["report", str(logs_dir), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "match_4_0_" in err and named in err
+        assert not (tmp_path / "r").exists()
 
     def test_directory_named_like_log_exit_2(self, tmp_path, capsys):
         logs_dir = write_logs(tmp_path / "logs", fixture_logs())

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import threading
 
 import pytest
 
-from lmfa.agents import AgentKind, AgentSetupError, AgentSpec, BotPolicy, MockAgentServer
+from lmfa.actions import parse
+from lmfa.agents import (
+    AgentKind,
+    AgentSetupError,
+    AgentSpec,
+    BotPolicy,
+    Decision,
+    MockAgentServer,
+)
 from lmfa.config import MatchConfig
 from lmfa.engine import EndReason, Winner, decode_chord
+from lmfa.observe.window import FrameHistory
 from lmfa.tourney import (
     log_from_dict,
     log_to_dict,
@@ -19,6 +30,7 @@ from lmfa.tourney import (
     run_match,
     run_round_robin,
 )
+from lmfa.tourney import match as match_module
 from lmfa.tourney.match import BUTTON_NAMES, UnsupportedSchemaError
 
 
@@ -212,6 +224,79 @@ class TestRemoteIntegration:
             for a, b in zip(s1.requests, s2.requests):
                 assert a["json"]["system_prompt"] == b["json"]["system_prompt"]
                 assert a["json"]["frames_b64"] == b["json"]["frames_b64"]
+
+    def test_distinct_endpoints_queried_side_by_side(self, monkeypatch):
+        # each tick's two act calls must meet at the barrier: serial calls
+        # would break it after its timeout
+        barrier = threading.Barrier(2, timeout=5)
+        threads = {"P1": set(), "P2": set()}
+
+        def meet(spec, obs, system_prompt):
+            threads[obs.for_player.value].add(threading.get_ident())
+            barrier.wait()
+            return Decision(spec.id, obs.frame, "C", parse("C"), 0, None)
+
+        monkeypatch.setattr(match_module, "act", meet)
+        cfg = MatchConfig(seed=6, match_length_frames=120, decision_interval_frames=40)
+        r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:1/")
+        r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:2/")
+        log = run_match(r1, r2, cfg)
+        assert [r.player.value for r in log.decisions] == ["P1", "P2"] * 3
+        assert threads["P1"] == {threading.get_ident()}
+        assert len(threads["P2"]) == 1 and threads["P2"] != threads["P1"]
+
+    def test_shared_endpoint_stays_serial(self):
+        cfg = MatchConfig(seed=6, match_length_frames=200, decision_interval_frames=40)
+        with MockAgentServer(replies=["A", "B"]) as server:
+            r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint=server.url)
+            r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint=server.url)
+            log = run_match(r1, r2, cfg)
+        replies = [(r.player.value, r.decision.raw_reply) for r in log.decisions]
+        assert replies == [("P1", "A"), ("P2", "B")] * 5
+
+    def test_side_by_side_logs_repeat(self):
+        def masked_log() -> dict:
+            cfg = MatchConfig(seed=9, match_length_frames=200, decision_interval_frames=40)
+            with MockAgentServer(replies=["A", "Forward + B", "C"]) as s1, MockAgentServer(
+                replies=["Down + A", "B"], wire_format="chat"
+            ) as s2:
+                r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint=s1.url)
+                r2 = AgentSpec(
+                    id="r2", kind=AgentKind.REMOTE, endpoint=s2.url, wire_format="chat"
+                )
+                data = log_to_dict(run_match(r1, r2, cfg))
+            for d in data["decisions"]:
+                d["latency_ms"] = 0
+            return data
+
+        first = masked_log()
+        assert {d["raw_reply"] for d in first["decisions"]} == {
+            "A", "Forward + B", "C", "Down + A", "B"
+        }
+        assert masked_log() == first
+
+    @pytest.mark.parametrize("interval, capacity", [(40, 10), (30, 37)])
+    def test_history_sized_to_window(self, monkeypatch, interval, capacity):
+        histories = []
+
+        def recording_history(size):
+            histories.append(FrameHistory(size))
+            return histories[-1]
+
+        monkeypatch.setattr(match_module, "FrameHistory", recording_history)
+        cfg = MatchConfig(seed=4, match_length_frames=240, decision_interval_frames=interval)
+        with MockAgentServer(replies=["A"]) as sized, MockAgentServer(replies=["A"]) as wide:
+            remote = AgentSpec(id="remote-h", kind=AgentKind.REMOTE, endpoint=sized.url)
+            run_match(remote, IDLE, cfg)
+            # the same match with a 64-entry history sends the same bytes
+            monkeypatch.setattr(match_module, "FrameHistory", lambda size: FrameHistory(64))
+            run_match(dataclasses.replace(remote, endpoint=wide.url), IDLE, cfg)
+        (history,) = histories
+        assert history.capacity == capacity and len(history) <= capacity
+        counts = [len(r["json"]["frames_b64"]) for r in sized.requests]
+        first_full = -(-36 // interval)  # first tick at frame >= 36
+        assert counts[first_full:] and set(counts[first_full:]) == {10}
+        assert [r["body"] for r in sized.requests] == [r["body"] for r in wide.requests]
 
     def test_remote_failures_never_abort_the_match(self):
         cfg = MatchConfig(seed=4, match_length_frames=120, decision_interval_frames=40)
