@@ -15,12 +15,12 @@ logs.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from lmfa.engine.buttons import Button, Chord
+from lmfa.engine.moves import CommandToken, TokenSet
 from lmfa.engine.state import Facing
 
 MAX_STEPS = 5
@@ -28,18 +28,6 @@ MAX_TOKENS_PER_CHORD = 3
 HOLD_FRAMES = 3
 GAP_FRAMES = 2
 MAX_PLAN_FRAMES = 120
-
-
-class CommandToken(enum.Enum):
-    UP = "Up"
-    DOWN = "Down"
-    LEFT = "Left"
-    RIGHT = "Right"
-    FORWARD = "Forward"
-    BACK = "Back"
-    A = "A"
-    B = "B"
-    C = "C"
 
 
 # Canonical display order inside a chord: directions before buttons.
@@ -57,8 +45,6 @@ VOCABULARY: Tuple[str, ...] = tuple(t.value for t in CommandToken) + (
     "Jump",
     "Crouch",
 )
-
-ChordSpec = FrozenSet[CommandToken]
 
 
 class CommandError(ValueError):
@@ -101,7 +87,7 @@ class ConflictingDirectionsError(CommandError):
 class Command:
     raw: str
     normalized: str
-    steps: Tuple[ChordSpec, ...]
+    steps: Tuple[TokenSet, ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +123,7 @@ _CONFLICTS = (
 )
 
 
-def _check_chord(tokens: FrozenSet[CommandToken], index: int) -> None:
+def _check_chord(tokens: TokenSet, index: int) -> None:
     if len(tokens) > MAX_TOKENS_PER_CHORD:
         raise TooManyTokensError(index)
     for a, b in _CONFLICTS:
@@ -149,7 +135,7 @@ def _check_chord(tokens: FrozenSet[CommandToken], index: int) -> None:
         raise ConflictingDirectionsError(index)
 
 
-def _chord_text(tokens: ChordSpec) -> str:
+def _chord_text(tokens: TokenSet) -> str:
     ordered = sorted(tokens, key=_TOKEN_ORDER.__getitem__)
     return " + ".join(t.value for t in ordered)
 

@@ -1,37 +1,1 @@
 """Agent gateway: scripted bots and remote models behind one interface."""
-
-from lmfa.agents.bots import FALLBACK_COMMAND, RANDOM_COMMAND_POOL
-from lmfa.agents.gateway import act
-from lmfa.agents.mock_server import MockAgentServer
-from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
-from lmfa.agents.remote import AUTH_ENV_VAR, PROTOCOL, build_wire_request
-from lmfa.agents.specs import (
-    AgentKind,
-    AgentSetupError,
-    AgentSpec,
-    BotPolicy,
-    Decision,
-    FailureKind,
-    load_agents_file,
-    require_unique_ids,
-)
-
-__all__ = [
-    "FALLBACK_COMMAND",
-    "RANDOM_COMMAND_POOL",
-    "act",
-    "MockAgentServer",
-    "PROMPT_VERSION",
-    "build_system_prompt",
-    "AUTH_ENV_VAR",
-    "PROTOCOL",
-    "build_wire_request",
-    "AgentKind",
-    "AgentSetupError",
-    "AgentSpec",
-    "BotPolicy",
-    "Decision",
-    "FailureKind",
-    "load_agents_file",
-    "require_unique_ids",
-]

@@ -16,15 +16,9 @@ from typing import Optional, Sequence
 
 from lmfa.agents.specs import AgentSetupError, load_agents_file
 from lmfa.config import ConfigError, load_config_file, with_seed
+from lmfa.engine.state import RoundOutcome, Winner
 from lmfa.reporting import ReportIntegrityError, verify_replay, write_reports
-from lmfa.tourney.match import (
-    log_filename,
-    log_to_dict,
-    outcome_to_dict,
-    read_log,
-    run_match,
-    write_log,
-)
+from lmfa.tourney.match import log_filename, read_log, run_match, write_log
 from lmfa.tourney.roundrobin import (
     result_from_logs,
     run_round_robin,
@@ -51,14 +45,13 @@ def _ensure_out_dir(path: str, force: bool) -> Path:
     return out
 
 
-def _outcome_line(log_result: dict, p1_id: str, p2_id: str) -> str:
-    winner = log_result["winner"]
-    if winner == "Draw":
+def _outcome_line(result: RoundOutcome, p1_id: str, p2_id: str) -> str:
+    if result.winner is Winner.DRAW:
         name, health = "DRAW", "NA"
     else:
-        name = p1_id if winner == "P1" else p2_id
-        health = log_result["winner_health_fraction"]
-    return f"WINNER={name} HEALTH={health} REASON={log_result['end_reason']}"
+        name = p1_id if result.winner is Winner.P1 else p2_id
+        health = f"{result.winner_health_fraction:.3f}"
+    return f"WINNER={name} HEALTH={health} REASON={result.end_reason.value}"
 
 
 def cmd_run_match(args: argparse.Namespace) -> int:
@@ -73,7 +66,7 @@ def cmd_run_match(args: argparse.Namespace) -> int:
     out = _ensure_out_dir(args.out, args.force)
     log = run_match(agents[0], agents[1], config)
     write_log(log, out / log_filename(0, 0, log.p1_id, log.p2_id))
-    print(_outcome_line(outcome_to_dict(log.result), log.p1_id, log.p2_id))
+    print(_outcome_line(log.result, log.p1_id, log.p2_id))
     return EXIT_OK
 
 
@@ -96,7 +89,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
             out / log_filename(log.pair_index, log.repeat_index, log.p1_id, log.p2_id),
         )
     write_tournament(result, out / "tournament.json")
-    write_reports(result, [log_to_dict(log) for log in logs], out)
+    write_reports(result, logs, out)
     print(f"MATCHES={len(logs)} AGENTS={len(result.agents)} OUT={out}")
     return EXIT_OK
 
@@ -135,7 +128,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ConfigError(f"unreadable match log {path}: {exc}") from exc
     # Schedule order, not file-name order (match_10_* sorts before
     # match_2_*), so heatmap rows come out as `tournament` wrote them.
-    logs.sort(key=lambda log: (log["pair_index"], log["repeat_index"]))
+    logs.sort(key=lambda log: (log.pair_index, log.repeat_index))
     result = result_from_logs(logs)
     out = Path(args.out) if args.out else logs_dir
     # write_reports checks the result is complete before it writes a file,

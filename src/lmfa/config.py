@@ -52,18 +52,10 @@ def load_config_file(path: Union[str, Path]) -> MatchConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("lmfa_config") != 1:
-        raise ConfigError(f'config file {p} must carry "lmfa_config": 1')
-    kwargs = {}
-    for key, value in data.items():
-        if key == "lmfa_config":
-            continue
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r} in {p}")
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be an integer")
-        kwargs[key] = value
-    return MatchConfig(**kwargs).validated()
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {p}: {exc}") from None
 
 
 def config_to_dict(cfg: MatchConfig) -> dict:
@@ -73,7 +65,19 @@ def config_to_dict(cfg: MatchConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> MatchConfig:
-    kwargs = {k: v for k, v in data.items() if k in _CONFIG_FIELDS}
+    """A validated config from a config document, as a file or a match log
+    carries it; unknown keys and non-integer values are errors."""
+    if not isinstance(data, dict) or data.get("lmfa_config") != 1:
+        raise ConfigError('a config must be an object carrying "lmfa_config": 1')
+    kwargs = {}
+    for key, value in data.items():
+        if key == "lmfa_config":
+            continue
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if type(value) is not int:  # rejects bool
+            raise ConfigError(f"config key {key!r} must be an integer")
+        kwargs[key] = value
     return MatchConfig(**kwargs).validated()
 
 

@@ -1,105 +1,1 @@
 """Deterministic frame-stepped fighting engine."""
-
-from lmfa.engine.buttons import (
-    Button,
-    Chord,
-    EMPTY_CHORD,
-    chord,
-    decode_chord,
-    encode_chord,
-    mirror_chord,
-    normalize_chord,
-)
-from lmfa.engine.core import (
-    EngineError,
-    HITSTUN_FRAMES,
-    JUMP_FRAMES,
-    KNOCKDOWN_FRAMES,
-    RoundOverError,
-    WALK_SPEED,
-    jump_height,
-    mirror,
-    new_match,
-    outcome,
-    record_action,
-    step,
-)
-from lmfa.engine.moves import (
-    GAP_WINDOW_FRAMES,
-    MOVE_TABLE,
-    MOVES_BY_ID,
-    MoveDef,
-    MoveKind,
-    TriggerToken,
-)
-from lmfa.engine.state import (
-    Blocking,
-    EndReason,
-    Facing,
-    FighterState,
-    GameState,
-    HEALTH_MAX,
-    Hitstun,
-    Idle,
-    Jumping,
-    KnockedDown,
-    MoveActive,
-    Player,
-    Projectile,
-    RoundOutcome,
-    Walking,
-    Winner,
-    health_fraction_str,
-    mirror_action_text,
-    phase_code,
-    trace_line,
-)
-
-__all__ = [
-    "Button",
-    "Chord",
-    "EMPTY_CHORD",
-    "chord",
-    "decode_chord",
-    "encode_chord",
-    "mirror_chord",
-    "normalize_chord",
-    "EngineError",
-    "RoundOverError",
-    "new_match",
-    "step",
-    "outcome",
-    "mirror",
-    "record_action",
-    "jump_height",
-    "WALK_SPEED",
-    "JUMP_FRAMES",
-    "HITSTUN_FRAMES",
-    "KNOCKDOWN_FRAMES",
-    "GAP_WINDOW_FRAMES",
-    "MOVE_TABLE",
-    "MOVES_BY_ID",
-    "MoveDef",
-    "MoveKind",
-    "TriggerToken",
-    "Blocking",
-    "EndReason",
-    "Facing",
-    "FighterState",
-    "GameState",
-    "HEALTH_MAX",
-    "Hitstun",
-    "Idle",
-    "Jumping",
-    "KnockedDown",
-    "MoveActive",
-    "Player",
-    "Projectile",
-    "RoundOutcome",
-    "Walking",
-    "Winner",
-    "health_fraction_str",
-    "mirror_action_text",
-    "phase_code",
-    "trace_line",
-]

@@ -36,7 +36,9 @@ class MoveKind(enum.Enum):
     THROW_RANGE = "throw-range"
 
 
-class TriggerToken(enum.Enum):
+class CommandToken(enum.Enum):
+    """Facing-relative token of agent commands and move triggers."""
+
     UP = "Up"
     DOWN = "Down"
     LEFT = "Left"
@@ -48,7 +50,7 @@ class TriggerToken(enum.Enum):
     C = "C"
 
 
-TokenSet = FrozenSet[TriggerToken]
+TokenSet = FrozenSet[CommandToken]
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def _parse_move(raw: dict) -> MoveDef:
     return MoveDef(
         id=raw["id"],
         trigger=tuple(
-            frozenset(TriggerToken(tok) for tok in step) for step in raw["trigger"]
+            frozenset(CommandToken(tok) for tok in step) for step in raw["trigger"]
         ),
         startup=raw["startup"],
         active=raw["active"],
@@ -123,11 +125,11 @@ MOVES_BY_ID = {m.id: m for m in MOVE_TABLE}
 
 
 _ABSOLUTE_TOKENS = {
-    Button.UP: TriggerToken.UP,
-    Button.DOWN: TriggerToken.DOWN,
-    Button.A: TriggerToken.A,
-    Button.B: TriggerToken.B,
-    Button.C: TriggerToken.C,
+    Button.UP: CommandToken.UP,
+    Button.DOWN: CommandToken.DOWN,
+    Button.A: CommandToken.A,
+    Button.B: CommandToken.B,
+    Button.C: CommandToken.C,
 }
 
 
@@ -143,19 +145,19 @@ def chord_tokens(c: Chord, facing_sign: int) -> TokenSet:
         if tok is not None:
             out.add(tok)
         elif b is Button.RIGHT:
-            out.add(TriggerToken.FORWARD if facing_sign > 0 else TriggerToken.BACK)
+            out.add(CommandToken.FORWARD if facing_sign > 0 else CommandToken.BACK)
         elif b is Button.LEFT:
-            out.add(TriggerToken.BACK if facing_sign > 0 else TriggerToken.FORWARD)
+            out.add(CommandToken.BACK if facing_sign > 0 else CommandToken.FORWARD)
     return frozenset(out)
 
 
 # -- mask form --------------------------------------------------------------
 #
 # The engine matches triggers on integers: a token mask has bit i set for
-# the i-th TriggerToken, TOKENS[facing_sign][chord_mask] is the token mask
+# the i-th CommandToken, TOKENS[facing_sign][chord_mask] is the token mask
 # of a chord mask, and each trigger step is precomputed as a token mask.
 
-_TOKEN_BIT: Dict[TriggerToken, int] = {t: 1 << i for i, t in enumerate(TriggerToken)}
+_TOKEN_BIT: Dict[CommandToken, int] = {t: 1 << i for i, t in enumerate(CommandToken)}
 
 
 def token_mask(tokens: TokenSet) -> int:
@@ -166,7 +168,7 @@ def token_mask(tokens: TokenSet) -> int:
 
 
 def _token_table(facing_sign: int) -> Tuple[int, ...]:
-    forward, back = _TOKEN_BIT[TriggerToken.FORWARD], _TOKEN_BIT[TriggerToken.BACK]
+    forward, back = _TOKEN_BIT[CommandToken.FORWARD], _TOKEN_BIT[CommandToken.BACK]
     by_button = {b: _TOKEN_BIT[t] for b, t in _ABSOLUTE_TOKENS.items()}
     by_button[Button.RIGHT] = forward if facing_sign > 0 else back
     by_button[Button.LEFT] = back if facing_sign > 0 else forward

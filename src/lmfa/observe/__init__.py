@@ -1,67 +1,1 @@
 """Observation pipeline: rasterize, annotate, window, describe, encode."""
-
-from lmfa.observe.describe import (
-    ACTION_SLOTS,
-    Observation,
-    ObservationFeatures,
-    STATE_TEXT_VERSION,
-    StateTextError,
-    build_state_text,
-    decode_frame_base64,
-    describe_state,
-    encode_frame_base64,
-    encode_payload_base64,
-    parse_state_text,
-)
-from lmfa.observe.raster import (
-    AnnotationError,
-    FrameImage,
-    HEIGHT,
-    TIMER_RECT,
-    WIDTH,
-    annotate,
-    fighter_center_px,
-    marker_rect,
-    ppm_bytes,
-    render,
-)
-from lmfa.observe.window import (
-    FrameHistory,
-    HISTORY_CAPACITY,
-    WINDOW_SIZE,
-    WINDOW_SPACING,
-    sample_window,
-    sample_window_encoded,
-    window_indices,
-)
-
-__all__ = [
-    "ACTION_SLOTS",
-    "Observation",
-    "ObservationFeatures",
-    "STATE_TEXT_VERSION",
-    "StateTextError",
-    "build_state_text",
-    "decode_frame_base64",
-    "describe_state",
-    "encode_frame_base64",
-    "encode_payload_base64",
-    "parse_state_text",
-    "AnnotationError",
-    "FrameImage",
-    "HEIGHT",
-    "TIMER_RECT",
-    "WIDTH",
-    "annotate",
-    "fighter_center_px",
-    "marker_rect",
-    "ppm_bytes",
-    "render",
-    "FrameHistory",
-    "HISTORY_CAPACITY",
-    "WINDOW_SIZE",
-    "WINDOW_SPACING",
-    "sample_window",
-    "sample_window_encoded",
-    "window_indices",
-]

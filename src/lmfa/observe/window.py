@@ -8,10 +8,7 @@ buffer, never from re-simulation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-from lmfa.observe.raster import FrameImage
 
 WINDOW_SIZE = 10
 WINDOW_SPACING = 4
@@ -24,54 +21,38 @@ def window_indices(now: int) -> Tuple[int, ...]:
     return tuple(i for i in range(start, now + 1, WINDOW_SPACING) if i >= 0)
 
 
-@dataclass
-class HistoryEntry:
-    frame: int
-    image: FrameImage
-    encoded: str  # base64 of the canonical container
-
-
 class FrameHistory:
-    """Bounded ring of rendered frames keyed by engine frame index."""
+    """Bounded ring of encoded frames (base64 of the canonical container)
+    keyed by engine frame index."""
 
     def __init__(self, capacity: int = HISTORY_CAPACITY) -> None:
         if capacity < WINDOW_SIZE:
             raise ValueError("history capacity below window size")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, HistoryEntry]" = OrderedDict()
+        self._entries: "OrderedDict[int, str]" = OrderedDict()
 
-    def append(self, frame: int, image: FrameImage, encoded: str) -> None:
-        self._entries[frame] = HistoryEntry(frame, image, encoded)
+    def append(self, frame: int, encoded: str) -> None:
+        self._entries[frame] = encoded
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def get(self, frame: int) -> Optional[HistoryEntry]:
+    def get(self, frame: int) -> Optional[str]:
         return self._entries.get(frame)
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def sample_window(history: FrameHistory, now: int) -> List[FrameImage]:
-    """Frames at the window indices, oldest first.
+def sample_window_encoded(history: FrameHistory, now: int) -> List[str]:
+    """Encoded frames at the window indices, oldest first.
 
     Raises LookupError if a required frame was never rendered into the
     history buffer (a runner scheduling bug, not a game condition).
     """
-    frames = []
-    for idx in window_indices(now):
-        entry = history.get(idx)
-        if entry is None:
-            raise LookupError(f"frame {idx} missing from render history")
-        frames.append(entry.image)
-    return frames
-
-
-def sample_window_encoded(history: FrameHistory, now: int) -> List[str]:
     encoded = []
     for idx in window_indices(now):
         entry = history.get(idx)
         if entry is None:
             raise LookupError(f"frame {idx} missing from render history")
-        encoded.append(entry.encoded)
+        encoded.append(entry)
     return encoded

@@ -16,24 +16,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from lmfa.config import config_from_dict
-from lmfa.engine import (
-    Chord,
-    RoundOverError,
-    decode_chord,
-    new_match,
-    step,
-    trace_line,
-)
-from lmfa.engine.buttons import CHORD_OF, ENCODE
+from lmfa.engine.buttons import CHORD_OF, ENCODE, Chord, decode_chord
+from lmfa.engine.core import RoundOverError, new_match, step
+from lmfa.engine.state import trace_line
 from lmfa.tourney.match import (
     BUTTON_NAMES,
     BUTTON_ORDER,
+    LogRecord,
     chain_digest,
     initial_digest,
-    log_from_dict,
 )
-from lmfa.tourney.roundrobin import TournamentResult
+from lmfa.tourney.roundrobin import AgentStanding, TournamentResult
 
 BUTTON_COLUMNS = tuple(BUTTON_NAMES[b] for b in BUTTON_ORDER)
 
@@ -45,55 +38,35 @@ class ReportIntegrityError(ValueError):
 # -- matchup matrix ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixCell:
-    outcome: str  # "row_win" | "col_win" | "draw"
-    winner_health_fraction: Optional[float]
+def matrix_csv(result: TournamentResult) -> str:
+    """Square matrix mirrored across the diagonal, row perspective.
 
-
-@dataclass(frozen=True)
-class MatrixReport:
-    agents: Tuple[str, ...]
-    cells: Dict[Tuple[str, str], MatrixCell]  # keyed (row, col), row before col
-
-
-def build_matrix(result: TournamentResult) -> MatrixReport:
-    """Upper-triangle matchup cells in agent order; health copied verbatim."""
+    Raises ReportIntegrityError when a round-robin pair has no match.
+    """
     ids = result.agents
-    expected = {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]}
-    got = {
-        (c.row, c.col)
+    cells = {
+        (c.row, c.col): c
         for c in result.cells
         if c.row_wins + c.col_wins + c.draws > 0
     }
-    missing = expected - got
+    missing = [
+        (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if (a, b) not in cells
+    ]
     if missing:
         raise ReportIntegrityError(f"missing pairs in tournament result: {sorted(missing)}")
-    cells = {}
-    for c in result.cells:
-        outcome = {"row": "row_win", "col": "col_win", "draw": "draw"}[c.winner]
-        cells[(c.row, c.col)] = MatrixCell(outcome, c.winner_health_fraction)
-    return MatrixReport(agents=ids, cells=cells)
-
-
-def matrix_csv(report: MatrixReport) -> str:
-    """Square rendering mirrored across the diagonal, row perspective."""
-    lines = ["," + ",".join(report.agents)]
-    for row in report.agents:
+    lines = ["," + ",".join(ids)]
+    for row in ids:
         out = [row]
-        for col in report.agents:
+        for col in ids:
             if row == col:
                 out.append("-")
                 continue
-            cell = report.cells.get((row, col))
-            if cell is not None:
-                won = cell.outcome == "row_win"
-            else:
-                cell = report.cells[(col, row)]
-                won = cell.outcome == "col_win"
-            if cell.outcome == "draw":
+            cell, side = cells.get((row, col)), "row"
+            if cell is None:
+                cell, side = cells[(col, row)], "col"
+            if cell.winner == "draw":
                 out.append("D")
-            elif won:
+            elif cell.winner == side:
                 out.append(f"W:{cell.winner_health_fraction:.3f}")
             else:
                 out.append("L")
@@ -104,35 +77,16 @@ def matrix_csv(report: MatrixReport) -> str:
 # -- win rates ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WinRateRow:
-    agent: str
-    win_rate: float
-    wins: int
-    draws: int
-    losses: int
-    winner_health_sum: int
-
-
-def build_win_rates(result: TournamentResult) -> List[WinRateRow]:
-    """Rows sorted by descending win rate; ties break by total winner
+def build_win_rates(result: TournamentResult) -> List[AgentStanding]:
+    """Standings sorted by descending win rate; ties break by total winner
     health retained, then agent id."""
-    rows = [
-        WinRateRow(
-            agent=s.agent,
-            win_rate=s.win_rate,
-            wins=s.wins,
-            draws=s.draws,
-            losses=s.losses,
-            winner_health_sum=s.winner_health_sum,
-        )
-        for s in result.standings
-    ]
-    rows.sort(key=lambda r: (-r.win_rate, -r.winner_health_sum, r.agent))
-    return rows
+    return sorted(
+        result.standings,
+        key=lambda s: (-s.win_rate, -s.winner_health_sum, s.agent),
+    )
 
 
-def win_rates_csv(rows: Sequence[WinRateRow]) -> str:
+def win_rates_csv(rows: Sequence[AgentStanding]) -> str:
     lines = ["agent,win_rate,wins,draws,losses"]
     for r in rows:
         lines.append(f"{r.agent},{r.win_rate},{r.wins},{r.draws},{r.losses}")
@@ -149,54 +103,19 @@ class HeatmapReport:
     normalized: Dict[str, Dict[str, float]]
 
 
-def _recount_from_trace(log: dict) -> Dict[str, Dict[str, int]]:
-    counts = {
-        "P1": {name: 0 for name in BUTTON_COLUMNS},
-        "P2": {name: 0 for name in BUTTON_COLUMNS},
-    }
-    for enc1, enc2 in log["input_trace"]:
-        for side, enc in (("P1", enc1), ("P2", enc2)):
-            for b in decode_chord(enc):
-                counts[side][BUTTON_NAMES[b]] += 1
-    return counts
-
-
-def _edge_counts_from_trace(log: dict) -> Dict[str, Dict[str, int]]:
-    counts = {
-        "P1": {name: 0 for name in BUTTON_COLUMNS},
-        "P2": {name: 0 for name in BUTTON_COLUMNS},
-    }
-    prev = {"P1": frozenset(), "P2": frozenset()}
-    for enc1, enc2 in log["input_trace"]:
-        for side, enc in (("P1", enc1), ("P2", enc2)):
-            held = decode_chord(enc)
-            for b in held - prev[side]:
-                counts[side][BUTTON_NAMES[b]] += 1
-            prev[side] = held
-    return counts
-
-
-def build_heatmap(logs: Sequence[dict], counting: str = "held_frames") -> HeatmapReport:
-    """Sum button usage per agent across matches, then row-max normalize.
-
-    ``counting`` selects held-frame counting (default: a button held k
-    frames counts k) or press-edge counting.
-    """
-    if counting not in ("held_frames", "press_edges"):
-        raise ValueError(f"unknown counting mode {counting!r}")
+def build_heatmap(logs: Sequence[LogRecord]) -> HeatmapReport:
+    """Sum held-frame button counts per agent across matches (a button held
+    k frames counts k), then row-max normalize."""
     agents: List[str] = []
     totals: Dict[str, Dict[str, int]] = {}
     for log in logs:
-        if counting == "held_frames":
-            per_side = log["button_counts"]
-        else:
-            per_side = _edge_counts_from_trace(log)
-        for side_key, agent in (("P1", log["p1"]), ("P2", log["p2"])):
+        for side_key, agent in (("P1", log.p1_id), ("P2", log.p2_id)):
             if agent not in totals:
                 agents.append(agent)
                 totals[agent] = {name: 0 for name in BUTTON_COLUMNS}
+            per_button = log.button_counts[side_key]
             for name in BUTTON_COLUMNS:
-                totals[agent][name] += per_side[side_key].get(name, 0)
+                totals[agent][name] += per_button.get(name, 0)
     normalized = {}
     for agent, row in totals.items():
         peak = max(row.values())
@@ -255,25 +174,21 @@ def _decode(text: str) -> Chord:
     return decode_chord(text) if c is None else c
 
 
-def verify_replay(log_data: dict) -> ReplayVerdict:
+def verify_replay(log: LogRecord) -> ReplayVerdict:
     """Re-run the engine over the logged inputs and compare digest chains.
 
     The chain covers both the injected inputs and the serialized state, so
     any single-bit mutation of the input trace diverges at exactly the
     frame following the tampered entry.
     """
-    log = log_from_dict(log_data)
-    config = config_from_dict(log["config"])
-    seed = log["seed"]
-    state = new_match(config, seed)
-
-    logged = log["state_digests"]
-    digest = initial_digest(config, seed, state)
+    state = new_match(log.config, log.seed)
+    logged = log.state_digests
+    digest = initial_digest(log.config, log.seed, state)
     if not logged or logged[0] != digest:
         return ReplayVerdict(
             False, "state_divergence", 0, "initial state digest mismatch"
         )
-    for i, row in enumerate(log["input_trace"]):
+    for i, row in enumerate(log.input_trace):
         try:
             enc1, enc2 = row
             c1, c2 = _decode(enc1), _decode(enc2)
@@ -295,23 +210,14 @@ def verify_replay(log_data: dict) -> ReplayVerdict:
                 i + 1,
                 f"digest chain diverges at frame {i + 1}",
             )
-    if len(logged) != len(log["input_trace"]) + 1:
+    if len(logged) != len(log.input_trace) + 1:
         return ReplayVerdict(
             False,
             "state_divergence",
-            len(log["input_trace"]),
+            len(log.input_trace),
             "digest list longer than replayed trace",
         )
-
-    recomputed = state.round_over
-    declared = log["result"]
-    if (
-        recomputed is None
-        or declared["winner"] != recomputed.winner.value
-        or declared["end_reason"] != recomputed.end_reason.value
-        or declared["winner_health"] != recomputed.winner_health
-        or declared["frames_elapsed"] != recomputed.frames_elapsed
-    ):
+    if state.round_over != log.result:
         return ReplayVerdict(
             False, "result_forgery", None, "logged result does not match replay"
         )
@@ -322,22 +228,21 @@ def verify_replay(log_data: dict) -> ReplayVerdict:
 
 
 def write_reports(
-    result: TournamentResult, logs: Sequence[dict], out_dir: Union[str, Path]
+    result: TournamentResult, logs: Sequence[LogRecord], out_dir: Union[str, Path]
 ) -> List[Path]:
     """Emit all CSV reports (and the plot grid) into out_dir.
 
     Raises ReportIntegrityError before creating or writing anything when
     the result misses a round-robin pair.
     """
-    matrix = build_matrix(result)
-    rates = build_win_rates(result)
+    matrix = matrix_csv(result)
     heat = build_heatmap(logs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, text in (
-        ("matrix.csv", matrix_csv(matrix)),
-        ("win_rates.csv", win_rates_csv(rates)),
+        ("matrix.csv", matrix),
+        ("win_rates.csv", win_rates_csv(build_win_rates(result))),
         ("heatmap.csv", heatmap_csv(heat)),
         ("heatmap_norm.csv", heatmap_norm_csv(heat)),
         ("heatmap_norm.dat", heatmap_grid(heat)),

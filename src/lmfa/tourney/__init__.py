@@ -1,53 +1,1 @@
 """Match runner and round-robin tournament scheduler."""
-
-from lmfa.tourney.match import (
-    DecisionRecord,
-    LOG_SCHEMA,
-    MatchLog,
-    UnsupportedSchemaError,
-    chain_digest,
-    initial_digest,
-    log_filename,
-    log_from_dict,
-    log_to_dict,
-    read_log,
-    run_match,
-    write_log,
-)
-from lmfa.tourney.roundrobin import (
-    AgentStanding,
-    PairCell,
-    TournamentResult,
-    aggregate,
-    pair_schedule,
-    result_from_logs,
-    result_to_dict,
-    reconstruct_agent_order,
-    run_round_robin,
-    write_tournament,
-)
-
-__all__ = [
-    "DecisionRecord",
-    "LOG_SCHEMA",
-    "MatchLog",
-    "UnsupportedSchemaError",
-    "chain_digest",
-    "initial_digest",
-    "log_filename",
-    "log_from_dict",
-    "log_to_dict",
-    "read_log",
-    "run_match",
-    "write_log",
-    "AgentStanding",
-    "PairCell",
-    "TournamentResult",
-    "aggregate",
-    "pair_schedule",
-    "result_from_logs",
-    "result_to_dict",
-    "reconstruct_agent_order",
-    "run_round_robin",
-    "write_tournament",
-]

@@ -16,30 +16,31 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from lmfa.actions import ActionPlan, resolve
 from lmfa.agents.gateway import act
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
 from lmfa.agents.specs import AgentKind, AgentSpec, Decision
-from lmfa.config import MatchConfig, config_to_dict
-from lmfa.engine import (
+from lmfa.config import ConfigError, MatchConfig, config_from_dict, config_to_dict
+from lmfa.engine.buttons import (
+    BIT,
+    EMPTY_CHORD,
+    ENCODE,
+    MASK_OF,
     Button,
     Chord,
-    EMPTY_CHORD,
+    encode_chord,
+)
+from lmfa.engine.core import new_match, record_action, step
+from lmfa.engine.state import (
     EndReason,
     GameState,
     Player,
     RoundOutcome,
     Winner,
-    decode_chord,
-    encode_chord,
-    new_match,
-    record_action,
-    step,
     trace_line,
 )
-from lmfa.engine.buttons import BIT, ENCODE, MASK_OF
 from lmfa.observe.describe import describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
 from lmfa.observe.window import (
@@ -82,22 +83,33 @@ class DecisionRecord:
 
 
 @dataclass(frozen=True)
-class MatchLog:
+class LogRecord:
+    """The fields of a match log that replay and reports read.
+
+    ``log_from_dict`` builds one from an archived document after checking
+    every field's type; ``MatchLog`` extends it with what only the runner
+    knows, so consumers take either.
+    """
+
     config: MatchConfig
     p1_id: str
     p2_id: str
     seed: int
     pair_index: int
     repeat_index: int
-    prompt_version: str
-    decisions: Tuple[DecisionRecord, ...]
-    input_trace: Tuple[Tuple[str, str], ...]  # encoded chords per frame
-    state_digests: Tuple[str, ...]  # chain values d_0 .. d_F
+    input_trace: Sequence[Sequence[str]]  # encoded chords per frame
+    state_digests: Sequence[str]  # chain values d_0 .. d_F
     result: RoundOutcome
     button_counts: Dict[str, Dict[str, int]]
 
     def agent_id(self, player: Player) -> str:
         return self.p1_id if player is Player.P1 else self.p2_id
+
+
+@dataclass(frozen=True)
+class MatchLog(LogRecord):
+    prompt_version: str
+    decisions: Tuple[DecisionRecord, ...]
 
 
 def initial_digest(config: MatchConfig, seed: int, initial: GameState) -> str:
@@ -201,7 +213,7 @@ def run_match(
             frame = state.frame
             if history is not None and frame % render_every == 0:
                 image = annotate(render(state), state)
-                history.append(frame, image, encode_frame_base64(image))
+                history.append(frame, encode_frame_base64(image))
 
             if frame % interval == 0:
                 frames = (
@@ -329,50 +341,105 @@ class MalformedLogError(ValueError):
     holds one of the wrong type."""
 
 
-_REQUIRED_LOG_KEYS = (
-    "config",
-    "p1",
-    "p2",
-    "seed",
-    "pair_index",
-    "repeat_index",
-    "result",
-    "input_trace",
-    "state_digests",
-    "button_counts",
-)
-_REQUIRED_NESTED_KEYS = {
-    "result": ("winner", "winner_health", "end_reason", "frames_elapsed"),
-    "button_counts": ("P1", "P2"),
+_LOG_KEYS = {
+    "config": dict,
+    "p1": str,
+    "p2": str,
+    "seed": int,
+    "pair_index": int,
+    "repeat_index": int,
+    "result": dict,
+    "input_trace": list,
+    "state_digests": list,
+    "button_counts": dict,
 }
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 _WINNER_VALUES = tuple(w.value for w in Winner)
+_END_REASON_VALUES = tuple(r.value for r in EndReason)
+_BUTTON_SET = frozenset(BUTTON_NAMES.values())
 
 
-def log_from_dict(data: dict) -> dict:
-    """Validate the schema version and the fields that replay and aggregation
-    read, top-level and nested, and return the raw dict for consumers."""
+def _is_int(value) -> bool:
+    return type(value) is int  # rejects bool
+
+
+def _require_keys(data: dict, keys, prefix: str = "") -> None:
+    missing = [prefix + key for key in keys if key not in data]
+    if missing:
+        raise MalformedLogError(f"log lacks field(s): {', '.join(missing)}")
+
+
+def _require(ok: bool, field: str, what: str) -> None:
+    if not ok:
+        raise MalformedLogError(f"log field {field!r} is not {what}")
+
+
+def log_from_dict(data: dict) -> LogRecord:
+    """Check the schema version and the type of every field that replay and
+    reports read, and return them as a record.
+
+    The rows of ``input_trace`` stay unchecked: replay reports a bad row as
+    a divergence at the frame it would have produced.
+    """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != LOG_SCHEMA:
         raise UnsupportedSchemaError(
             f"unsupported log schema {schema!r} (want {LOG_SCHEMA})"
         )
-    missing = [key for key in _REQUIRED_LOG_KEYS if key not in data]
-    if missing:
-        raise MalformedLogError(f"log lacks field(s): {', '.join(missing)}")
-    for key in ("pair_index", "repeat_index"):
-        if type(data[key]) is not int:
-            raise MalformedLogError(f"log field {key!r} is not an integer")
-    for key, subkeys in _REQUIRED_NESTED_KEYS.items():
-        if not isinstance(data[key], dict):
-            raise MalformedLogError(f"log field {key!r} is not an object")
-        missing = [f"{key}.{sub}" for sub in subkeys if sub not in data[key]]
-        if missing:
-            raise MalformedLogError(f"log lacks field(s): {', '.join(missing)}")
-    if data["result"]["winner"] not in _WINNER_VALUES:
-        raise MalformedLogError(
-            f"log field 'result.winner' is not one of {', '.join(_WINNER_VALUES)}"
+    _require_keys(data, _LOG_KEYS)
+    for key, kind in _LOG_KEYS.items():
+        value = data[key]
+        _require(
+            _is_int(value) if kind is int else isinstance(value, kind),
+            key,
+            _KIND_NAMES[kind],
         )
-    return data
+    result = data["result"]
+    _require_keys(
+        result, ("winner", "winner_health", "end_reason", "frames_elapsed"), "result."
+    )
+    _require(
+        result["winner"] in _WINNER_VALUES,
+        "result.winner",
+        f"one of {', '.join(_WINNER_VALUES)}",
+    )
+    health = result["winner_health"]
+    _require(
+        health is None or _is_int(health), "result.winner_health", "an integer or null"
+    )
+    _require(
+        result["end_reason"] in _END_REASON_VALUES,
+        "result.end_reason",
+        f"one of {', '.join(_END_REASON_VALUES)}",
+    )
+    _require(_is_int(result["frames_elapsed"]), "result.frames_elapsed", "an integer")
+    counts = data["button_counts"]
+    _require_keys(counts, ("P1", "P2"), "button_counts.")
+    for side in ("P1", "P2"):
+        per_button = counts[side]
+        _require(
+            isinstance(per_button, dict)
+            and per_button.keys() <= _BUTTON_SET
+            and all(_is_int(n) for n in per_button.values()),
+            f"button_counts.{side}",
+            "an integer count per button name",
+        )
+    try:
+        config = config_from_dict(data["config"])
+    except ConfigError as exc:
+        raise MalformedLogError(f"log field 'config': {exc}") from None
+    return LogRecord(
+        config=config,
+        p1_id=data["p1"],
+        p2_id=data["p2"],
+        seed=data["seed"],
+        pair_index=data["pair_index"],
+        repeat_index=data["repeat_index"],
+        input_trace=data["input_trace"],
+        state_digests=data["state_digests"],
+        result=outcome_from_dict(result),
+        button_counts=counts,
+    )
 
 
 def write_log(log: MatchLog, path: Union[str, Path]) -> None:
@@ -381,7 +448,7 @@ def write_log(log: MatchLog, path: Union[str, Path]) -> None:
     )
 
 
-def read_log(path: Union[str, Path]) -> dict:
+def read_log(path: Union[str, Path]) -> LogRecord:
     return log_from_dict(json.loads(Path(path).read_text()))
 
 

@@ -18,12 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from lmfa.agents.specs import AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, with_seed
-from lmfa.engine import HEALTH_MAX, Player, Winner
-from lmfa.tourney.match import (
-    MatchLog,
-    empty_button_counts,
-    run_match,
-)
+from lmfa.engine.state import HEALTH_MAX, Player, Winner
+from lmfa.tourney.match import LogRecord, MatchLog, empty_button_counts, run_match
 
 
 @dataclass(frozen=True)
@@ -86,56 +82,14 @@ def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> List[dict]:
     return schedule
 
 
-@dataclass(frozen=True)
-class LogView:
-    """The slice of a match log that aggregation needs.
-
-    Built either from an in-memory MatchLog or from an archived JSON
-    document, so reports can be regenerated from logs alone.
-    """
-
-    pair_index: int
-    repeat_index: int
-    p1_id: str
-    p2_id: str
-    winner: Winner
-    winner_health: Optional[int]
-    button_counts: Dict[str, Dict[str, int]]
-
-    @classmethod
-    def of(cls, log: Union[MatchLog, dict]) -> "LogView":
-        if isinstance(log, MatchLog):
-            return cls(
-                pair_index=log.pair_index,
-                repeat_index=log.repeat_index,
-                p1_id=log.p1_id,
-                p2_id=log.p2_id,
-                winner=log.result.winner,
-                winner_health=log.result.winner_health,
-                button_counts=log.button_counts,
-            )
-        return cls(
-            pair_index=log["pair_index"],
-            repeat_index=log["repeat_index"],
-            p1_id=log["p1"],
-            p2_id=log["p2"],
-            winner=Winner(log["result"]["winner"]),
-            winner_health=log["result"]["winner_health"],
-            button_counts=log["button_counts"],
-        )
-
-    def agent_id(self, player: Player) -> str:
-        return self.p1_id if player is Player.P1 else self.p2_id
-
-
-def _wins_for(log: LogView, agent_id: str) -> bool:
-    winner = log.winner
+def _wins_for(log: LogRecord, agent_id: str) -> bool:
+    winner = log.result.winner
     if winner is Winner.DRAW:
         return False
     return log.agent_id(Player.P1 if winner is Winner.P1 else Player.P2) == agent_id
 
 
-def _aggregate_cell(row: str, col: str, logs: Sequence[LogView]) -> PairCell:
+def _aggregate_cell(row: str, col: str, logs: Sequence[LogRecord]) -> PairCell:
     row_wins = sum(_wins_for(log, row) for log in logs)
     col_wins = sum(_wins_for(log, col) for log in logs)
     draws = len(logs) - row_wins - col_wins
@@ -146,9 +100,9 @@ def _aggregate_cell(row: str, col: str, logs: Sequence[LogView]) -> PairCell:
     else:
         winner = "draw"
     healths = [
-        log.winner_health
+        log.result.winner_health
         for log in logs
-        if log.winner_health is not None
+        if log.result.winner_health is not None
         and _wins_for(log, row if winner == "row" else col)
     ]
     # multi-match cells keep the integer mean of the winner's healths
@@ -156,12 +110,9 @@ def _aggregate_cell(row: str, col: str, logs: Sequence[LogView]) -> PairCell:
     return PairCell(row, col, row_wins, col_wins, draws, winner, winner_health)
 
 
-def aggregate(
-    ids: Sequence[str], raw_logs: Sequence[Union[MatchLog, dict]]
-) -> TournamentResult:
+def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult:
     ids = list(ids)
-    logs = [LogView.of(log) for log in raw_logs]
-    by_pair: Dict[int, List[LogView]] = {}
+    by_pair: Dict[int, List[LogRecord]] = {}
     for log in logs:
         by_pair.setdefault(log.pair_index, []).append(log)
 
@@ -180,11 +131,11 @@ def aggregate(
         for player in (Player.P1, Player.P2):
             aid = log.agent_id(player)
             stats[aid]["matches"] += 1
-            if log.winner is Winner.DRAW:
+            if log.result.winner is Winner.DRAW:
                 stats[aid]["draws"] += 1
             elif _wins_for(log, aid):
                 stats[aid]["wins"] += 1
-                stats[aid]["hsum"] += log.winner_health or 0
+                stats[aid]["hsum"] += log.result.winner_health or 0
             else:
                 stats[aid]["losses"] += 1
 
@@ -216,19 +167,15 @@ def aggregate(
     )
 
 
-def reconstruct_agent_order(raw_logs: Sequence[Union[MatchLog, dict]]) -> List[str]:
+def reconstruct_agent_order(logs: Sequence[LogRecord]) -> List[str]:
     """Recover the original agent ordering from archived logs.
 
     The scheduler flips sides by (pair_index + repeat_index), so each log
     reveals its pair's (row, col) identity; walking pairs in index order
     reproduces first-appearance order.
     """
-    logs = sorted(
-        (LogView.of(log) for log in raw_logs),
-        key=lambda l: (l.pair_index, l.repeat_index),
-    )
     order: List[str] = []
-    for log in logs:
+    for log in sorted(logs, key=lambda l: (l.pair_index, l.repeat_index)):
         flipped = (log.pair_index + log.repeat_index) % 2 == 1
         row, col = (log.p2_id, log.p1_id) if flipped else (log.p1_id, log.p2_id)
         for aid in (row, col):
@@ -237,9 +184,9 @@ def reconstruct_agent_order(raw_logs: Sequence[Union[MatchLog, dict]]) -> List[s
     return order
 
 
-def result_from_logs(raw_logs: Sequence[Union[MatchLog, dict]]) -> TournamentResult:
+def result_from_logs(logs: Sequence[LogRecord]) -> TournamentResult:
     """Rebuild the aggregate result from logs alone (no re-simulation)."""
-    return aggregate(reconstruct_agent_order(raw_logs), raw_logs)
+    return aggregate(reconstruct_agent_order(logs), logs)
 
 
 def run_round_robin(

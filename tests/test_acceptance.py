@@ -21,34 +21,18 @@ from lmfa.actions import (
     format_command,
     parse,
 )
-from lmfa.agents import (
-    AgentKind,
-    AgentSpec,
-    BotPolicy,
-    FailureKind,
-    MockAgentServer,
-    act,
-)
+from lmfa.agents.gateway import act
+from lmfa.agents.mock_server import MockAgentServer
+from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy, FailureKind
 from lmfa.cli import EXIT_OK, main
 from lmfa.config import MatchConfig
-from lmfa.engine import (
-    Button,
-    EndReason,
-    Player,
-    Winner,
-    decode_chord,
-    encode_chord,
-    mirror,
-    mirror_chord,
-    new_match,
-    step,
-    trace_line,
-)
-from lmfa.engine.core import mirror_outcome
-from lmfa.observe import describe_state, window_indices
+from lmfa.engine.buttons import Button, decode_chord, encode_chord, mirror_chord
+from lmfa.engine.core import mirror, mirror_outcome, new_match, step
+from lmfa.engine.state import EndReason, Player, Winner, trace_line
+from lmfa.observe.describe import describe_state
+from lmfa.observe.window import window_indices
 from lmfa.reporting import verify_replay
-from lmfa.tourney import log_to_dict, run_match
-from lmfa.tourney.match import BUTTON_NAMES
+from lmfa.tourney.match import BUTTON_NAMES, log_from_dict, log_to_dict, run_match
 
 
 def bot(name: str, policy: BotPolicy, seed: int = 0, **kw) -> AgentSpec:
@@ -247,7 +231,7 @@ def test_criterion_07_replay_mutation_detection():
         MatchConfig(seed=77, match_length_frames=600),
     )
     base = log_to_dict(log)
-    assert verify_replay(base).ok
+    assert verify_replay(log_from_dict(base)).ok
     rng = random.Random(555)
     n = len(base["input_trace"])
     for _ in range(50):
@@ -258,7 +242,7 @@ def test_criterion_07_replay_mutation_detection():
         held = set(decode_chord(data["input_trace"][frame][side]))
         held.symmetric_difference_update({button})
         data["input_trace"][frame][side] = encode_chord(frozenset(held))
-        verdict = verify_replay(data)
+        verdict = verify_replay(log_from_dict(data))
         assert not verdict.ok
         assert verdict.kind == "state_divergence"
         assert verdict.first_divergent_frame == frame + 1
@@ -306,7 +290,7 @@ def test_criterion_09_heatmap_exactness(tmp_path):
 
     from lmfa.reporting import build_heatmap
 
-    heat = build_heatmap([data])
+    heat = build_heatmap([log_from_dict(data)])
     row = heat.normalized["puncher"]
     assert row["A"] == 1.0
     assert all(value == 0.0 for name, value in row.items() if name != "A")

@@ -26,7 +26,8 @@ from lmfa.actions import (
     parse,
     resolve,
 )
-from lmfa.engine import Button, Facing
+from lmfa.engine.buttons import Button
+from lmfa.engine.state import Facing
 
 T = CommandToken
 

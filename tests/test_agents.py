@@ -8,25 +8,23 @@ import time
 import pytest
 
 from lmfa.actions import VOCABULARY, parse
-from lmfa.agents import (
-    AUTH_ENV_VAR,
+from lmfa.agents.bots import RANDOM_COMMAND_POOL, decide
+from lmfa.agents.gateway import act
+from lmfa.agents.mock_server import MockAgentServer
+from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
+from lmfa.agents.remote import AUTH_ENV_VAR, build_wire_request, encode_wire_request
+from lmfa.agents.specs import (
     AgentKind,
     AgentSetupError,
     AgentSpec,
     BotPolicy,
     FailureKind,
-    MockAgentServer,
-    PROMPT_VERSION,
-    RANDOM_COMMAND_POOL,
-    act,
-    build_system_prompt,
-    build_wire_request,
     load_agents_file,
 )
-from lmfa.agents.bots import decide
-from lmfa.agents.remote import encode_wire_request
 from lmfa.config import MatchConfig
-from lmfa.engine import Button, Player, chord, new_match, step
+from lmfa.engine.buttons import Button, chord
+from lmfa.engine.core import new_match, step
+from lmfa.engine.state import Player
 from lmfa.observe.describe import describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
 

@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
-from lmfa.agents import AgentKind, AgentSpec, BotPolicy
+from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig, config_from_dict
-from lmfa.engine import (
+from lmfa.engine.buttons import (
+    CHORD_OF,
+    ENCODE,
+    MASK_OF,
+    MIRROR,
+    NORMALIZE,
     decode_chord,
     encode_chord,
     mirror_chord,
-    new_match,
     normalize_chord,
-    step,
-    trace_line,
 )
-from lmfa.engine.buttons import CHORD_OF, ENCODE, MASK_OF, MIRROR, NORMALIZE
+from lmfa.engine.core import new_match, step
+from lmfa.engine.state import trace_line
 from lmfa.engine.moves import TOKENS, chord_tokens, token_mask
 from lmfa.reporting import verify_replay
-from lmfa.tourney import chain_digest, initial_digest, log_to_dict, run_match
+from lmfa.tourney.match import (
+    chain_digest,
+    initial_digest,
+    log_from_dict,
+    log_to_dict,
+    run_match,
+)
 
 
 def test_mask_of_round_trips():
@@ -62,5 +71,5 @@ def test_non_canonical_chord_strings_still_replay():
         digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
     data = {**data, "input_trace": trace, "state_digests": digests}
 
-    verdict = verify_replay(data)
+    verdict = verify_replay(log_from_dict(data))
     assert verdict.ok and verdict.kind == "match"

@@ -9,7 +9,7 @@ import pytest
 
 from outcome_fixture import fixture_logs
 from lmfa.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, EXIT_SETUP, main
-from lmfa.engine import Button, decode_chord, encode_chord
+from lmfa.engine.buttons import Button, decode_chord, encode_chord
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -200,6 +200,29 @@ class TestReplay:
         assert main(["replay", str(path)]) == EXIT_CONFIG
         assert "result.winner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("state_digests",), 5, "'state_digests' is not a list"),
+            (("input_trace",), 5, "'input_trace' is not a list"),
+            (("seed",), "42", "'seed' is not an integer"),
+            (("config", "arena_width"), "400", "'arena_width' must be an integer"),
+            (("config",), [], "'config' is not an object"),
+        ],
+    )
+    def test_wrong_type_field_exit_2(self, tmp_path, capsys, path, value, named):
+        log = self.run_one(tmp_path)
+        data = json.loads(log.read_text())
+        *parents, key = path
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        log.write_text(json.dumps(data))
+        assert main(["replay", str(log)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unreadable match log") and named in err
+
 
 class TestReport:
     def test_fixture_logs_produce_expected_rates(self, tmp_path, capsys):
@@ -293,6 +316,27 @@ class TestReport:
             del target[key]
         else:
             target[key] = value
+        logs_dir = write_logs(tmp_path / "logs", logs)
+        assert main(["report", str(logs_dir), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "match_4_0_" in err and named in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("result", "winner_health"), "900", "'result.winner_health'"),
+            (("button_counts", "P1"), [], "'button_counts.P1'"),
+            (("p1",), 7, "'p1' is not a string"),
+        ],
+    )
+    def test_wrong_type_field_exit_2(self, tmp_path, capsys, path, value, named):
+        logs = fixture_logs()
+        *parents, key = path
+        target = logs[4]
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
         logs_dir = write_logs(tmp_path / "logs", logs)
         assert main(["report", str(logs_dir), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
         err = capsys.readouterr().err

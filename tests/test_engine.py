@@ -7,9 +7,9 @@ import dataclasses
 import pytest
 
 from lmfa.config import ConfigError, MatchConfig
-from lmfa.engine import (
-    Button,
-    EMPTY_CHORD,
+from lmfa.engine.buttons import Button, EMPTY_CHORD, chord
+from lmfa.engine.core import RoundOverError, new_match, outcome, record_action, step
+from lmfa.engine.state import (
     EndReason,
     Facing,
     GameState,
@@ -18,13 +18,7 @@ from lmfa.engine import (
     KnockedDown,
     MoveActive,
     Player,
-    RoundOverError,
     Winner,
-    chord,
-    new_match,
-    outcome,
-    record_action,
-    step,
 )
 
 R = Button.RIGHT

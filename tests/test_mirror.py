@@ -5,16 +5,9 @@ from __future__ import annotations
 import random
 
 from lmfa.config import MatchConfig
-from lmfa.engine import (
-    Button,
-    EMPTY_CHORD,
-    chord,
-    mirror,
-    mirror_chord,
-    new_match,
-    step,
-    trace_line,
-)
+from lmfa.engine.buttons import Button, EMPTY_CHORD, chord, mirror_chord
+from lmfa.engine.core import mirror, new_match, step
+from lmfa.engine.state import trace_line
 
 
 def random_chord(rng: random.Random) -> frozenset:

@@ -7,17 +7,10 @@ import json
 from importlib import resources
 
 from lmfa.config import MatchConfig
-from lmfa.engine import (
-    Button,
-    EMPTY_CHORD,
-    GAP_WINDOW_FRAMES,
-    MOVE_TABLE,
-    MOVES_BY_ID,
-    MoveActive,
-    chord,
-    new_match,
-    step,
-)
+from lmfa.engine.buttons import Button, EMPTY_CHORD, chord
+from lmfa.engine.core import new_match, step
+from lmfa.engine.moves import GAP_WINDOW_FRAMES, MOVE_TABLE, MOVES_BY_ID
+from lmfa.engine.state import MoveActive
 
 
 def test_table_constants_match_documented_standins():

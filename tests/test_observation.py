@@ -9,41 +9,32 @@ import numpy as np
 import pytest
 
 from lmfa.config import MatchConfig
-from lmfa.engine import (
-    Button,
-    Player,
-    jump_height,
-    mirror,
-    mirror_action_text,
-    new_match,
-    record_action,
-    step,
-)
-from lmfa.observe import (
-    AnnotationError,
-    FrameHistory,
-    TIMER_RECT,
-    annotate,
+from lmfa.engine.buttons import Button
+from lmfa.engine.core import jump_height, mirror, new_match, record_action, step
+from lmfa.engine.state import Player, mirror_action_text
+from lmfa.observe.describe import (
     decode_frame_base64,
     describe_state,
     encode_frame_base64,
     encode_payload_base64,
-    fighter_center_px,
-    marker_rect,
     parse_state_text,
-    ppm_bytes,
-    render,
-    sample_window,
-    window_indices,
 )
 from lmfa.observe.raster import (
+    AnnotationError,
     BAR_BOTTOM,
     BAR_MARGIN,
     BAR_TOP,
     BAR_WIDTH,
     HEIGHT,
+    TIMER_RECT,
     WIDTH,
+    annotate,
+    fighter_center_px,
+    marker_rect,
+    ppm_bytes,
+    render,
 )
+from lmfa.observe.window import FrameHistory, sample_window_encoded, window_indices
 
 
 def random_state(seed: int):
@@ -140,21 +131,19 @@ class TestWindow:
         hist = FrameHistory()
         for f in range(0, 101, 4):
             img = render(dataclasses.replace(s, frame=f))
-            hist.append(f, img, "")
-        frames = sample_window(hist, 100)
+            hist.append(f, encode_frame_base64(img))
+        frames = sample_window_encoded(hist, 100)
         assert len(frames) == 10
 
     def test_sample_window_missing_frame_raises(self):
         hist = FrameHistory()
         with pytest.raises(LookupError):
-            sample_window(hist, 40)
+            sample_window_encoded(hist, 40)
 
     def test_history_capacity_bounded(self):
-        s = new_match(MatchConfig(), seed=1)
-        img = render(s)
         hist = FrameHistory(capacity=64)
         for f in range(0, 400, 4):
-            hist.append(f, img, "")
+            hist.append(f, "")
         assert len(hist) == 64
 
 

@@ -13,45 +13,49 @@ from outcome_fixture import (
     fixture_log,
     fixture_logs,
 )
-from lmfa.agents import AgentKind, AgentSpec, BotPolicy
+from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
-from lmfa.engine import Button, decode_chord, encode_chord
+from lmfa.engine.buttons import Button, decode_chord, encode_chord
 from lmfa.reporting import (
     ReportIntegrityError,
     build_heatmap,
-    build_matrix,
     build_win_rates,
     heatmap_csv,
     matrix_csv,
     verify_replay,
     win_rates_csv,
 )
-from lmfa.tourney import (
-    TournamentResult,
+from lmfa.tourney.match import (
+    BUTTON_NAMES,
+    UnsupportedSchemaError,
+    log_from_dict,
     log_to_dict,
-    result_from_logs,
     run_match,
 )
-from lmfa.tourney.match import BUTTON_NAMES, UnsupportedSchemaError
+from lmfa.tourney.roundrobin import TournamentResult, result_from_logs
 
 
 def bot(name: str, policy: BotPolicy, **kw) -> AgentSpec:
     return AgentSpec(id=name, kind=AgentKind.SCRIPTED, bot_policy=policy, **kw)
 
 
+def records(logs):
+    return [log_from_dict(log) for log in logs]
+
+
 class TestMatrix:
     def test_fixture_known_cells(self):
-        result = result_from_logs(fixture_logs())
-        report = build_matrix(result)
-        assert report.agents == AGENTS
+        result = result_from_logs(records(fixture_logs()))
+        cells = {(c.row, c.col): c for c in result.cells}
+        assert result.agents == AGENTS
         for (row, col), health in KNOWN_CELLS.items():
-            cell = report.cells[(row, col)]
-            assert cell.outcome == "row_win"
+            cell = cells[(row, col)]
+            assert cell.winner == "row"
             assert cell.winner_health_fraction == pytest.approx(health, abs=5e-4)
 
     def test_fixture_csv_carries_three_decimals(self):
-        result = result_from_logs(fixture_logs())
-        text = matrix_csv(build_matrix(result))
+        result = result_from_logs(records(fixture_logs()))
+        text = matrix_csv(result)
         assert "W:0.025" in text
         assert "W:1.000" in text
         assert "W:0.683" in text
@@ -63,18 +67,17 @@ class TestMatrix:
         assert gpt_row == "gpt4o,L,L,L,L,L,-"
 
     def test_empty_tournament_empty_report(self):
-        report = build_matrix(
+        text = matrix_csv(
             TournamentResult(agents=(), cells=(), standings=(), button_counts={})
         )
-        assert report.agents == ()
-        assert report.cells == {}
+        assert text == ",\n"  # no agent columns, no rows
 
     def test_missing_pair_is_integrity_error(self):
         logs = fixture_logs()[:-1]
         # reconstruction still sees all six agents through other pairs
-        result = result_from_logs(logs)
+        result = result_from_logs(records(logs))
         with pytest.raises(ReportIntegrityError):
-            build_matrix(result)
+            matrix_csv(result)
 
     def test_draw_cell_renders_as_d(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
@@ -82,26 +85,26 @@ class TestMatrix:
             {"winner": "Draw", "winner_health": None, "winner_health_fraction": None,
              "end_reason": "timeout"}
         )
-        text = matrix_csv(build_matrix(result_from_logs(logs)))
+        text = matrix_csv(result_from_logs(records(logs)))
         assert "D" in text
 
 
 class TestWinRates:
     def test_fixture_win_rate_vector(self):
-        result = result_from_logs(fixture_logs())
+        result = result_from_logs(records(fixture_logs()))
         rows = build_win_rates(result)
         assert [r.agent for r in rows] == list(AGENTS)
         assert [r.win_rate for r in rows] == EXPECTED_WIN_RATES
 
     def test_fixture_csv_second_column(self):
-        result = result_from_logs(fixture_logs())
+        result = result_from_logs(records(fixture_logs()))
         text = win_rates_csv(build_win_rates(result))
         column = [line.split(",")[1] for line in text.strip().splitlines()[1:]]
         assert column == ["1.0", "0.8", "0.6", "0.4", "0.2", "0.0"]
 
     def test_single_match(self):
         logs = [fixture_log(0, "a", "b", "a", 0.4)]
-        rows = build_win_rates(result_from_logs(logs))
+        rows = build_win_rates(result_from_logs(records(logs)))
         assert [(r.agent, r.win_rate) for r in rows] == [("a", 1.0), ("b", 0.0)]
 
     def test_all_draws_all_half(self):
@@ -117,7 +120,7 @@ class TestWinRates:
                 )
                 logs.append(log)
                 pair += 1
-        rows = build_win_rates(result_from_logs(logs))
+        rows = build_win_rates(result_from_logs(records(logs)))
         assert [r.win_rate for r in rows] == [0.5, 0.5, 0.5]
 
     def test_ties_break_by_health_then_id(self):
@@ -126,7 +129,7 @@ class TestWinRates:
             fixture_log(1, "aa", "cc", "cc", 0.9),
             fixture_log(2, "bb", "cc", "bb", 0.8),
         ]
-        rows = build_win_rates(result_from_logs(logs))
+        rows = build_win_rates(result_from_logs(records(logs)))
         # everyone 1-1; higher retained health first
         assert [r.agent for r in rows] == ["cc", "bb", "aa"]
 
@@ -137,7 +140,7 @@ class TestHeatmap:
         script.write_text("A\n")
         puncher = bot("puncher", BotPolicy.FIXED_SCRIPT, script_path=str(script))
         log = run_match(puncher, bot("idle", BotPolicy.IDLE), MatchConfig(seed=3, match_length_frames=400))
-        heat = build_heatmap([log_to_dict(log)])
+        heat = build_heatmap([log_from_dict(log_to_dict(log))])
         row = heat.normalized["puncher"]
         assert row["A"] == 1.0
         assert all(v == 0.0 for k, v in row.items() if k != "A")
@@ -151,7 +154,7 @@ class TestHeatmap:
             log_to_dict(run_match(bot("r1", BotPolicy.RANDOM, seed=1), bot("z1", BotPolicy.ZONER), cfg)),
             log_to_dict(run_match(bot("z1", BotPolicy.ZONER), bot("r1", BotPolicy.RANDOM, seed=1), cfg)),
         ]
-        heat = build_heatmap(logs)
+        heat = build_heatmap(records(logs))
         # independent fold over the raw traces
         recount = {aid: {n: 0 for n in BUTTON_NAMES.values()} for aid in ("r1", "z1")}
         for log in logs:
@@ -162,23 +165,14 @@ class TestHeatmap:
                         recount[aid][BUTTON_NAMES[b]] += 1
         assert heat.counts == recount
 
-    def test_press_edge_mode_counts_less(self):
-        cfg = MatchConfig(seed=9, match_length_frames=400)
-        log = log_to_dict(run_match(bot("r1", BotPolicy.RANDOM, seed=2), bot("idle", BotPolicy.IDLE), cfg))
-        frames = build_heatmap([log], counting="held_frames")
-        edges = build_heatmap([log], counting="press_edges")
-        total_frames = sum(frames.counts["idle"].values())
-        total_edges = sum(edges.counts["idle"].values())
-        assert 0 < total_edges < total_frames
-
     def test_all_zero_row_stays_zero(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
-        heat = build_heatmap(logs)
+        heat = build_heatmap(records(logs))
         assert all(v == 0.0 for v in heat.normalized["a"].values())
 
     def test_csv_shape(self, tmp_path):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
-        text = heatmap_csv(build_heatmap(logs))
+        text = heatmap_csv(build_heatmap(records(logs)))
         header = text.splitlines()[0]
         assert header == "agent,Up,Down,Left,Right,A,B,C,Start"
 
@@ -192,7 +186,7 @@ class TestVerifyReplay:
         )
 
     def test_untampered_log_matches(self):
-        verdict = verify_replay(log_to_dict(self.make_log()))
+        verdict = verify_replay(log_from_dict(log_to_dict(self.make_log())))
         assert verdict.ok and verdict.kind == "match"
 
     def test_flipped_input_bit_detected_at_exact_frame(self):
@@ -207,7 +201,7 @@ class TestVerifyReplay:
             held = set(decode_chord(data["input_trace"][frame][side]))
             held.symmetric_difference_update({button})
             data["input_trace"][frame][side] = encode_chord(frozenset(held))
-            verdict = verify_replay(data)
+            verdict = verify_replay(log_from_dict(data))
             assert not verdict.ok
             assert verdict.kind == "state_divergence"
             assert verdict.first_divergent_frame == frame + 1
@@ -215,7 +209,7 @@ class TestVerifyReplay:
     def test_edited_result_is_flagged_as_forgery(self):
         data = log_to_dict(self.make_log())
         data["result"] = {**data["result"], "winner_health": 123}
-        verdict = verify_replay(data)
+        verdict = verify_replay(log_from_dict(data))
         assert not verdict.ok
         assert verdict.kind == "result_forgery"
 
@@ -224,7 +218,7 @@ class TestVerifyReplay:
         for bad in (["C"], ["", "", ""], 7, ["A", 5]):
             data = {**base, "input_trace": list(base["input_trace"])}
             data["input_trace"][3] = bad
-            verdict = verify_replay(data)
+            verdict = verify_replay(log_from_dict(data))
             assert not verdict.ok
             assert verdict.kind == "state_divergence"
             assert verdict.first_divergent_frame == 4
@@ -233,4 +227,4 @@ class TestVerifyReplay:
         data = log_to_dict(self.make_log())
         data["schema"] = "lmfa-log/2"
         with pytest.raises(UnsupportedSchemaError):
-            verify_replay(data)
+            verify_replay(log_from_dict(data))
