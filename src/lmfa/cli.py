@@ -1,10 +1,10 @@
 """Operator command line: run matches and tournaments, replay, report.
 
 Exit codes: 0 success (draws included), 2 configuration error, 3
-agent/setup error, 4 replay divergence. A refused `report` writes no
-file. All commands are deterministic given their flags and input files
-when every agent is scripted, and no command writes outside its output
-directory.
+agent/setup error, 4 replay divergence. A `report` over logs that are
+not a round-robin schedule is refused with 2 and writes no file. All
+commands are deterministic given their flags and input files when every
+agent is scripted, and no command writes outside its output directory.
 """
 
 from __future__ import annotations
@@ -126,13 +126,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             logs.append(read_log(path))
         except (OSError, ValueError) as exc:  # as in cmd_replay
             raise ConfigError(f"unreadable match log {path}: {exc}") from exc
-    # Schedule order, not file-name order (match_10_* sorts before
-    # match_2_*), so heatmap rows come out as `tournament` wrote them.
-    logs.sort(key=lambda log: (log.pair_index, log.repeat_index))
     result = result_from_logs(logs)
     out = Path(args.out) if args.out else logs_dir
-    # write_reports checks the result is complete before it writes a file,
-    # so a refused report leaves the output directory as it was.
+    # write_reports checks that the logs are a round-robin schedule before
+    # it writes a file, so a refused report leaves the output directory as
+    # it was.
     write_reports(result, logs, out)
     write_tournament(result, out / "tournament.json")
     print(f"REPORTS={out}")

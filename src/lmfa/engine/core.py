@@ -1,8 +1,8 @@
 """Deterministic two-player engine: one pure step function over chords.
 
 All arithmetic is integer; the engine consumes no randomness and no
-wall-clock time, so a (config, seed, input script) triple fully determines
-every state. The per-frame order of operations is fixed:
+wall-clock time, so a (config, input script) pair fully determines every
+state. The per-frame order of operations is fixed:
 
   1. chord normalization and press-edge bookkeeping
   2. independent fighter updates (phase ticks, movement, trigger starts)
@@ -75,7 +75,7 @@ class RoundOverError(EngineError):
     """Raised when stepping a round that has already ended."""
 
 
-def new_match(config: MatchConfig, seed: int) -> GameState:
+def new_match(config: MatchConfig) -> GameState:
     """Symmetric initial state: full health, mirrored positions, timer set."""
     config = config.validated()
     half = config.arena_width // 2
@@ -100,20 +100,7 @@ def new_match(config: MatchConfig, seed: int) -> GameState:
         p1=p1,
         p2=p2,
         projectiles=(),
-        rng_seed=seed,
     )
-
-
-def outcome(state: GameState) -> Optional[RoundOutcome]:
-    return state.round_over
-
-
-def record_action(state: GameState, player: Player, command_text: str) -> GameState:
-    """Append an executed command to a fighter's last-actions ring buffer."""
-    fs = state.fighter(player)
-    actions = (fs.last_actions + (command_text,))[-5:]
-    fs = replace(fs, last_actions=actions)
-    return replace(state, p1=fs) if player is Player.P1 else replace(state, p2=fs)
 
 
 def mirror(state: GameState) -> GameState:
@@ -228,7 +215,7 @@ def _advance_fighter(
             phase = IDLE
 
     return (
-        FighterState(fs.health, x, y, fs.facing, phase, fs.last_actions, held, presses),
+        FighterState(fs.health, x, y, fs.facing, phase, held, presses),
         spawn,
     )
 
@@ -394,6 +381,5 @@ def step(state: GameState, input_p1: Chord, input_p2: Chord) -> GameState:
         p1,
         p2,
         tuple(surviving),
-        state.rng_seed,
         _check_round_end(p1, p2, timer, frame),
     )

@@ -14,7 +14,6 @@ Phase codes: ``idle``, ``walk``, ``block``, ``jump:<t>``,
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
@@ -134,16 +133,11 @@ class FighterState:
     y: int
     facing: Facing
     phase: Phase
-    last_actions: Tuple[str, ...] = ()
     # Input bookkeeping for the trigger matcher, as chord masks (see
     # engine.buttons); part of the state so that stepping stays a pure
     # function of (state, inputs).
     prev_chord: int = 0
     presses: Tuple[PressEvent, ...] = ()
-
-    @property
-    def health_fraction(self) -> float:
-        return self.health / HEALTH_MAX
 
     @property
     def actionable(self) -> bool:
@@ -180,7 +174,6 @@ class GameState:
     p1: FighterState
     p2: FighterState
     projectiles: Tuple[Projectile, ...]
-    rng_seed: int
     round_over: Optional[RoundOutcome] = None
 
     def fighter(self, player: Player) -> FighterState:
@@ -190,11 +183,6 @@ class GameState:
     def timer_seconds(self) -> int:
         """Seconds shown on the HUD; a started second counts until it ends."""
         return (self.timer_frames + 59) // 60
-
-
-def health_fraction_str(health: int) -> str:
-    """Render internal 0-1000 health as the external 3-decimal fraction."""
-    return f"{health / HEALTH_MAX:.3f}"
 
 
 def trace_line(state: GameState) -> str:
@@ -220,14 +208,6 @@ def trace_line(state: GameState) -> str:
     return ",".join(parts)
 
 
-_LR_WORD = re.compile(r"\b(Left|Right)\b")
-
-
-def mirror_action_text(text: str) -> str:
-    """Swap absolute Left/Right words in a recorded command string."""
-    return _LR_WORD.sub(lambda m: "Right" if m.group(0) == "Left" else "Left", text)
-
-
 def _mirror_phase(phase: Phase, width: int) -> Phase:
     if isinstance(phase, Jumping):
         return Jumping(t=phase.t, origin_x=width - phase.origin_x, drift=-phase.drift)
@@ -235,12 +215,12 @@ def _mirror_phase(phase: Phase, width: int) -> Phase:
 
 
 def mirror_fighter(fs: FighterState, width: int) -> FighterState:
-    return replace(
-        fs,
+    return FighterState(
+        health=fs.health,
         x=width - fs.x,
+        y=fs.y,
         facing=fs.facing.flipped,
         phase=_mirror_phase(fs.phase, width),
-        last_actions=tuple(mirror_action_text(a) for a in fs.last_actions),
         prev_chord=MIRROR[fs.prev_chord],
         presses=tuple((f, MIRROR[m]) for f, m in fs.presses),
     )

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from lmfa.engine.state import Facing, GameState, Player
+from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
 from lmfa.observe.raster import FrameImage, ppm_bytes
 
 STATE_TEXT_VERSION = "v1"
@@ -101,7 +101,7 @@ def _facing_word(facing: Facing) -> str:
 
 
 def _action_slots(actions: Tuple[str, ...]) -> str:
-    padded = ("-",) * (ACTION_SLOTS - len(actions)) + actions[-ACTION_SLOTS:]
+    padded = ("-",) * (ACTION_SLOTS - len(actions)) + actions
     return "; ".join(padded)
 
 
@@ -176,20 +176,26 @@ def describe_state(
     for_player: Player,
     frames: Tuple[str, ...] = (),
     decision_index: int = 0,
+    last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ()),
 ) -> Observation:
-    """Build the observation for one player; frames are attached as given."""
+    """Build the observation for one player; frames are attached as given.
+
+    ``last_actions`` holds P1's and P2's executed commands, oldest first;
+    the newest ``ACTION_SLOTS`` of each fill the two action lines.
+    """
     me = state.fighter(for_player)
     opp = state.fighter(for_player.other)
+    mine, theirs = last_actions if for_player is Player.P1 else last_actions[::-1]
     features = ObservationFeatures(
         timer_seconds=state.timer_seconds,
-        self_health_fraction=me.health / 1000,
-        opponent_health_fraction=opp.health / 1000,
+        self_health_fraction=me.health / HEALTH_MAX,
+        opponent_health_fraction=opp.health / HEALTH_MAX,
         self_position=(me.x, me.y),
         opponent_position=(opp.x, opp.y),
         self_facing=_facing_word(me.facing),
         opponent_facing=_facing_word(opp.facing),
-        self_last_actions=me.last_actions,
-        opponent_last_actions=opp.last_actions,
+        self_last_actions=mine[-ACTION_SLOTS:],
+        opponent_last_actions=theirs[-ACTION_SLOTS:],
     )
     return Observation(
         for_player=for_player,

@@ -19,16 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from lmfa.engine.buttons import CHORD_OF, ENCODE, Chord, decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import trace_line
-from lmfa.tourney.match import (
-    BUTTON_NAMES,
-    BUTTON_ORDER,
-    LogRecord,
-    chain_digest,
-    initial_digest,
-)
-from lmfa.tourney.roundrobin import AgentStanding, TournamentResult
-
-BUTTON_COLUMNS = tuple(BUTTON_NAMES[b] for b in BUTTON_ORDER)
+from lmfa.tourney.match import BUTTON_NAMES, LogRecord, chain_digest, initial_digest
+from lmfa.tourney.roundrobin import AgentStanding, TournamentResult, pair_schedule
 
 
 class ReportIntegrityError(ValueError):
@@ -74,6 +66,37 @@ def matrix_csv(result: TournamentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_schedule(agents: Sequence[str], logs: Sequence[LogRecord]) -> None:
+    """Raise ReportIntegrityError unless the logs are exactly a round-robin
+    schedule over ``agents``: each log is the schedule entry for its
+    ``(pair_index, repeat_index)`` (pair inside the schedule, sides set by
+    the flip rule), no entry comes twice, and every pair has the same
+    repeats ``0..k-1``.
+    """
+    repeats = 1 + max((log.repeat_index for log in logs), default=0)
+    schedule = {
+        (e["pair_index"], e["repeat_index"]): e for e in pair_schedule(agents, repeats)
+    }
+    seen = set()
+    for log in logs:
+        key = (log.pair_index, log.repeat_index)
+        where = f"log {log.p1_id} vs {log.p2_id} (pair {key[0]}, repeat {key[1]})"
+        entry = schedule.get(key)
+        if entry is None:
+            raise ReportIntegrityError(f"{where} is outside the round-robin schedule")
+        if (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
+            raise ReportIntegrityError(f"{where} should be {entry['p1']} vs {entry['p2']}")
+        if key in seen:
+            raise ReportIntegrityError(f"{where} appears twice")
+        seen.add(key)
+    missing = [
+        f"pair {p} {(schedule[p, r]['row'], schedule[p, r]['col'])} repeat {r}"
+        for p, r in sorted(schedule.keys() - seen)
+    ]
+    if missing:
+        raise ReportIntegrityError(f"no log for {'; '.join(missing)}")
+
+
 # -- win rates ----------------------------------------------------------
 
 
@@ -103,53 +126,45 @@ class HeatmapReport:
     normalized: Dict[str, Dict[str, float]]
 
 
-def build_heatmap(logs: Sequence[LogRecord]) -> HeatmapReport:
-    """Sum held-frame button counts per agent across matches (a button held
-    k frames counts k), then row-max normalize."""
-    agents: List[str] = []
-    totals: Dict[str, Dict[str, int]] = {}
-    for log in logs:
-        for side_key, agent in (("P1", log.p1_id), ("P2", log.p2_id)):
-            if agent not in totals:
-                agents.append(agent)
-                totals[agent] = {name: 0 for name in BUTTON_COLUMNS}
-            per_button = log.button_counts[side_key]
-            for name in BUTTON_COLUMNS:
-                totals[agent][name] += per_button.get(name, 0)
+def build_heatmap(result: TournamentResult) -> HeatmapReport:
+    """Row-max normalize the per-agent held-frame button counts (a button
+    held k frames counts k) that aggregation summed across matches."""
     normalized = {}
-    for agent, row in totals.items():
+    for agent, row in result.button_counts.items():
         peak = max(row.values())
         normalized[agent] = {
-            name: (row[name] / peak if peak else 0.0) for name in BUTTON_COLUMNS
+            name: (n / peak if peak else 0.0) for name, n in row.items()
         }
-    return HeatmapReport(agents=tuple(agents), counts=totals, normalized=normalized)
+    return HeatmapReport(
+        agents=result.agents, counts=result.button_counts, normalized=normalized
+    )
 
 
 def heatmap_csv(report: HeatmapReport) -> str:
-    lines = ["agent," + ",".join(BUTTON_COLUMNS)]
+    lines = ["agent," + ",".join(BUTTON_NAMES.values())]
     for agent in report.agents:
         row = report.counts[agent]
-        lines.append(agent + "," + ",".join(str(row[n]) for n in BUTTON_COLUMNS))
+        lines.append(agent + "," + ",".join(str(row[n]) for n in BUTTON_NAMES.values()))
     return "\n".join(lines) + "\n"
 
 
 def heatmap_norm_csv(report: HeatmapReport) -> str:
-    lines = ["agent," + ",".join(BUTTON_COLUMNS)]
+    lines = ["agent," + ",".join(BUTTON_NAMES.values())]
     for agent in report.agents:
         row = report.normalized[agent]
         lines.append(
-            agent + "," + ",".join(f"{row[n]:.4f}" for n in BUTTON_COLUMNS)
+            agent + "," + ",".join(f"{row[n]:.4f}" for n in BUTTON_NAMES.values())
         )
     return "\n".join(lines) + "\n"
 
 
 def heatmap_grid(report: HeatmapReport) -> str:
     """Plot-ready text grid: one row per agent, one column per button."""
-    lines = ["# agent " + " ".join(BUTTON_COLUMNS)]
+    lines = ["# agent " + " ".join(BUTTON_NAMES.values())]
     for agent in report.agents:
         row = report.normalized[agent]
         lines.append(
-            agent + " " + " ".join(f"{row[n]:.4f}" for n in BUTTON_COLUMNS)
+            agent + " " + " ".join(f"{row[n]:.4f}" for n in BUTTON_NAMES.values())
         )
     return "\n".join(lines) + "\n"
 
@@ -181,7 +196,7 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
     any single-bit mutation of the input trace diverges at exactly the
     frame following the tampered entry.
     """
-    state = new_match(log.config, log.seed)
+    state = new_match(log.config)
     logged = log.state_digests
     digest = initial_digest(log.config, log.seed, state)
     if not logged or logged[0] != digest:
@@ -233,10 +248,11 @@ def write_reports(
     """Emit all CSV reports (and the plot grid) into out_dir.
 
     Raises ReportIntegrityError before creating or writing anything when
-    the result misses a round-robin pair.
+    the logs are not a round-robin schedule or the result misses a pair.
     """
+    check_schedule(result.agents, logs)
     matrix = matrix_csv(result)
-    heat = build_heatmap(logs)
+    heat = build_heatmap(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -32,7 +32,7 @@ from lmfa.engine.buttons import (
     Chord,
     encode_chord,
 )
-from lmfa.engine.core import new_match, record_action, step
+from lmfa.engine.core import new_match, step
 from lmfa.engine.state import (
     EndReason,
     GameState,
@@ -41,7 +41,7 @@ from lmfa.engine.state import (
     Winner,
     trace_line,
 )
-from lmfa.observe.describe import describe_state, encode_frame_base64
+from lmfa.observe.describe import ACTION_SLOTS, describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
 from lmfa.observe.window import (
     FrameHistory,
@@ -52,16 +52,7 @@ from lmfa.observe.window import (
 
 LOG_SCHEMA = "lmfa-log/1"
 
-BUTTON_ORDER = (
-    Button.UP,
-    Button.DOWN,
-    Button.LEFT,
-    Button.RIGHT,
-    Button.A,
-    Button.B,
-    Button.C,
-    Button.START,
-)
+# Report column names, in Button order.
 BUTTON_NAMES = {
     Button.UP: "Up",
     Button.DOWN: "Down",
@@ -128,19 +119,12 @@ def chain_digest(prev: str, enc1: str, enc2: str, line: str) -> str:
     return hashlib.sha256(f"{prev}|{enc1}|{enc2}|{line}".encode()).hexdigest()
 
 
-def empty_button_counts() -> Dict[str, Dict[str, int]]:
-    return {
-        "P1": {BUTTON_NAMES[b]: 0 for b in BUTTON_ORDER},
-        "P2": {BUTTON_NAMES[b]: 0 for b in BUTTON_ORDER},
-    }
-
-
 def _expand_histogram(histogram: List[int]) -> Dict[str, int]:
     """Held-frame count per button from a frame count per chord mask."""
     counts = {}
-    for b in BUTTON_ORDER:
+    for b, name in BUTTON_NAMES.items():
         bit = BIT[b]
-        counts[BUTTON_NAMES[b]] = sum(n for mask, n in enumerate(histogram) if mask & bit)
+        counts[name] = sum(n for mask, n in enumerate(histogram) if mask & bit)
     return counts
 
 
@@ -176,7 +160,7 @@ def run_match(
     config = config.validated()
     seed = config.seed
 
-    state = new_match(config, seed)
+    state = new_match(config)
     prompt = build_system_prompt(config)
     interval = config.decision_interval_frames
 
@@ -203,6 +187,8 @@ def run_match(
     feed1, feed2 = feeds[Player.P1], feeds[Player.P2]
     decisions: List[DecisionRecord] = []
     input_trace: List[Tuple[str, str]] = []
+    # P1's and P2's last ACTION_SLOTS commands, oldest first
+    last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
     hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
     digests = [initial_digest(config, seed, state)]
     tick = 0
@@ -229,6 +215,7 @@ def run_match(
                         player,
                         frames=frames if specs[player].kind is AgentKind.REMOTE else (),
                         decision_index=tick,
+                        last_actions=last_actions,
                     )
                     for player in (Player.P1, Player.P2)
                 )
@@ -242,8 +229,10 @@ def run_match(
                     plan = resolve(decision.command, state.fighter(player).facing)
                     feeds[player].reset(plan)
                     decisions.append(DecisionRecord(player, tick, decision, plan))
-                for player, decision in zip((Player.P1, Player.P2), chosen):
-                    state = record_action(state, player, decision.command.normalized)
+                last_actions = tuple(
+                    (mine + (decision.command.normalized,))[-ACTION_SLOTS:]
+                    for mine, decision in zip(last_actions, chosen)
+                )
                 tick += 1
 
             c1 = feed1.next_chord()

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from lmfa.agents.specs import AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, with_seed
 from lmfa.engine.state import HEALTH_MAX, Player, Winner
-from lmfa.tourney.match import LogRecord, MatchLog, empty_button_counts, run_match
+from lmfa.tourney.match import BUTTON_NAMES, LogRecord, MatchLog, run_match
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
         for aid, s in ((aid, stats[aid]) for aid in ids)
     )
 
-    counts = {aid: dict(next(iter(empty_button_counts().values()))) for aid in ids}
+    counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
     for log in logs:
         for player in (Player.P1, Player.P2):
             aid = log.agent_id(player)

@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 
 from lmfa.agents.prompt import PROMPT_VERSION
 from lmfa.config import MatchConfig, config_to_dict
-from lmfa.tourney.match import LOG_SCHEMA, empty_button_counts
+from lmfa.tourney.match import BUTTON_NAMES, LOG_SCHEMA
 
 AGENTS: Tuple[str, ...] = (
     "claude",
@@ -84,7 +84,9 @@ def fixture_log(
         "decisions": [],
         "input_trace": [],
         "state_digests": [],
-        "button_counts": empty_button_counts(),
+        "button_counts": {
+            side: dict.fromkeys(BUTTON_NAMES.values(), 0) for side in ("P1", "P2")
+        },
     }
 
 

@@ -31,8 +31,9 @@ from lmfa.engine.core import mirror, mirror_outcome, new_match, step
 from lmfa.engine.state import EndReason, Player, Winner, trace_line
 from lmfa.observe.describe import describe_state
 from lmfa.observe.window import window_indices
-from lmfa.reporting import verify_replay
+from lmfa.reporting import build_heatmap, verify_replay
 from lmfa.tourney.match import BUTTON_NAMES, log_from_dict, log_to_dict, run_match
+from lmfa.tourney.roundrobin import result_from_logs
 
 
 def bot(name: str, policy: BotPolicy, seed: int = 0, **kw) -> AgentSpec:
@@ -106,7 +107,7 @@ def test_criterion_02_mirror_fairness():
         inputs = [
             (decode_chord(e1), decode_chord(e2)) for e1, e2 in log.input_trace
         ]
-        orig = new_match(cfg, cfg.seed)
+        orig = new_match(cfg)
         refl = mirror(orig)
         assert trace_line(refl) == trace_line(orig)  # symmetric start
         for c1, c2 in inputs:
@@ -261,7 +262,7 @@ def test_criterion_08_gateway_timeout_contract():
             timeout_ms=timeout_ms,
             max_retries=retries,
         )
-        state = new_match(MatchConfig(), 1)
+        state = new_match(MatchConfig())
         obs = describe_state(state, Player.P1)
         started = time.perf_counter()
         decision = act(spec, obs, "sys")
@@ -288,9 +289,7 @@ def test_criterion_09_heatmap_exactness(tmp_path):
     log = run_match(puncher, bot("idle", BotPolicy.IDLE), MatchConfig(seed=5, match_length_frames=600))
     data = log_to_dict(log)
 
-    from lmfa.reporting import build_heatmap
-
-    heat = build_heatmap([log_from_dict(data)])
+    heat = build_heatmap(result_from_logs([log_from_dict(data)]))
     row = heat.normalized["puncher"]
     assert row["A"] == 1.0
     assert all(value == 0.0 for name, value in row.items() if name != "A")

@@ -45,14 +45,14 @@ def obs_for(state, player=Player.P1, decision_index=0):
 
 class TestBots:
     def test_idle_bot_always_blocks(self):
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         for i in range(5):
             assert decide(bot(BotPolicy.IDLE), obs_for(s, decision_index=i)) == "C"
 
     def test_rushdown_kicks_far_punches_close(self):
         import dataclasses
 
-        s = new_match(MatchConfig(), 1)  # distance 160
+        s = new_match(MatchConfig())  # distance 160
         assert decide(bot(BotPolicy.RUSHDOWN), obs_for(s)) == "Forward, Forward, C"
         near = dataclasses.replace(s, p2=dataclasses.replace(s.p2, x=180))
         assert decide(bot(BotPolicy.RUSHDOWN), obs_for(near)) == "A"
@@ -60,7 +60,7 @@ class TestBots:
     def test_zoner_fires_at_range_retreats_close(self):
         import dataclasses
 
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         assert decide(bot(BotPolicy.ZONER), obs_for(s)) == "Down, Forward, A"
         near = dataclasses.replace(s, p2=dataclasses.replace(s.p2, x=160))
         assert decide(bot(BotPolicy.ZONER), obs_for(near)) == "Back"
@@ -73,7 +73,7 @@ class TestBots:
             "Down, Forward, A", "Forward + A", "Forward, A", "B", "Back + B",
             "Down, Forward, A", "C",
         )
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         spec = bot(BotPolicy.RANDOM, seed=7)
         got = tuple(
             decide(spec, obs_for(s, decision_index=i)) for i in range(20)
@@ -81,7 +81,7 @@ class TestBots:
         assert got == golden
 
     def test_random_bot_varies_with_seed(self):
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         seq5 = [decide(bot(BotPolicy.RANDOM, seed=5), obs_for(s, decision_index=i)) for i in range(12)]
         seq6 = [decide(bot(BotPolicy.RANDOM, seed=6), obs_for(s, decision_index=i)) for i in range(12)]
         assert seq5 != seq6
@@ -94,13 +94,13 @@ class TestBots:
         script = tmp_path / "moves.txt"
         script.write_text("# opener\nA\nB\nForward, Forward, C\n")
         spec = bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         got = [decide(spec, obs_for(s, decision_index=i)) for i in range(4)]
         assert got == ["A", "B", "Forward, Forward, C", "A"]
 
     def test_missing_script_is_setup_error(self):
         spec = bot(BotPolicy.FIXED_SCRIPT, script_path="/nonexistent/script.txt")
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         with pytest.raises(AgentSetupError):
             decide(spec, obs_for(s))
 
@@ -124,7 +124,7 @@ class TestPrompt:
 
 class TestScriptedGateway:
     def test_scripted_decision_latency_zero(self):
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         d = act(bot(BotPolicy.IDLE), obs_for(s), "prompt")
         assert d.latency_ms == 0
         assert d.failure is None
@@ -146,7 +146,7 @@ def remote_spec(url: str, timeout_ms: int = 2000, retries: int = 1) -> AgentSpec
 class TestRemoteGateway:
     def test_successful_decision(self):
         with MockAgentServer(replies=["I advance. Left + A"]) as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             d = act(remote_spec(server.url), obs_for(s), "sys")
             assert d.failure is None
             assert d.command.normalized == "Left + A"
@@ -156,7 +156,7 @@ class TestRemoteGateway:
 
     def test_timeout_falls_back_to_block(self):
         with MockAgentServer(replies=["A"], delay_s=0.6) as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             spec = remote_spec(server.url, timeout_ms=150, retries=1)
             started = time.perf_counter()
             d = act(spec, obs_for(s), "sys")
@@ -167,13 +167,13 @@ class TestRemoteGateway:
 
     def test_http_error_is_transport_failure(self):
         with MockAgentServer(replies=["A"], status=500) as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             d = act(remote_spec(server.url), obs_for(s), "sys")
             assert d.failure is FailureKind.TRANSPORT
             assert d.command.normalized == "C"
 
     def test_unreachable_endpoint_is_transport_failure(self):
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         spec = remote_spec("http://127.0.0.1:1/", timeout_ms=200, retries=0)
         d = act(spec, obs_for(s), "sys")
         assert d.failure is FailureKind.TRANSPORT
@@ -181,27 +181,27 @@ class TestRemoteGateway:
 
     def test_prose_only_reply_is_no_command(self):
         with MockAgentServer(replies=["I cannot decide what to do."]) as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             d = act(remote_spec(server.url), obs_for(s), "sys")
             assert d.failure is FailureKind.NO_COMMAND
             assert d.command.normalized == "C"
 
     def test_retry_count_observed(self):
         with MockAgentServer(replies=["A"], status=503) as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             act(remote_spec(server.url, retries=2), obs_for(s), "sys")
             assert len(server.requests) == 3
 
     def test_auth_header_passthrough(self, monkeypatch):
         monkeypatch.setenv(AUTH_ENV_VAR, "X-Api-Key: sesame")
         with MockAgentServer(replies=["B"]) as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             act(remote_spec(server.url), obs_for(s), "sys")
             assert server.requests[0]["headers"].get("X-Api-Key") == "sesame"
 
     def test_chat_wire_format(self):
         with MockAgentServer(replies=["Down, Forward, A"], wire_format="chat") as server:
-            s = new_match(MatchConfig(), 1)
+            s = new_match(MatchConfig())
             spec = AgentSpec(
                 id="chat-x",
                 kind=AgentKind.REMOTE,
@@ -219,7 +219,7 @@ class TestRemoteGateway:
 
 class TestWireRequest:
     def test_lmfa_shape(self):
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         obs = describe_state(s, Player.P1, frames=("AAAA", "BBBB"))
         req = build_wire_request(remote_spec("http://x/"), obs, "sys")
         assert req == {
@@ -231,7 +231,7 @@ class TestWireRequest:
         }
 
     def test_chat_shape_interleaves_images(self):
-        s = new_match(MatchConfig(), 1)
+        s = new_match(MatchConfig())
         obs = describe_state(s, Player.P1, frames=("AAAA",))
         spec = AgentSpec(
             id="c", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format="chat"
@@ -249,7 +249,7 @@ SYSTEM_PROMPT = 'sys — “quoted” "x"\n\\'
 
 
 def rendered_frames(count: int) -> tuple:
-    state = new_match(MatchConfig(), 1)
+    state = new_match(MatchConfig())
     frames = []
     for _ in range(count):
         frames.append(encode_frame_base64(annotate(render(state), state)))
@@ -267,7 +267,7 @@ class TestWireBody:
         ids=["rendered", "none", "plain-str"],
     )
     def test_posted_bytes_equal_json_dumps(self, wire_format, frames):
-        obs = describe_state(new_match(MatchConfig(), 1), Player.P2, frames=frames)
+        obs = describe_state(new_match(MatchConfig()), Player.P2, frames=frames)
         with MockAgentServer(replies=["A"], wire_format=wire_format) as server:
             spec = AgentSpec(
                 id="w",
@@ -284,7 +284,7 @@ class TestWireBody:
 
     def test_chat_url_built_once_and_shares_frame_bytes(self):
         (frame,) = rendered_frames(1)
-        obs = describe_state(new_match(MatchConfig(), 1), Player.P1, frames=(frame,))
+        obs = describe_state(new_match(MatchConfig()), Player.P1, frames=(frame,))
         spec = AgentSpec(
             id="c", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format="chat"
         )

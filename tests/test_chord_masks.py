@@ -64,7 +64,7 @@ def test_non_canonical_chord_strings_still_replay():
     # "DA" -> "ADD", "A" -> "AA": same buttons, spelled out of order and twice
     trace = [[enc[::-1] + enc[:1] for enc in row] for row in data["input_trace"]]
     config = config_from_dict(data["config"])
-    state = new_match(config, data["seed"])
+    state = new_match(config)
     digests = [initial_digest(config, data["seed"], state)]
     for enc1, enc2 in trace:
         state = step(state, decode_chord(enc1), decode_chord(enc2))

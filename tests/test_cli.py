@@ -350,6 +350,49 @@ class TestReport:
         assert "match_99_0_a_vs_b.json" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "tamper",
+        ["pair_outside_schedule", "log_refiled_under_other_pair", "entry_twice", "repeat_missing"],
+    )
+    def test_log_set_off_schedule_exit_2(self, tmp_path, capsys, tamper):
+        cfg = write_config(tmp_path, match_length_frames=600)
+        agents = write_agents(tmp_path, BOTS_4[:3])
+        logs_dir = tmp_path / "t"
+        assert main(
+            ["tournament", "--config", str(cfg), "--agents", str(agents),
+             "--out", str(logs_dir), "--matches-per-pair", "2"]
+        ) == EXIT_OK
+
+        def log_at(pair, repeat):
+            (path,) = logs_dir.glob(f"match_{pair}_{repeat}_*.json")
+            return path
+
+        if tamper == "pair_outside_schedule":
+            data = json.loads(log_at(0, 0).read_text())
+            data["pair_index"] = 99
+            (logs_dir / f"match_99_0_{data['p1']}_vs_{data['p2']}.json").write_text(
+                json.dumps(data)
+            )
+            named = "(pair 99, repeat 0) is outside the round-robin schedule"
+        elif tamper == "log_refiled_under_other_pair":
+            data = json.loads(log_at(2, 0).read_text())  # zone vs rand
+            data["pair_index"] = 0  # rush vs zone
+            log_at(0, 0).unlink()
+            (logs_dir / f"match_0_0_{data['p1']}_vs_{data['p2']}.json").write_text(
+                json.dumps(data)
+            )
+            named = "should be"
+        elif tamper == "entry_twice":
+            (logs_dir / "match_0_0_copy.json").write_bytes(log_at(0, 0).read_bytes())
+            named = "(pair 0, repeat 0) appears twice"
+        else:
+            log_at(1, 1).unlink()
+            named = "no log for pair 1 ('rush', 'rand') repeat 1"
+        out = tmp_path / "r"
+        assert main(["report", str(logs_dir), "--out", str(out)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_reproduces_six_agent_tournament_bytes(self, tmp_path):
         # 15 pairs: file-name order (match_10_* before match_2_*) differs
         # from schedule order, which is what the heatmap rows follow.

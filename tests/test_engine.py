@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
+import random
+import typing
 
 import pytest
 
 from lmfa.config import ConfigError, MatchConfig
 from lmfa.engine.buttons import Button, EMPTY_CHORD, chord
-from lmfa.engine.core import RoundOverError, new_match, outcome, record_action, step
+from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import (
     EndReason,
     Facing,
@@ -17,6 +20,7 @@ from lmfa.engine.state import (
     Jumping,
     KnockedDown,
     MoveActive,
+    Phase,
     Player,
     Winner,
 )
@@ -32,7 +36,7 @@ C = Button.C
 
 def make_state(x1=120, x2=280, h1=1000, h2=1000, width=400, length=5940) -> GameState:
     cfg = MatchConfig(arena_width=width, match_length_frames=length, start_offset=80)
-    s = new_match(cfg, seed=0)
+    s = new_match(cfg)
     p1 = dataclasses.replace(s.p1, x=x1, health=h1)
     p2 = dataclasses.replace(s.p2, x=x2, health=h2)
     facing1 = Facing.RIGHT if x1 <= x2 else Facing.LEFT
@@ -49,36 +53,33 @@ def run(state: GameState, script) -> GameState:
 
 class TestNewMatch:
     def test_default_start_positions(self):
-        s = new_match(MatchConfig(), seed=42)
+        s = new_match(MatchConfig())
         assert (s.p1.x, s.p2.x) == (120, 280)
         assert s.p1.health == s.p2.health == 1000
         assert s.p1.facing is Facing.RIGHT and s.p2.facing is Facing.LEFT
         assert s.timer_frames == 5940 and s.frame == 0
 
     def test_start_is_symmetric_under_reflection(self):
-        s = new_match(MatchConfig(), seed=7)
+        s = new_match(MatchConfig())
         w = s.arena_width
         assert s.p1.x == w - s.p2.x
         assert s.p1.health == s.p2.health
 
     def test_zero_arena_width_rejected(self):
         with pytest.raises(ConfigError):
-            new_match(MatchConfig(arena_width=0), seed=1)
-
-    def test_seed_recorded(self):
-        assert new_match(MatchConfig(), seed=99).rng_seed == 99
+            new_match(MatchConfig(arena_width=0))
 
 
 class TestMovement:
     def test_idle_step_decrements_timer_only(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         s2 = step(s, EMPTY_CHORD, EMPTY_CHORD)
         assert (s2.p1.x, s2.p2.x) == (s.p1.x, s.p2.x)
         assert s2.timer_frames == s.timer_frames - 1
         assert s2.frame == 1
 
     def test_walk_right_ten_frames(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         s = run(s, [(chord(R), EMPTY_CHORD)] * 10)
         assert s.p1.x == 150
 
@@ -88,17 +89,17 @@ class TestMovement:
         assert s.p1.x == 0
 
     def test_conflicting_directions_cancel(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         s2 = step(s, chord(L, R), EMPTY_CHORD)
         assert s2.p1.x == s.p1.x
 
     def test_start_button_is_noop(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         s2 = step(s, chord(Button.START), EMPTY_CHORD)
         assert s2.p1.x == s.p1.x and s2.p1.phase == step(s, EMPTY_CHORD, EMPTY_CHORD).p1.phase
 
     def test_jump_arc_lasts_36_frames(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         s = step(s, chord(U), EMPTY_CHORD)
         assert isinstance(s.p1.phase, Jumping)
         peaked = False
@@ -110,7 +111,7 @@ class TestMovement:
         assert s.p1.y == 0 and not isinstance(s.p1.phase, Jumping)
 
     def test_forward_jump_drifts_90_units(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         x0 = s.p1.x
         s = step(s, chord(U, R), EMPTY_CHORD)
         for _ in range(36):
@@ -339,12 +340,12 @@ class TestFlyingKickHandTrace:
 
 class TestOutcome:
     def test_fresh_match_has_no_outcome(self):
-        assert outcome(new_match(MatchConfig(), seed=1)) is None
+        assert new_match(MatchConfig()).round_over is None
 
     def test_knockout_reports_winner_health_fraction(self):
         s = make_state(x1=185, x2=215, h1=250, h2=60)
         s = run(s, [(chord(A), EMPTY_CHORD)] + [(EMPTY_CHORD, EMPTY_CHORD)] * 4)
-        res = outcome(s)
+        res = s.round_over
         assert res is not None
         assert res.winner is Winner.P1
         assert res.end_reason is EndReason.KNOCKOUT
@@ -353,7 +354,7 @@ class TestOutcome:
     def test_timeout_equal_health_is_draw(self):
         s = make_state(length=10)
         s = run(s, [(EMPTY_CHORD, EMPTY_CHORD)] * 10)
-        res = outcome(s)
+        res = s.round_over
         assert res.winner is Winner.DRAW
         assert res.end_reason is EndReason.TIMEOUT
         assert res.winner_health_fraction is None
@@ -361,14 +362,14 @@ class TestOutcome:
     def test_timeout_higher_health_wins(self):
         s = make_state(h1=1000, h2=400, length=5)
         s = run(s, [(EMPTY_CHORD, EMPTY_CHORD)] * 5)
-        res = outcome(s)
+        res = s.round_over
         assert res.winner is Winner.P1 and res.end_reason is EndReason.TIMEOUT
         assert res.winner_health_fraction == 1.000
 
     def test_double_ko_is_draw(self):
         s = make_state(x1=185, x2=215, h1=60, h2=60)
         s = run(s, [(chord(A), chord(A))] + [(EMPTY_CHORD, EMPTY_CHORD)] * 4)
-        res = outcome(s)
+        res = s.round_over
         assert res.winner is Winner.DRAW
         assert res.end_reason is EndReason.DOUBLE_KO
 
@@ -381,21 +382,37 @@ class TestOutcome:
 
 
 class TestBookkeeping:
-    def test_record_action_keeps_last_five(self):
-        s = new_match(MatchConfig(), seed=1)
-        for i in range(6):
-            s = record_action(s, Player.P1, f"cmd{i}")
-        assert s.p1.last_actions == ("cmd1", "cmd2", "cmd3", "cmd4", "cmd5")
-
     def test_timer_seconds_rounds_up_partial_seconds(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         assert s.timer_seconds == 99
         s = step(s, EMPTY_CHORD, EMPTY_CHORD)
         assert s.timer_seconds == 99
 
-    def test_health_monotonic_and_bounded_over_random_script(self):
-        import random
+    def test_state_leaves_are_integers_enums_or_phases(self):
+        phases = typing.get_args(Phase)
 
+        def leaves(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    yield from leaves(item)
+            elif dataclasses.is_dataclass(value) and not isinstance(value, phases):
+                for field in dataclasses.fields(value):
+                    yield from leaves(getattr(value, field.name))
+            else:
+                yield value
+
+        rng = random.Random(917)
+        buttons = list(Button)
+        s = make_state(x1=150, x2=250, length=300)
+        while s.round_over is None:
+            c1 = frozenset(rng.sample(buttons, rng.randint(0, 3)))
+            c2 = frozenset(rng.sample(buttons, rng.randint(0, 3)))
+            s = step(s, c1, c2)
+            for leaf in leaves(s):
+                assert not isinstance(leaf, str), leaf
+                assert leaf is None or isinstance(leaf, (int, enum.Enum, phases)), leaf
+
+    def test_health_monotonic_and_bounded_over_random_script(self):
         rng = random.Random(4242)
         buttons = list(Button)
         s = make_state(x1=170, x2=230, length=400)

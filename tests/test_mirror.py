@@ -16,18 +16,18 @@ def random_chord(rng: random.Random) -> frozenset:
 
 
 def test_mirror_is_involution_on_initial_state():
-    s = new_match(MatchConfig(), seed=3)
+    s = new_match(MatchConfig())
     assert mirror(mirror(s)) == s
 
 
 def test_initial_state_is_its_own_mirror():
-    s = new_match(MatchConfig(), seed=3)
+    s = new_match(MatchConfig())
     assert mirror(s) == s
 
 
 def test_mirror_is_involution_mid_match():
     rng = random.Random(99)
-    s = new_match(MatchConfig(match_length_frames=600), seed=9)
+    s = new_match(MatchConfig(match_length_frames=600))
     for _ in range(200):
         if s.round_over is not None:
             break
@@ -45,7 +45,7 @@ def test_mirrored_input_scripts_produce_mirrored_traces():
     for script_seed in range(40):
         rng = random.Random(1000 + script_seed)
         cfg = MatchConfig(match_length_frames=300)
-        orig = new_match(cfg, seed=script_seed)
+        orig = new_match(cfg)
         refl = mirror(orig)
         for _ in range(300):
             if orig.round_over is not None:
@@ -66,7 +66,7 @@ def test_simultaneous_trade_mirrors_exactly():
     import dataclasses
 
     cfg = MatchConfig(match_length_frames=600)
-    s = new_match(cfg, seed=2)
+    s = new_match(cfg)
     s = dataclasses.replace(
         s,
         p1=dataclasses.replace(s.p1, x=185, health=60),
@@ -88,7 +88,7 @@ def test_simultaneous_trade_mirrors_exactly():
 
 def test_mirror_swaps_knockout_winner():
     cfg = MatchConfig(match_length_frames=600)
-    s = new_match(cfg, seed=5)
+    s = new_match(cfg)
     m = mirror(s)
     # p1 walks in and punches out a passive p2; mirrored run must end P2-win.
     while s.round_over is None:

@@ -78,7 +78,7 @@ class TestFlyingKickBruteForce:
     @staticmethod
     def engine_fires(seq) -> bool:
         cfg = MatchConfig(arena_width=2000, start_offset=900)
-        s = new_match(cfg, seed=0)  # fighters 1800 units apart: nothing connects
+        s = new_match(cfg)  # fighters 1800 units apart: nothing connects
         per = {"": EMPTY_CHORD, "R": chord(Button.RIGHT), "C": chord(Button.C)}
         for keys in seq:
             s = step(s, per[keys], EMPTY_CHORD)

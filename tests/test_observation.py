@@ -10,8 +10,8 @@ import pytest
 
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import Button
-from lmfa.engine.core import jump_height, mirror, new_match, record_action, step
-from lmfa.engine.state import Player, mirror_action_text
+from lmfa.engine.core import jump_height, mirror, new_match, step
+from lmfa.engine.state import Player
 from lmfa.observe.describe import (
     decode_frame_base64,
     describe_state,
@@ -39,7 +39,7 @@ from lmfa.observe.window import FrameHistory, sample_window_encoded, window_indi
 
 def random_state(seed: int):
     rng = random.Random(seed)
-    s = new_match(MatchConfig(), seed=seed)
+    s = new_match(MatchConfig())
     for _ in range(rng.randint(0, 120)):
         if s.round_over is not None:
             break
@@ -55,12 +55,12 @@ class TestRender:
         assert render(s).pixels == render(s).pixels
 
     def test_canvas_dimensions(self):
-        img = render(new_match(MatchConfig(), seed=1))
+        img = render(new_match(MatchConfig()))
         assert (img.width, img.height) == (320, 224)
         assert len(img.pixels) == 320 * 224 * 3
 
     def test_health_bar_fill_is_exact(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         s = dataclasses.replace(s, p1=dataclasses.replace(s.p1, health=500))
         arr = render(s).to_array()
         fill_color = arr[BAR_TOP, BAR_MARGIN]
@@ -83,7 +83,7 @@ class TestRender:
 
 class TestAnnotate:
     def test_marker_centered_over_fighter(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         img = annotate(render(s), s)
         assert img.annotated
         for fs in (s.p1, s.p2):
@@ -92,7 +92,7 @@ class TestAnnotate:
             assert abs(marker_cx - fighter_center_px(fs.x, s.arena_width)) <= 2
 
     def test_double_annotation_rejected(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         img = annotate(render(s), s)
         with pytest.raises(AnnotationError):
             annotate(img, s)
@@ -103,7 +103,7 @@ class TestAnnotate:
         Marker boxes must stay strictly below the HUD health-bar rows for
         every grounded or airborne position.
         """
-        s0 = new_match(MatchConfig(), seed=1)
+        s0 = new_match(MatchConfig())
         heights = sorted({jump_height(t) for t in range(0, 36, 4)})
         for x in range(0, 401, 25):
             for y in heights:
@@ -112,7 +112,7 @@ class TestAnnotate:
                 assert my0 >= BAR_BOTTOM, f"marker overlaps bars at x={x} y={y}"
 
     def test_annotation_actually_draws(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         assert annotate(render(s), s).pixels != render(s).pixels
 
 
@@ -127,7 +127,7 @@ class TestWindow:
         assert window_indices(36) == (0, 4, 8, 12, 16, 20, 24, 28, 32, 36)
 
     def test_sample_window_returns_stored_frames(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         hist = FrameHistory()
         for f in range(0, 101, 4):
             img = render(dataclasses.replace(s, frame=f))
@@ -164,13 +164,13 @@ class TestEncoding:
         assert "\n" not in encode_frame_base64(render(s))
 
     def test_ppm_header(self):
-        img = render(new_match(MatchConfig(), seed=1))
+        img = render(new_match(MatchConfig()))
         assert ppm_bytes(img).startswith(b"P6\n320 224\n255\n")
 
 
 class TestDescribeState:
     def test_initial_state_text(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         obs = describe_state(s, Player.P1)
         assert "YOU: health 1.000" in obs.state_text
         assert "OPPONENT: health 1.000" in obs.state_text
@@ -179,17 +179,16 @@ class TestDescribeState:
     def test_round_trip_parse_recovers_features(self):
         for seed in range(12):
             s = random_state(200 + seed)
-            s = record_action(s, Player.P1, "Left + A")
-            s = record_action(s, Player.P2, "Forward, Forward, C")
+            last_actions = (("Left + A",), ("Forward, Forward, C",))
             for player in (Player.P1, Player.P2):
-                obs = describe_state(s, player)
+                obs = describe_state(s, player, last_actions=last_actions)
                 assert parse_state_text(obs.state_text) == obs.features
 
     def test_perspectives_swap_roles_exactly(self):
         s = random_state(33)
-        s = record_action(s, Player.P1, "A")
-        a = describe_state(s, Player.P1).features
-        b = describe_state(s, Player.P2).features
+        last_actions = (("A",), ())
+        a = describe_state(s, Player.P1, last_actions=last_actions).features
+        b = describe_state(s, Player.P2, last_actions=last_actions).features
         assert a.self_health_fraction == b.opponent_health_fraction
         assert a.opponent_health_fraction == b.self_health_fraction
         assert a.self_position == b.opponent_position
@@ -200,17 +199,15 @@ class TestDescribeState:
         assert a.timer_seconds == b.timer_seconds
 
     def test_ring_buffer_shows_last_five(self):
-        s = new_match(MatchConfig(), seed=1)
-        for i in range(1, 7):
-            s = record_action(s, Player.P1, f"c{i}")
-        obs = describe_state(s, Player.P1)
+        s = new_match(MatchConfig())
+        history = tuple(f"c{i}" for i in range(1, 7))
+        obs = describe_state(s, Player.P1, last_actions=(history, ()))
         assert obs.features.self_last_actions == ("c2", "c3", "c4", "c5", "c6")
         assert "YOUR LAST 5 ACTIONS: c2; c3; c4; c5; c6" in obs.state_text
 
     def test_mirror_coherence(self):
         """Describing the mirrored state for P2 reflects P1's description."""
         s = random_state(77)
-        s = record_action(s, Player.P1, "Left + A")
         w = s.arena_width
         a = describe_state(s, Player.P1).features
         b = describe_state(mirror(s), Player.P2).features
@@ -218,12 +215,9 @@ class TestDescribeState:
         assert b.self_position == (w - a.self_position[0], a.self_position[1])
         assert b.opponent_position == (w - a.opponent_position[0], a.opponent_position[1])
         assert b.self_facing == {"left": "right", "right": "left"}[a.self_facing]
-        assert b.self_last_actions == tuple(
-            mirror_action_text(t) for t in a.self_last_actions
-        )
 
     def test_facing_words(self):
-        s = new_match(MatchConfig(), seed=1)
+        s = new_match(MatchConfig())
         obs = describe_state(s, Player.P1)
         assert obs.features.self_facing == "right"
         assert obs.features.opponent_facing == "left"

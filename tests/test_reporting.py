@@ -140,7 +140,7 @@ class TestHeatmap:
         script.write_text("A\n")
         puncher = bot("puncher", BotPolicy.FIXED_SCRIPT, script_path=str(script))
         log = run_match(puncher, bot("idle", BotPolicy.IDLE), MatchConfig(seed=3, match_length_frames=400))
-        heat = build_heatmap([log_from_dict(log_to_dict(log))])
+        heat = build_heatmap(result_from_logs([log_from_dict(log_to_dict(log))]))
         row = heat.normalized["puncher"]
         assert row["A"] == 1.0
         assert all(v == 0.0 for k, v in row.items() if k != "A")
@@ -154,7 +154,7 @@ class TestHeatmap:
             log_to_dict(run_match(bot("r1", BotPolicy.RANDOM, seed=1), bot("z1", BotPolicy.ZONER), cfg)),
             log_to_dict(run_match(bot("z1", BotPolicy.ZONER), bot("r1", BotPolicy.RANDOM, seed=1), cfg)),
         ]
-        heat = build_heatmap(records(logs))
+        heat = build_heatmap(result_from_logs(records(logs)))
         # independent fold over the raw traces
         recount = {aid: {n: 0 for n in BUTTON_NAMES.values()} for aid in ("r1", "z1")}
         for log in logs:
@@ -167,12 +167,12 @@ class TestHeatmap:
 
     def test_all_zero_row_stays_zero(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
-        heat = build_heatmap(records(logs))
+        heat = build_heatmap(result_from_logs(records(logs)))
         assert all(v == 0.0 for v in heat.normalized["a"].values())
 
     def test_csv_shape(self, tmp_path):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
-        text = heatmap_csv(build_heatmap(records(logs)))
+        text = heatmap_csv(build_heatmap(result_from_logs(records(logs))))
         header = text.splitlines()[0]
         assert header == "agent,Up,Down,Left,Right,A,B,C,Start"
 

@@ -15,6 +15,7 @@ from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, BotPolicy, 
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import decode_chord
 from lmfa.engine.state import EndReason, Winner
+from lmfa.observe.describe import describe_state
 from lmfa.observe.window import FrameHistory
 from lmfa.tourney import match as match_module
 from lmfa.tourney.match import (
@@ -121,6 +122,40 @@ class TestRunMatch:
                     expected[offset] if offset < len(expected) else frozenset()
                 )
                 assert decode_chord(enc1) == want
+
+    def test_observations_show_last_five_commands(self, tmp_path, monkeypatch):
+        script = tmp_path / "script.txt"
+        script.write_text("A\nB\nForward + C\nDown + A\nUp\nBack, B\nC\n")
+        fixed = AgentSpec(
+            id="fixed",
+            kind=AgentKind.SCRIPTED,
+            bot_policy=BotPolicy.FIXED_SCRIPT,
+            script_path=str(script),
+        )
+        observations = []
+
+        def recording(*args, **kwargs):
+            observations.append(describe_state(*args, **kwargs))
+            return observations[-1]
+
+        monkeypatch.setattr(match_module, "describe_state", recording)
+        cfg = MatchConfig(seed=2, match_length_frames=600)
+        decisions = log_to_dict(run_match(fixed, RAND, cfg))["decisions"]
+        assert len(observations) == len(decisions) > 2 * 6
+        commands = {"P1": [], "P2": []}
+        for d in decisions:
+            commands[d["player"]].append(d["command"])
+
+        def slots(history):
+            return "; ".join(["-"] * (5 - len(history)) + history)
+
+        for obs in observations:
+            tick = obs.decision_index
+            mine = commands[obs.for_player.value][max(0, tick - 5) : tick]
+            theirs = commands[obs.for_player.other.value][max(0, tick - 5) : tick]
+            lines = obs.state_text.split("\n")
+            assert lines[3] == f"YOUR LAST 5 ACTIONS: {slots(mine)}"
+            assert lines[4] == f"OPPONENT LAST 5 ACTIONS: {slots(theirs)}"
 
 
 class TestSchedule:
