@@ -92,51 +92,39 @@ class Decision:
     failure: Optional[FailureKind] = None
 
 
-_AGENT_KEYS = {
-    "id",
-    "kind",
-    "endpoint",
-    "model_name",
-    "policy",
-    "seed",
-    "script_path",
-    "timeout_ms",
-    "max_retries",
-    "wire_format",
-}
+_TEXT_KEYS = {"id", "kind", "endpoint", "model_name", "policy", "script_path", "wire_format"}
+_INT_KEYS = {"seed", "timeout_ms", "max_retries"}
 
 
-def _spec_from_dict(raw: dict, source: str) -> AgentSpec:
-    unknown = set(raw) - _AGENT_KEYS
+def _spec_from_dict(raw: object, source: str) -> AgentSpec:
+    if not isinstance(raw, dict):
+        raise AgentSetupError(f"agent entry {raw!r} in {source} is not an object")
+    unknown = set(raw) - _TEXT_KEYS - _INT_KEYS
     if unknown:
         raise AgentSetupError(f"unknown agent keys {sorted(unknown)} in {source}")
+    name = raw.get("id")
+    for key, value in raw.items():
+        if key in _INT_KEYS and type(value) is not int:  # rejects bool
+            raise AgentSetupError(f"agent {name!r}: {key} must be an integer, not {value!r}")
+        if key in _TEXT_KEYS and not isinstance(value, str):
+            raise AgentSetupError(f"agent {name!r}: {key} must be a string, not {value!r}")
+    if "id" not in raw:
+        raise AgentSetupError(f"agent entry without an id in {source}")
+    kwargs = dict(raw)
     try:
-        kind = AgentKind(raw.get("kind", ""))
+        kwargs["kind"] = AgentKind(raw.get("kind"))
     except ValueError:
         raise AgentSetupError(
-            f"agent {raw.get('id')!r}: kind must be one of "
-            f"{[k.value for k in AgentKind]}"
+            f"agent {name!r}: kind must be one of {[k.value for k in AgentKind]}"
         ) from None
-    policy = None
-    if "policy" in raw:
+    if "policy" in kwargs:
         try:
-            policy = BotPolicy(raw["policy"])
+            kwargs["bot_policy"] = BotPolicy(kwargs.pop("policy"))
         except ValueError:
             raise AgentSetupError(
-                f"agent {raw.get('id')!r}: unknown policy {raw['policy']!r}"
+                f"agent {name!r}: unknown policy {raw['policy']!r}"
             ) from None
-    return AgentSpec(
-        id=raw.get("id", ""),
-        kind=kind,
-        endpoint=raw.get("endpoint", ""),
-        model_name=raw.get("model_name", ""),
-        bot_policy=policy,
-        seed=raw.get("seed", 0),
-        script_path=raw.get("script_path", ""),
-        timeout_ms=raw.get("timeout_ms", 10_000),
-        max_retries=raw.get("max_retries", 1),
-        wire_format=raw.get("wire_format", "lmfa"),
-    ).validated()
+    return AgentSpec(**kwargs).validated()
 
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
@@ -153,7 +141,10 @@ def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
     unknown = set(data) - {"lmfa_agents", "agents"}
     if unknown:
         raise AgentSetupError(f"unknown top-level keys {sorted(unknown)} in {p}")
-    specs = [_spec_from_dict(raw, str(p)) for raw in data.get("agents", [])]
+    entries = data.get("agents", [])
+    if not isinstance(entries, list):
+        raise AgentSetupError(f'"agents" in {p} must be a list of agent objects')
+    specs = [_spec_from_dict(raw, str(p)) for raw in entries]
     require_unique_ids(specs)
     return specs
 

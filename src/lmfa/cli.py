@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (draws included), 2 configuration error, 3
 agent/setup error, 4 replay divergence. A `report` over logs that are
-not a round-robin schedule is refused with 2 and writes no file. All
-commands are deterministic given their flags and input files when every
-agent is scripted, and no command writes outside its output directory.
+not one round-robin schedule under one config is refused with 2 and
+writes no file. All commands are deterministic given their flags and
+input files when every agent is scripted, and no command writes outside
+its output directory.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from typing import Optional, Sequence
 from lmfa.agents.specs import AgentSetupError, load_agents_file
 from lmfa.config import ConfigError, load_config_file, with_seed
 from lmfa.engine.state import RoundOutcome, Winner
-from lmfa.reporting import ReportIntegrityError, verify_replay, write_reports
+from lmfa.reporting import verify_replay, write_reports
 from lmfa.tourney.match import log_filename, read_log, run_match, write_log
-from lmfa.tourney.roundrobin import (
-    result_from_logs,
-    run_round_robin,
-    write_tournament,
-)
+from lmfa.tourney.roundrobin import ReportIntegrityError, result_from_logs, run_round_robin
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,8 +85,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
             log,
             out / log_filename(log.pair_index, log.repeat_index, log.p1_id, log.p2_id),
         )
-    write_tournament(result, out / "tournament.json")
-    write_reports(result, logs, out)
+    write_reports(result, out)
     print(f"MATCHES={len(logs)} AGENTS={len(result.agents)} OUT={out}")
     return EXIT_OK
 
@@ -126,13 +122,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             logs.append(read_log(path))
         except (OSError, ValueError) as exc:  # as in cmd_replay
             raise ConfigError(f"unreadable match log {path}: {exc}") from exc
+    # result_from_logs refuses logs that are not one round-robin schedule
+    # before any file is opened, so a refused report leaves the output
+    # directory as it was.
     result = result_from_logs(logs)
     out = Path(args.out) if args.out else logs_dir
-    # write_reports checks that the logs are a round-robin schedule before
-    # it writes a file, so a refused report leaves the output directory as
-    # it was.
-    write_reports(result, logs, out)
-    write_tournament(result, out / "tournament.json")
+    write_reports(result, out)
     print(f"REPORTS={out}")
     return EXIT_OK
 

@@ -3,6 +3,7 @@
 All reports are deterministic functions of their inputs; regenerating
 from archived logs is byte-identical. File formats:
 
+  tournament.json   cells, standings and button counts as one JSON object
   matrix.csv        square matrix, row perspective: ``W:0.758`` / ``L`` / ``D``
   win_rates.csv     agent,win_rate,wins,draws,losses
   heatmap.csv       raw button counts per agent
@@ -20,32 +21,16 @@ from lmfa.engine.buttons import CHORD_OF, ENCODE, Chord, decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import trace_line
 from lmfa.tourney.match import BUTTON_NAMES, LogRecord, chain_digest, initial_digest
-from lmfa.tourney.roundrobin import AgentStanding, TournamentResult, pair_schedule
-
-
-class ReportIntegrityError(ValueError):
-    pass
+from lmfa.tourney.roundrobin import AgentStanding, TournamentResult, write_tournament
 
 
 # -- matchup matrix ----------------------------------------------------
 
 
 def matrix_csv(result: TournamentResult) -> str:
-    """Square matrix mirrored across the diagonal, row perspective.
-
-    Raises ReportIntegrityError when a round-robin pair has no match.
-    """
+    """Square matrix mirrored across the diagonal, row perspective."""
     ids = result.agents
-    cells = {
-        (c.row, c.col): c
-        for c in result.cells
-        if c.row_wins + c.col_wins + c.draws > 0
-    }
-    missing = [
-        (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if (a, b) not in cells
-    ]
-    if missing:
-        raise ReportIntegrityError(f"missing pairs in tournament result: {sorted(missing)}")
+    cells = {(c.row, c.col): c for c in result.cells}
     lines = ["," + ",".join(ids)]
     for row in ids:
         out = [row]
@@ -64,37 +49,6 @@ def matrix_csv(result: TournamentResult) -> str:
                 out.append("L")
         lines.append(",".join(out))
     return "\n".join(lines) + "\n"
-
-
-def check_schedule(agents: Sequence[str], logs: Sequence[LogRecord]) -> None:
-    """Raise ReportIntegrityError unless the logs are exactly a round-robin
-    schedule over ``agents``: each log is the schedule entry for its
-    ``(pair_index, repeat_index)`` (pair inside the schedule, sides set by
-    the flip rule), no entry comes twice, and every pair has the same
-    repeats ``0..k-1``.
-    """
-    repeats = 1 + max((log.repeat_index for log in logs), default=0)
-    schedule = {
-        (e["pair_index"], e["repeat_index"]): e for e in pair_schedule(agents, repeats)
-    }
-    seen = set()
-    for log in logs:
-        key = (log.pair_index, log.repeat_index)
-        where = f"log {log.p1_id} vs {log.p2_id} (pair {key[0]}, repeat {key[1]})"
-        entry = schedule.get(key)
-        if entry is None:
-            raise ReportIntegrityError(f"{where} is outside the round-robin schedule")
-        if (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
-            raise ReportIntegrityError(f"{where} should be {entry['p1']} vs {entry['p2']}")
-        if key in seen:
-            raise ReportIntegrityError(f"{where} appears twice")
-        seen.add(key)
-    missing = [
-        f"pair {p} {(schedule[p, r]['row'], schedule[p, r]['col'])} repeat {r}"
-        for p, r in sorted(schedule.keys() - seen)
-    ]
-    if missing:
-        raise ReportIntegrityError(f"no log for {'; '.join(missing)}")
 
 
 # -- win rates ----------------------------------------------------------
@@ -140,33 +94,27 @@ def build_heatmap(result: TournamentResult) -> HeatmapReport:
     )
 
 
-def heatmap_csv(report: HeatmapReport) -> str:
-    lines = ["agent," + ",".join(BUTTON_NAMES.values())]
-    for agent in report.agents:
-        row = report.counts[agent]
-        lines.append(agent + "," + ",".join(str(row[n]) for n in BUTTON_NAMES.values()))
+def _heatmap_table(
+    agents: Sequence[str], rows: Dict[str, Dict[str, float]], head: str, sep: str, fmt: str
+) -> str:
+    names = BUTTON_NAMES.values()
+    lines = [sep.join([head, *names])]
+    for agent in agents:
+        lines.append(sep.join([agent, *(format(rows[agent][n], fmt) for n in names)]))
     return "\n".join(lines) + "\n"
+
+
+def heatmap_csv(report: HeatmapReport) -> str:
+    return _heatmap_table(report.agents, report.counts, "agent", ",", "")
 
 
 def heatmap_norm_csv(report: HeatmapReport) -> str:
-    lines = ["agent," + ",".join(BUTTON_NAMES.values())]
-    for agent in report.agents:
-        row = report.normalized[agent]
-        lines.append(
-            agent + "," + ",".join(f"{row[n]:.4f}" for n in BUTTON_NAMES.values())
-        )
-    return "\n".join(lines) + "\n"
+    return _heatmap_table(report.agents, report.normalized, "agent", ",", ".4f")
 
 
 def heatmap_grid(report: HeatmapReport) -> str:
     """Plot-ready text grid: one row per agent, one column per button."""
-    lines = ["# agent " + " ".join(BUTTON_NAMES.values())]
-    for agent in report.agents:
-        row = report.normalized[agent]
-        lines.append(
-            agent + " " + " ".join(f"{row[n]:.4f}" for n in BUTTON_NAMES.values())
-        )
-    return "\n".join(lines) + "\n"
+    return _heatmap_table(report.agents, report.normalized, "# agent", " ", ".4f")
 
 
 # -- replay verification ---------------------------------------------------
@@ -242,22 +190,16 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
 # -- report emission ---------------------------------------------------
 
 
-def write_reports(
-    result: TournamentResult, logs: Sequence[LogRecord], out_dir: Union[str, Path]
-) -> List[Path]:
-    """Emit all CSV reports (and the plot grid) into out_dir.
-
-    Raises ReportIntegrityError before creating or writing anything when
-    the logs are not a round-robin schedule or the result misses a pair.
-    """
-    check_schedule(result.agents, logs)
-    matrix = matrix_csv(result)
+def write_reports(result: TournamentResult, out_dir: Union[str, Path]) -> List[Path]:
+    """Emit ``tournament.json``, the CSV reports and the plot grid into
+    out_dir; ``lmfa tournament`` and ``lmfa report`` both write through here."""
     heat = build_heatmap(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    write_tournament(result, out / "tournament.json")
+    written = [out / "tournament.json"]
     for name, text in (
-        ("matrix.csv", matrix),
+        ("matrix.csv", matrix_csv(result)),
         ("win_rates.csv", win_rates_csv(build_win_rates(result))),
         ("heatmap.csv", heatmap_csv(heat)),
         ("heatmap_norm.csv", heatmap_norm_csv(heat)),

@@ -3,9 +3,10 @@
 Every unordered pair plays once (or ``matches_per_pair`` times); the side
 assignment alternates deterministically with the pair index and repeat
 index so neither agent systematically starts as P1. Per-match seeds are
-``base_seed + pair_index * 1000 + repeat_index``. Aggregation folds in
-pair-index order regardless of completion order, so parallel execution
-cannot change any report byte.
+``base_seed + pair_index * 1000 + repeat_index``. Aggregation walks the
+schedule once, whatever order the logs come in, so parallel execution
+cannot change any report byte, and it refuses logs that are not exactly
+one schedule.
 """
 
 from __future__ import annotations
@@ -17,9 +18,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from lmfa.agents.specs import AgentSetupError, AgentSpec, require_unique_ids
-from lmfa.config import MatchConfig, with_seed
-from lmfa.engine.state import HEALTH_MAX, Player, Winner
+from lmfa.config import MatchConfig, config_to_dict, with_seed
+from lmfa.engine.state import Player, RoundOutcome, Winner
 from lmfa.tourney.match import BUTTON_NAMES, LogRecord, MatchLog, run_match
+
+
+class ReportIntegrityError(ValueError):
+    """Logs that are not one round-robin tournament; nothing is reported."""
 
 
 @dataclass(frozen=True)
@@ -34,11 +39,8 @@ class PairCell:
     winner: str  # "row" | "col" | "draw"
     winner_health: Optional[int]  # internal 0-1000 scale; None for draws
 
-    @property
-    def winner_health_fraction(self) -> Optional[float]:
-        if self.winner_health is None:
-            return None
-        return round(self.winner_health / HEALTH_MAX, 3)
+    # the same 3-decimal rounding as one match's outcome
+    winner_health_fraction = RoundOutcome.winner_health_fraction
 
 
 @dataclass(frozen=True)
@@ -110,34 +112,71 @@ def _aggregate_cell(row: str, col: str, logs: Sequence[LogRecord]) -> PairCell:
     return PairCell(row, col, row_wins, col_wins, draws, winner, winner_health)
 
 
+def _where(log: LogRecord) -> str:
+    return f"log {log.p1_id} vs {log.p2_id} (pair {log.pair_index}, repeat {log.repeat_index})"
+
+
 def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult:
+    """Fold the logs of one round-robin over ``ids`` in schedule order.
+
+    Raises ReportIntegrityError unless the logs are exactly
+    ``pair_schedule(ids, k)``, k being one more than the largest repeat
+    index: each log is the entry for its ``(pair_index, repeat_index)``
+    with that entry's sides, no entry comes twice, none is missing, and
+    every log shares one config apart from its seed.
+    """
     ids = list(ids)
-    by_pair: Dict[int, List[LogRecord]] = {}
+    by_key: Dict[Tuple[int, int], LogRecord] = {}
+    first = config_to_dict(logs[0].config) if logs else {}
     for log in logs:
-        by_pair.setdefault(log.pair_index, []).append(log)
-
-    cells = []
-    pair_index = 0
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            pair_logs = sorted(
-                by_pair.get(pair_index, []), key=lambda l: l.repeat_index
+        if (log.pair_index, log.repeat_index) in by_key:
+            raise ReportIntegrityError(f"{_where(log)} appears twice")
+        differs = [
+            k for k, v in config_to_dict(log.config).items() if k != "seed" and v != first[k]
+        ]
+        if differs:  # seeds differ by design
+            raise ReportIntegrityError(
+                f"{_where(log)} differs from {_where(logs[0])} in config {differs}"
             )
-            cells.append(_aggregate_cell(ids[i], ids[j], pair_logs))
-            pair_index += 1
-
+        by_key[log.pair_index, log.repeat_index] = log
+    repeats = 1 + max((log.repeat_index for log in logs), default=0)
     stats = {aid: {"wins": 0, "draws": 0, "losses": 0, "matches": 0, "hsum": 0} for aid in ids}
-    for log in logs:
-        for player in (Player.P1, Player.P2):
-            aid = log.agent_id(player)
-            stats[aid]["matches"] += 1
-            if log.result.winner is Winner.DRAW:
-                stats[aid]["draws"] += 1
-            elif _wins_for(log, aid):
-                stats[aid]["wins"] += 1
-                stats[aid]["hsum"] += log.result.winner_health or 0
-            else:
-                stats[aid]["losses"] += 1
+    counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
+    cells: List[PairCell] = []
+    pair_logs: List[LogRecord] = []
+    missing = []
+    for entry in pair_schedule(ids, repeats):
+        key = (entry["pair_index"], entry["repeat_index"])
+        log = by_key.pop(key, None)
+        if log is None:
+            missing.append(f"pair {key[0]} {(entry['row'], entry['col'])} repeat {key[1]}")
+        elif (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
+            raise ReportIntegrityError(
+                f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
+            )
+        else:
+            pair_logs.append(log)
+            for player in (Player.P1, Player.P2):
+                aid = log.agent_id(player)
+                s = stats[aid]
+                s["matches"] += 1
+                if log.result.winner is Winner.DRAW:
+                    s["draws"] += 1
+                elif _wins_for(log, aid):
+                    s["wins"] += 1
+                    s["hsum"] += log.result.winner_health or 0
+                else:
+                    s["losses"] += 1
+                for button, n in log.button_counts[player.value].items():
+                    counts[aid][button] += n
+        if key[1] == repeats - 1:
+            cells.append(_aggregate_cell(entry["row"], entry["col"], pair_logs))
+            pair_logs = []
+    outside = next(iter(by_key.values()), None)
+    if outside is not None:
+        raise ReportIntegrityError(f"{_where(outside)} is outside the round-robin schedule")
+    if missing:
+        raise ReportIntegrityError(f"no log for {'; '.join(missing)}")
 
     standings = tuple(
         AgentStanding(
@@ -149,16 +188,8 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
             win_rate=(s["wins"] + 0.5 * s["draws"]) / s["matches"] if s["matches"] else 0.0,
             winner_health_sum=s["hsum"],
         )
-        for aid, s in ((aid, stats[aid]) for aid in ids)
+        for aid, s in stats.items()
     )
-
-    counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
-    for log in logs:
-        for player in (Player.P1, Player.P2):
-            aid = log.agent_id(player)
-            for button, n in log.button_counts[player.value].items():
-                counts[aid][button] += n
-
     return TournamentResult(
         agents=tuple(ids),
         cells=tuple(cells),
@@ -170,15 +201,14 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
 def reconstruct_agent_order(logs: Sequence[LogRecord]) -> List[str]:
     """Recover the original agent ordering from archived logs.
 
-    The scheduler flips sides by (pair_index + repeat_index), so each log
-    reveals its pair's (row, col) identity; walking pairs in index order
-    reproduces first-appearance order.
+    Pair 0 repeat 0 is never flipped and each later pair of the first row
+    introduces one new agent, so first appearance over logs in schedule
+    order is the schedule's agent order; ``aggregate`` refuses any log set
+    for which it is not.
     """
     order: List[str] = []
     for log in sorted(logs, key=lambda l: (l.pair_index, l.repeat_index)):
-        flipped = (log.pair_index + log.repeat_index) % 2 == 1
-        row, col = (log.p2_id, log.p1_id) if flipped else (log.p1_id, log.p2_id)
-        for aid in (row, col):
+        for aid in (log.p1_id, log.p2_id):
             if aid not in order:
                 order.append(aid)
     return order

@@ -34,6 +34,10 @@ BOTS_4 = [
 ]
 
 
+def rush_and_idle(**rush_overrides) -> list:
+    return [{**BOTS_4[0], **rush_overrides}, BOTS_4[3]]
+
+
 def write_logs(logs_dir: Path, logs) -> Path:
     logs_dir.mkdir()
     for log in logs:
@@ -79,6 +83,27 @@ class TestRunMatch:
         agents = write_agents(tmp_path, [{"id": "only-one", "kind": "scripted", "policy": "idle"}])
         code = main(["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(tmp_path / "o")])
         assert code == EXIT_SETUP
+
+    @pytest.mark.parametrize(
+        "agents_value, named",
+        [
+            (rush_and_idle(timeout_ms="x"), "timeout_ms"),
+            (rush_and_idle(max_retries="2"), "max_retries"),
+            (rush_and_idle(seed="s"), "seed"),
+            (rush_and_idle(seed=True), "seed"),
+            (rush_and_idle(id=5), "agent 5: id"),
+            (rush_and_idle(kind="remote", endpoint=7), "agent 'rush': endpoint"),
+            (5, '"agents"'),
+            ([5], "agent entry 5"),
+        ],
+    )
+    def test_wrong_type_agent_value_exit_3(self, tmp_path, capsys, agents_value, named):
+        cfg = write_config(tmp_path)
+        agents = write_agents(tmp_path, agents_value)
+        code = main(["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(tmp_path / "o")])
+        assert code == EXIT_SETUP
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_same_seed_identical_logs(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -391,6 +416,28 @@ class TestReport:
         out = tmp_path / "r"
         assert main(["report", str(logs_dir), "--out", str(out)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_logs_from_two_configs_exit_2(self, tmp_path, capsys):
+        agents = write_agents(tmp_path, BOTS_4[:3])
+        runs = []
+        for name, overrides in (("short", {"match_length_frames": 600, "seed": 0}), ("long", {"seed": 7})):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, **overrides)
+            out = tmp_path / name / "t"
+            assert main(["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]) == EXIT_OK
+            runs.append(out)
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for source, pattern in ((runs[0], "match_[01]_*.json"), (runs[1], "match_2_*.json")):
+            for path in source.glob(pattern):
+                (mixed / path.name).write_bytes(path.read_bytes())
+        for path in mixed.iterdir():
+            assert main(["replay", str(path)]) == EXIT_OK
+        out = tmp_path / "r"
+        assert main(["report", str(mixed), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "log zone vs rand (pair 2, repeat 0)" in err and "match_length_frames" in err
         assert not out.exists()
 
     def test_report_reproduces_six_agent_tournament_bytes(self, tmp_path):

@@ -17,7 +17,6 @@ from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import Button, decode_chord, encode_chord
 from lmfa.reporting import (
-    ReportIntegrityError,
     build_heatmap,
     build_win_rates,
     heatmap_csv,
@@ -32,7 +31,7 @@ from lmfa.tourney.match import (
     log_to_dict,
     run_match,
 )
-from lmfa.tourney.roundrobin import TournamentResult, result_from_logs
+from lmfa.tourney.roundrobin import ReportIntegrityError, TournamentResult, result_from_logs
 
 
 def bot(name: str, policy: BotPolicy, **kw) -> AgentSpec:
@@ -75,9 +74,8 @@ class TestMatrix:
     def test_missing_pair_is_integrity_error(self):
         logs = fixture_logs()[:-1]
         # reconstruction still sees all six agents through other pairs
-        result = result_from_logs(records(logs))
         with pytest.raises(ReportIntegrityError):
-            matrix_csv(result)
+            matrix_csv(result_from_logs(records(logs)))
 
     def test_draw_cell_renders_as_d(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
@@ -152,7 +150,9 @@ class TestHeatmap:
         cfg = MatchConfig(seed=8, match_length_frames=600)
         logs = [
             log_to_dict(run_match(bot("r1", BotPolicy.RANDOM, seed=1), bot("z1", BotPolicy.ZONER), cfg)),
-            log_to_dict(run_match(bot("z1", BotPolicy.ZONER), bot("r1", BotPolicy.RANDOM, seed=1), cfg)),
+            log_to_dict(
+                run_match(bot("z1", BotPolicy.ZONER), bot("r1", BotPolicy.RANDOM, seed=1), cfg, repeat_index=1)
+            ),
         ]
         heat = build_heatmap(result_from_logs(records(logs)))
         # independent fold over the raw traces
