@@ -8,7 +8,8 @@ Grammar (documented in docs/grammar.ebnf):
 
 Parsing is whitespace- and case-insensitive; aliases collapse during
 normalization (Block->C, Jump->Up, Crouch->Down). Forward/Back are
-facing-relative and resolve to Left/Right only when a plan is compiled.
+facing-relative and resolve to Left/Right only when ``resolve`` compiles
+a command into its per-frame chord masks.
 Error messages are stable strings because they appear verbatim in match
 logs.
 """
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
-from lmfa.engine.buttons import Button, Chord
+from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button
 from lmfa.engine.moves import CommandToken, TokenSet
 from lmfa.engine.state import Facing
 
@@ -90,32 +91,6 @@ class Command:
     steps: Tuple[TokenSet, ...]
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    chord: Chord
-    hold_frames: int
-    gap_frames: int
-
-
-@dataclass(frozen=True)
-class ActionPlan:
-    """A compiled, timed button script; facing is already resolved."""
-
-    steps: Tuple[PlanStep, ...]
-
-    @property
-    def total_frames(self) -> int:
-        return sum(s.hold_frames + s.gap_frames for s in self.steps)
-
-    def frame_chords(self) -> Tuple[Chord, ...]:
-        """Expand to one chord per engine frame (gaps are empty chords)."""
-        frames = []
-        for step in self.steps:
-            frames.extend([step.chord] * step.hold_frames)
-            frames.extend([frozenset()] * step.gap_frames)
-        return tuple(frames)
-
-
 _CONFLICTS = (
     (CommandToken.LEFT, CommandToken.RIGHT),
     (CommandToken.UP, CommandToken.DOWN),
@@ -168,47 +143,44 @@ def parse(raw: str) -> Command:
     return Command(raw=raw, normalized=normalized, steps=tuple(steps))
 
 
-def format_command(cmd: Command) -> str:
-    """Canonical string form; parse(format_command(c)) reproduces c's steps."""
-    return cmd.normalized
-
-
-_TO_BUTTON = {
-    CommandToken.UP: Button.UP,
-    CommandToken.DOWN: Button.DOWN,
-    CommandToken.LEFT: Button.LEFT,
-    CommandToken.RIGHT: Button.RIGHT,
-    CommandToken.A: Button.A,
-    CommandToken.B: Button.B,
-    CommandToken.C: Button.C,
+_ABSOLUTE_BITS = {
+    CommandToken.UP: BIT[Button.UP],
+    CommandToken.DOWN: BIT[Button.DOWN],
+    CommandToken.LEFT: BIT[Button.LEFT],
+    CommandToken.RIGHT: BIT[Button.RIGHT],
+    CommandToken.A: BIT[Button.A],
+    CommandToken.B: BIT[Button.B],
+    CommandToken.C: BIT[Button.C],
+}
+# token -> chord bit for a fighter facing each way
+_BITS = {
+    facing: {
+        **_ABSOLUTE_BITS,
+        CommandToken.FORWARD: BIT[ahead],
+        CommandToken.BACK: BIT[behind],
+    }
+    for facing, ahead, behind in (
+        (Facing.RIGHT, Button.RIGHT, Button.LEFT),
+        (Facing.LEFT, Button.LEFT, Button.RIGHT),
+    )
 }
 
 
-def resolve(cmd: Command, facing: Facing) -> ActionPlan:
-    """Compile a command into a timed plan, mapping Forward/Back by facing."""
-    forward = Button.RIGHT if facing is Facing.RIGHT else Button.LEFT
-    back = Button.LEFT if facing is Facing.RIGHT else Button.RIGHT
-    plan = []
-    last = len(cmd.steps) - 1
-    for i, spec in enumerate(cmd.steps):
-        buttons = set()
+def resolve(cmd: Command, facing: Facing) -> Tuple[int, ...]:
+    """Compile a command into one chord mask per engine frame, mapping
+    Forward/Back by facing: each step is held ``HOLD_FRAMES`` and followed
+    by ``GAP_FRAMES`` empty frames, none after the last step."""
+    bits = _BITS[facing]
+    frames: List[int] = []
+    for spec in cmd.steps:
+        if frames:
+            frames += [EMPTY_CHORD] * GAP_FRAMES
+        mask = EMPTY_CHORD
         for tok in spec:
-            if tok is CommandToken.FORWARD:
-                buttons.add(forward)
-            elif tok is CommandToken.BACK:
-                buttons.add(back)
-            else:
-                buttons.add(_TO_BUTTON[tok])
-        plan.append(
-            PlanStep(
-                chord=frozenset(buttons),
-                hold_frames=HOLD_FRAMES,
-                gap_frames=GAP_FRAMES if i != last else 0,
-            )
-        )
-    result = ActionPlan(steps=tuple(plan))
-    assert result.total_frames <= MAX_PLAN_FRAMES
-    return result
+            mask |= bits[tok]
+        frames += [mask] * HOLD_FRAMES
+    assert len(frames) <= MAX_PLAN_FRAMES
+    return tuple(frames)
 
 
 class NoCommandFoundError(CommandError):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (draws included), 2 configuration error, 3
 agent/setup error, 4 replay divergence. A `report` over logs that are
-not one round-robin schedule under one config is refused with 2 and
-writes no file. All commands are deterministic given their flags and
+not one round-robin schedule under one config and one base seed (every
+seed ``base_seed + pair_index * 1000 + repeat_index``) is refused with 2
+and writes no file. All commands are deterministic given their flags and
 input files when every agent is scripted, and no command writes outside
 its output directory.
 """

@@ -1,19 +1,21 @@
-"""Controller buttons and chords.
+"""Controller buttons and chord masks.
 
-The pad has exactly eight buttons. A chord is the set of buttons held on
-one frame; conflicting directions (Left+Right, Up+Down) cancel each other
-at engine ingestion so every downstream rule sees a consistent input.
+The pad has exactly eight buttons. A chord, the buttons held on one frame,
+is an 8-bit mask in every API: bit i stands for the i-th button in
+``UDLRABCS`` order (the order of ``Button``), so ``BIT[b]`` is button b's
+bit and ``EMPTY_CHORD`` (0) holds nothing. Conflicting directions
+(Left+Right, Up+Down) cancel each other at engine ingestion so every
+downstream rule sees a consistent input. Logs spell a chord as its codes
+in ``UDLRABCS`` order, the empty chord as ''.
 
-The engine's per-frame path works on chord masks instead: bit i of an
-8-bit mask stands for the i-th button in ``UDLRABCS`` order (the order of
-``Button``). The 256-entry tables at the bottom of this module turn
-normalize, mirror and encode into lookups; they are built once at import.
+The 256-entry tables at the bottom of this module turn normalize, mirror
+and encode into lookups; they are built once at import.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, Tuple
 
 
 class Button(enum.Enum):
@@ -27,69 +29,39 @@ class Button(enum.Enum):
     START = "S"
 
 
-Chord = FrozenSet[Button]
+BIT: Dict[Button, int] = {b: 1 << i for i, b in enumerate(Button)}
 
-EMPTY_CHORD: Chord = frozenset()
+EMPTY_CHORD = 0
 
 # Canonical encoding order for traces/logs.
 _CODE_ORDER = "UDLRABCS"
-_BY_CODE = {b.value: b for b in Button}
+_BIT_BY_CODE = {code: 1 << i for i, code in enumerate(_CODE_ORDER)}
 
 
-def chord(*buttons: Button) -> Chord:
-    return frozenset(buttons)
+def chord(*buttons: Button) -> int:
+    mask = EMPTY_CHORD
+    for b in buttons:
+        mask |= BIT[b]
+    return mask
 
 
-def normalize_chord(c: Iterable[Button]) -> Chord:
-    """Cancel conflicting direction pairs (horizontal and vertical axes)."""
-    s = set(c)
-    if Button.LEFT in s and Button.RIGHT in s:
-        s.discard(Button.LEFT)
-        s.discard(Button.RIGHT)
-    if Button.UP in s and Button.DOWN in s:
-        s.discard(Button.UP)
-        s.discard(Button.DOWN)
-    return frozenset(s)
-
-
-def encode_chord(c: Chord) -> str:
+def encode_chord(mask: int) -> str:
     """Canonical compact string, fixed button order; empty chord is ''."""
-    return "".join(code for code in _CODE_ORDER if _BY_CODE[code] in c)
+    return ENCODE[mask]
 
 
-def decode_chord(text: str) -> Chord:
-    try:
-        return frozenset(_BY_CODE[ch] for ch in text)
-    except KeyError as exc:
-        raise ValueError(f"unknown button code in chord {text!r}") from exc
+def decode_chord(text: str) -> int:
+    """Mask of a chord string; codes may come in any order and repeat."""
+    mask = _MASK_BY_CODE.get(text)
+    if mask is None:
+        mask = EMPTY_CHORD
+        for ch in text:
+            bit = _BIT_BY_CODE.get(ch)
+            if bit is None:
+                raise ValueError(f"unknown button code in chord {text!r}")
+            mask |= bit
+    return mask
 
-
-def mirror_chord(c: Chord) -> Chord:
-    """Swap Left and Right; used by mirror-image runs."""
-    out = set(c)
-    if Button.LEFT in out or Button.RIGHT in out:
-        has_left = Button.LEFT in out
-        has_right = Button.RIGHT in out
-        out.discard(Button.LEFT)
-        out.discard(Button.RIGHT)
-        if has_left:
-            out.add(Button.RIGHT)
-        if has_right:
-            out.add(Button.LEFT)
-    return frozenset(out)
-
-
-# -- chord masks ------------------------------------------------------------
-
-BIT: Dict[Button, int] = {b: 1 << i for i, b in enumerate(Button)}
-
-# CHORD_OF[mask] is the canonical chord for a mask; MASK_OF maps each of the
-# 256 chords back to its mask. Both hold the same frozenset objects, so a
-# canonical chord finds its mask by identity.
-CHORD_OF: Tuple[Chord, ...] = tuple(
-    frozenset(b for b, bit in BIT.items() if mask & bit) for mask in range(256)
-)
-MASK_OF: Dict[Chord, int] = {c: mask for mask, c in enumerate(CHORD_OF)}
 
 _UD = BIT[Button.UP] | BIT[Button.DOWN]
 _LR = BIT[Button.LEFT] | BIT[Button.RIGHT]
@@ -109,11 +81,12 @@ def _mirror_mask(mask: int) -> int:
     return mask ^ _LR  # exactly one of Left/Right: swap it for the other
 
 
-# Bit arithmetic, independent of the set functions above; the tests check
-# that both agree on every mask.
+# Bit arithmetic; the tests check every mask against independent set-based
+# definitions of normalize, mirror and encode.
 NORMALIZE: Tuple[int, ...] = tuple(_normalize_mask(m) for m in range(256))
 MIRROR: Tuple[int, ...] = tuple(_mirror_mask(m) for m in range(256))
 ENCODE: Tuple[str, ...] = tuple(
     "".join(code for i, code in enumerate(_CODE_ORDER) if m >> i & 1)
     for m in range(256)
 )
+_MASK_BY_CODE: Dict[str, int] = {code: m for m, code in enumerate(ENCODE)}

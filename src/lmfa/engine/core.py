@@ -1,4 +1,4 @@
-"""Deterministic two-player engine: one pure step function over chords.
+"""Deterministic two-player engine: one pure step function over chord masks.
 
 All arithmetic is integer; the engine consumes no randomness and no
 wall-clock time, so a (config, input script) pair fully determines every
@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import BIT, MASK_OF, NORMALIZE, Button, Chord
+from lmfa.engine.buttons import BIT, NORMALIZE, Button
 from lmfa.engine.moves import (
     MOVES_BY_ID,
     MoveDef,
@@ -303,8 +303,8 @@ def _check_round_end(
     return None
 
 
-def step(state: GameState, input_p1: Chord, input_p2: Chord) -> GameState:
-    """Advance exactly one frame; pure function of (state, inputs)."""
+def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
+    """Advance exactly one frame; pure function of (state, chord masks)."""
     if state.round_over is not None:
         raise RoundOverError("cannot step a finished round")
 
@@ -313,10 +313,10 @@ def step(state: GameState, input_p1: Chord, input_p2: Chord) -> GameState:
     owners = [p.owner for p in state.projectiles]
 
     p1, spawn1 = _advance_fighter(
-        state.p1, NORMALIZE[MASK_OF[input_p1]], frame, width, Player.P1 not in owners
+        state.p1, NORMALIZE[input_p1], frame, width, Player.P1 not in owners
     )
     p2, spawn2 = _advance_fighter(
-        state.p2, NORMALIZE[MASK_OF[input_p2]], frame, width, Player.P2 not in owners
+        state.p2, NORMALIZE[input_p2], frame, width, Player.P2 not in owners
     )
 
     # Projectiles move before new ones spawn; off-arena shots despawn.

@@ -2,9 +2,8 @@
 
 The table lives in move_table.json (shipped with the package) so tests,
 docs, and the engine share one source of truth. Triggers are written in
-facing-relative tokens; the matcher translates a fighter's recent button
-presses into that space before comparing. ``chord_tokens`` is the set form
-of that translation; the matcher itself uses the integer tables below it.
+facing-relative tokens; the matcher translates a fighter's recent chord
+masks into token masks through a per-facing table before comparing.
 
 Trigger semantics:
   * A chord trigger fires when every trigger button is held this frame and
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from lmfa.engine.buttons import BIT, Button, Chord
+from lmfa.engine.buttons import BIT, Button
 from lmfa.engine.state import PressEvent
 
 
@@ -124,6 +123,12 @@ MOVE_TABLE, GAP_WINDOW_FRAMES = _load_table()
 MOVES_BY_ID = {m.id: m for m in MOVE_TABLE}
 
 
+# The engine matches triggers on integers: a token mask has bit i set for
+# the i-th CommandToken, TOKENS[facing_sign][chord_mask] is the token mask
+# of a chord mask, and each trigger step is precomputed as a token mask.
+# Left/Right become Forward/Back depending on which way the fighter faces;
+# all other buttons map one-to-one (Start has no token).
+
 _ABSOLUTE_TOKENS = {
     Button.UP: CommandToken.UP,
     Button.DOWN: CommandToken.DOWN,
@@ -131,32 +136,6 @@ _ABSOLUTE_TOKENS = {
     Button.B: CommandToken.B,
     Button.C: CommandToken.C,
 }
-
-
-def chord_tokens(c: Chord, facing_sign: int) -> TokenSet:
-    """Translate held buttons into facing-relative trigger tokens.
-
-    Left/Right become Forward/Back depending on which way the fighter
-    faces; all other buttons map one-to-one (Start has no token).
-    """
-    out = set()
-    for b in c:
-        tok = _ABSOLUTE_TOKENS.get(b)
-        if tok is not None:
-            out.add(tok)
-        elif b is Button.RIGHT:
-            out.add(CommandToken.FORWARD if facing_sign > 0 else CommandToken.BACK)
-        elif b is Button.LEFT:
-            out.add(CommandToken.BACK if facing_sign > 0 else CommandToken.FORWARD)
-    return frozenset(out)
-
-
-# -- mask form --------------------------------------------------------------
-#
-# The engine matches triggers on integers: a token mask has bit i set for
-# the i-th CommandToken, TOKENS[facing_sign][chord_mask] is the token mask
-# of a chord mask, and each trigger step is precomputed as a token mask.
-
 _TOKEN_BIT: Dict[CommandToken, int] = {t: 1 << i for i, t in enumerate(CommandToken)}
 
 

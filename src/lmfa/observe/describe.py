@@ -23,7 +23,6 @@ from typing import Dict, Tuple
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
 from lmfa.observe.raster import FrameImage, ppm_bytes
 
-STATE_TEXT_VERSION = "v1"
 ACTION_SLOTS = 5
 
 

@@ -12,7 +12,6 @@ from typing import List, Optional, Tuple
 
 WINDOW_SIZE = 10
 WINDOW_SPACING = 4
-HISTORY_CAPACITY = 64
 
 
 def window_indices(now: int) -> Tuple[int, ...]:
@@ -25,7 +24,7 @@ class FrameHistory:
     """Bounded ring of encoded frames (base64 of the canonical container)
     keyed by engine frame index."""
 
-    def __init__(self, capacity: int = HISTORY_CAPACITY) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < WINDOW_SIZE:
             raise ValueError("history capacity below window size")
         self.capacity = capacity

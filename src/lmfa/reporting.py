@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from lmfa.engine.buttons import CHORD_OF, ENCODE, Chord, decode_chord
+from lmfa.engine.buttons import decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import trace_line
 from lmfa.tourney.match import BUTTON_NAMES, LogRecord, chain_digest, initial_digest
@@ -128,15 +128,6 @@ class ReplayVerdict:
     detail: str = ""
 
 
-_CHORD_BY_CODE: Dict[str, Chord] = {ENCODE[m]: CHORD_OF[m] for m in range(256)}
-
-
-def _decode(text: str) -> Chord:
-    """Canonical codes by table; any other spelling decode_chord accepts."""
-    c = _CHORD_BY_CODE.get(text)
-    return decode_chord(text) if c is None else c
-
-
 def verify_replay(log: LogRecord) -> ReplayVerdict:
     """Re-run the engine over the logged inputs and compare digest chains.
 
@@ -154,13 +145,13 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
     for i, row in enumerate(log.input_trace):
         try:
             enc1, enc2 = row
-            c1, c2 = _decode(enc1), _decode(enc2)
+            m1, m2 = decode_chord(enc1), decode_chord(enc2)
         except (ValueError, TypeError):  # not a pair of strings, or an unknown code
             return ReplayVerdict(
                 False, "state_divergence", i + 1, f"invalid chord encoding at frame {i}"
             )
         try:
-            state = step(state, c1, c2)
+            state = step(state, m1, m2)
         except RoundOverError:  # trace longer than the match it claims to be
             return ReplayVerdict(
                 False, "state_divergence", i + 1, f"trace continues past round end at frame {i}"

@@ -2,10 +2,10 @@
 
 Decision ticks pause the world every ``decision_interval_frames``; both
 agents observe the same pre-decision state, then their compiled plans
-feed the engine frame by frame until the next tick (a new plan discards
-whatever remained of the old one). The log captures enough to replay the
-match bit-exactly: config, seed, per-frame inputs, and a digest chain
-over inputs and serialized states.
+(one chord mask per frame) feed the engine frame by frame until the next
+tick (a new plan discards whatever remained of the old one). The log
+captures enough to replay the match bit-exactly: config, seed, per-frame
+inputs, and a digest chain over inputs and serialized states.
 """
 
 from __future__ import annotations
@@ -18,20 +18,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
-from lmfa.actions import ActionPlan, resolve
+from lmfa.actions import resolve
 from lmfa.agents.gateway import act
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
 from lmfa.agents.specs import AgentKind, AgentSpec, Decision
 from lmfa.config import ConfigError, MatchConfig, config_from_dict, config_to_dict
-from lmfa.engine.buttons import (
-    BIT,
-    EMPTY_CHORD,
-    ENCODE,
-    MASK_OF,
-    Button,
-    Chord,
-    encode_chord,
-)
+from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, encode_chord
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import (
     EndReason,
@@ -70,7 +62,7 @@ class DecisionRecord:
     player: Player
     decision_index: int
     decision: Decision
-    plan: ActionPlan
+    plan: Tuple[int, ...]  # chord mask per frame, from resolve
 
 
 @dataclass(frozen=True)
@@ -128,25 +120,6 @@ def _expand_histogram(histogram: List[int]) -> Dict[str, int]:
     return counts
 
 
-class _PlanFeed:
-    """Streams a plan's per-frame chords; empty after exhaustion."""
-
-    def __init__(self) -> None:
-        self.chords: Tuple[Chord, ...] = ()
-        self.pos = 0
-
-    def reset(self, plan: ActionPlan) -> None:
-        self.chords = plan.frame_chords()
-        self.pos = 0
-
-    def next_chord(self) -> Chord:
-        if self.pos >= len(self.chords):
-            return EMPTY_CHORD
-        c = self.chords[self.pos]
-        self.pos += 1
-        return c
-
-
 def run_match(
     p1: AgentSpec,
     p2: AgentSpec,
@@ -183,8 +156,7 @@ def run_match(
         and p1.endpoint != p2.endpoint
     )
 
-    feeds = {Player.P1: _PlanFeed(), Player.P2: _PlanFeed()}
-    feed1, feed2 = feeds[Player.P1], feeds[Player.P2]
+    feed1 = feed2 = iter(())  # each plan's remaining masks
     decisions: List[DecisionRecord] = []
     input_trace: List[Tuple[str, str]] = []
     # P1's and P2's last ACTION_SLOTS commands, oldest first
@@ -225,25 +197,25 @@ def run_match(
                     chosen = (act(p1, obs1, prompt), pending.result())
                 else:
                     chosen = (act(p1, obs1, prompt), act(p2, obs2, prompt))
+                feeds = []
                 for player, decision in zip((Player.P1, Player.P2), chosen):
                     plan = resolve(decision.command, state.fighter(player).facing)
-                    feeds[player].reset(plan)
                     decisions.append(DecisionRecord(player, tick, decision, plan))
+                    feeds.append(iter(plan))
+                feed1, feed2 = feeds
                 last_actions = tuple(
                     (mine + (decision.command.normalized,))[-ACTION_SLOTS:]
                     for mine, decision in zip(last_actions, chosen)
                 )
                 tick += 1
 
-            c1 = feed1.next_chord()
-            c2 = feed2.next_chord()
-            m1, m2 = MASK_OF[c1], MASK_OF[c2]
+            m1, m2 = next(feed1, EMPTY_CHORD), next(feed2, EMPTY_CHORD)
             enc1, enc2 = ENCODE[m1], ENCODE[m2]
             input_trace.append((enc1, enc2))
             hist1[m1] += 1
             hist2[m2] += 1
 
-            state = step(state, c1, c2)
+            state = step(state, m1, m2)
             digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
 
     return MatchLog(
@@ -299,7 +271,7 @@ def _decision_to_dict(record: DecisionRecord) -> dict:
         "command": d.command.normalized,
         "latency_ms": d.latency_ms,
         "failure": d.failure.value if d.failure else None,
-        "plan": [encode_chord(c) for c in record.plan.frame_chords()],
+        "plan": [encode_chord(m) for m in record.plan],
     }
 
 

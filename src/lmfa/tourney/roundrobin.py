@@ -84,6 +84,10 @@ def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> List[dict]:
     return schedule
 
 
+def match_seed(base_seed: int, pair_index: int, repeat_index: int) -> int:
+    return base_seed + pair_index * 1000 + repeat_index
+
+
 def _wins_for(log: LogRecord, agent_id: str) -> bool:
     winner = log.result.winner
     if winner is Winner.DRAW:
@@ -122,8 +126,9 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
     Raises ReportIntegrityError unless the logs are exactly
     ``pair_schedule(ids, k)``, k being one more than the largest repeat
     index: each log is the entry for its ``(pair_index, repeat_index)``
-    with that entry's sides, no entry comes twice, none is missing, and
-    every log shares one config apart from its seed.
+    with that entry's sides, no entry comes twice, none is missing,
+    every log shares one config apart from its seed, and every seed is
+    ``base_seed + pair_index * 1000 + repeat_index`` for one base seed.
     """
     ids = list(ids)
     by_key: Dict[Tuple[int, int], LogRecord] = {}
@@ -145,6 +150,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
     cells: List[PairCell] = []
     pair_logs: List[LogRecord] = []
     missing = []
+    base_seed: Optional[int] = None
     for entry in pair_schedule(ids, repeats):
         key = (entry["pair_index"], entry["repeat_index"])
         log = by_key.pop(key, None)
@@ -154,7 +160,14 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
             raise ReportIntegrityError(
                 f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
             )
+        elif base_seed is not None and log.seed != match_seed(base_seed, *key):
+            raise ReportIntegrityError(
+                f"{_where(log)} has seed {log.seed}, not {match_seed(base_seed, *key)}"
+                f" (base seed {base_seed})"
+            )
         else:
+            if base_seed is None:
+                base_seed = log.seed - match_seed(0, *key)
             pair_logs.append(log)
             for player in (Player.P1, Player.P2):
                 aid = log.agent_id(player)
@@ -237,11 +250,10 @@ def run_round_robin(
     schedule = pair_schedule([a.id for a in agents], matches_per_pair)
 
     def play(entry: dict) -> MatchLog:
-        seed = seed0 + entry["pair_index"] * 1000 + entry["repeat_index"]
         return run_match(
             by_id[entry["p1"]],
             by_id[entry["p2"]],
-            with_seed(config, seed),
+            with_seed(config, match_seed(seed0, entry["pair_index"], entry["repeat_index"])),
             pair_index=entry["pair_index"],
             repeat_index=entry["repeat_index"],
         )

@@ -70,7 +70,7 @@ def fixture_log(
         "config": config_to_dict(MatchConfig()),
         "p1": p1,
         "p2": p2,
-        "seed": pair_index,
+        "seed": pair_index * 1000,
         "pair_index": pair_index,
         "repeat_index": 0,
         "prompt_version": PROMPT_VERSION,

@@ -18,7 +18,6 @@ from lmfa.actions import (
     Command,
     CommandError,
     CommandToken,
-    format_command,
     parse,
 )
 from lmfa.agents.gateway import act
@@ -26,7 +25,7 @@ from lmfa.agents.mock_server import MockAgentServer
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy, FailureKind
 from lmfa.cli import EXIT_OK, main
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import Button, decode_chord, encode_chord, mirror_chord
+from lmfa.engine.buttons import BIT, MIRROR, Button, decode_chord, encode_chord
 from lmfa.engine.core import mirror, mirror_outcome, new_match, step
 from lmfa.engine.state import EndReason, Player, Winner, trace_line
 from lmfa.observe.describe import describe_state
@@ -112,7 +111,7 @@ def test_criterion_02_mirror_fairness():
         assert trace_line(refl) == trace_line(orig)  # symmetric start
         for c1, c2 in inputs:
             orig = step(orig, c1, c2)
-            refl = step(refl, mirror_chord(c2), mirror_chord(c1))
+            refl = step(refl, MIRROR[c2], MIRROR[c1])
             assert trace_line(refl) == trace_line(mirror(orig)), (
                 f"mirror divergence in match {k} at frame {orig.frame}"
             )
@@ -216,7 +215,7 @@ def test_criterion_06_parser_suite():
         except CommandError:
             continue
         count += 1
-        again = parse(format_command(cmd))
+        again = parse(cmd.normalized)
         assert again.steps == cmd.steps and again.normalized == cmd.normalized
 
     elapsed = time.perf_counter() - started
@@ -240,9 +239,8 @@ def test_criterion_07_replay_mutation_detection():
         frame = rng.randrange(n)
         side = rng.randrange(2)
         button = rng.choice(list(Button))
-        held = set(decode_chord(data["input_trace"][frame][side]))
-        held.symmetric_difference_update({button})
-        data["input_trace"][frame][side] = encode_chord(frozenset(held))
+        held = decode_chord(data["input_trace"][frame][side])
+        data["input_trace"][frame][side] = encode_chord(held ^ BIT[button])
         verdict = verify_replay(log_from_dict(data))
         assert not verdict.ok
         assert verdict.kind == "state_divergence"
@@ -296,8 +294,9 @@ def test_criterion_09_heatmap_exactness(tmp_path):
 
     recount = {name: 0 for name in BUTTON_NAMES.values()}
     for enc1, _ in data["input_trace"]:
-        for b in decode_chord(enc1):
-            recount[BUTTON_NAMES[b]] += 1
+        for b in Button:
+            if decode_chord(enc1) & BIT[b]:
+                recount[BUTTON_NAMES[b]] += 1
     assert heat.counts["puncher"] == recount
     assert recount["A"] > 0
     print("\nACCEPTANCE 9 PASS heatmap exactness")

@@ -22,11 +22,10 @@ from lmfa.actions import (
     TooManyTokensError,
     UnknownTokenError,
     extract_command,
-    format_command,
     parse,
     resolve,
 )
-from lmfa.engine.buttons import Button
+from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, chord
 from lmfa.engine.state import Facing
 
 T = CommandToken
@@ -99,23 +98,20 @@ class TestResolve:
     def test_forward_maps_by_facing(self):
         plan_r = resolve(parse("Forward"), Facing.RIGHT)
         plan_l = resolve(parse("Forward"), Facing.LEFT)
-        assert plan_r.steps[0].chord == frozenset({Button.RIGHT})
-        assert plan_r.steps[0].hold_frames == HOLD_FRAMES
-        assert plan_l.steps[0].chord == frozenset({Button.LEFT})
+        assert plan_r == (chord(Button.RIGHT),) * HOLD_FRAMES
+        assert plan_l == (chord(Button.LEFT),) * HOLD_FRAMES
 
     def test_back_maps_opposite(self):
         plan = resolve(parse("Back"), Facing.RIGHT)
-        assert plan.steps[0].chord == frozenset({Button.LEFT})
+        assert plan == (chord(Button.LEFT),) * HOLD_FRAMES
 
     def test_three_step_plan_is_13_frames(self):
         plan = resolve(parse("Down, Forward, A"), Facing.RIGHT)
-        assert plan.total_frames == 13
-        chords = plan.frame_chords()
-        assert len(chords) == 13
-        assert chords[0] == frozenset({Button.DOWN})
-        assert chords[3] == frozenset()
-        assert chords[5] == frozenset({Button.RIGHT})
-        assert chords[10] == frozenset({Button.A})
+        assert len(plan) == 13
+        assert plan[0] == chord(Button.DOWN)
+        assert plan[3] == EMPTY_CHORD
+        assert plan[5] == chord(Button.RIGHT)
+        assert plan[10] == chord(Button.A)
 
     def test_facing_antisymmetry_for_relative_commands(self):
         # commands without absolute Left/Right: flipping the facing swaps
@@ -125,12 +121,13 @@ class TestResolve:
             swap = {Button.LEFT: Button.RIGHT, Button.RIGHT: Button.LEFT}
             plan_r = resolve(cmd, Facing.RIGHT)
             plan_l = resolve(cmd, Facing.LEFT)
-            for sr, sl in zip(plan_r.steps, plan_l.steps):
-                assert {swap.get(b, b) for b in sr.chord} == set(sl.chord)
+            assert len(plan_r) == len(plan_l)
+            for mr, ml in zip(plan_r, plan_l):
+                assert chord(*(swap.get(b, b) for b in Button if mr & BIT[b])) == ml
 
     def test_plans_bounded(self):
         plan = resolve(parse("A, B, C, Up, Down"), Facing.RIGHT)
-        assert 1 <= plan.total_frames <= MAX_PLAN_FRAMES
+        assert 1 <= len(plan) <= MAX_PLAN_FRAMES
 
 
 def _random_valid_command(rng: random.Random) -> str:
@@ -164,7 +161,7 @@ class TestRoundTrip:
         for _ in range(10_000):
             raw = _random_valid_command(rng)
             cmd = parse(raw)
-            again = parse(format_command(cmd))
+            again = parse(cmd.normalized)
             assert again.steps == cmd.steps
             assert again.normalized == cmd.normalized
 

@@ -1,23 +1,32 @@
-"""Chord-mask tables: every one of the 256 masks against the set functions."""
+"""Chord-mask tables: every one of the 256 masks against set functions.
+
+The engine, the command compiler and the logs take chords as 8-bit masks
+only. The set-of-``Button`` functions below define normalize, mirror,
+encode, decode and the facing-relative token translation independently
+of the bit arithmetic, so the tables are checked against a second
+definition rather than against themselves.
+"""
 
 from __future__ import annotations
+
+from typing import FrozenSet, Iterable
 
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig, config_from_dict
 from lmfa.engine.buttons import (
-    CHORD_OF,
+    BIT,
+    EMPTY_CHORD,
     ENCODE,
-    MASK_OF,
     MIRROR,
     NORMALIZE,
+    Button,
+    chord,
     decode_chord,
     encode_chord,
-    mirror_chord,
-    normalize_chord,
 )
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import trace_line
-from lmfa.engine.moves import TOKENS, chord_tokens, token_mask
+from lmfa.engine.moves import TOKENS, CommandToken, TokenSet, token_mask
 from lmfa.reporting import verify_replay
 from lmfa.tourney.match import (
     chain_digest,
@@ -27,13 +36,95 @@ from lmfa.tourney.match import (
     run_match,
 )
 
+# -- set-form oracle ----------------------------------------------------------
+
+Chord = FrozenSet[Button]
+
+_CODE_ORDER = "UDLRABCS"
+_BY_CODE = {b.value: b for b in Button}
+
+
+def normalize_chord(c: Iterable[Button]) -> Chord:
+    """Cancel conflicting direction pairs (horizontal and vertical axes)."""
+    s = set(c)
+    if Button.LEFT in s and Button.RIGHT in s:
+        s.discard(Button.LEFT)
+        s.discard(Button.RIGHT)
+    if Button.UP in s and Button.DOWN in s:
+        s.discard(Button.UP)
+        s.discard(Button.DOWN)
+    return frozenset(s)
+
+
+def encode_chord_set(c: Chord) -> str:
+    """Canonical compact string, fixed button order; empty chord is ''."""
+    return "".join(code for code in _CODE_ORDER if _BY_CODE[code] in c)
+
+
+def decode_chord_set(text: str) -> Chord:
+    try:
+        return frozenset(_BY_CODE[ch] for ch in text)
+    except KeyError as exc:
+        raise ValueError(f"unknown button code in chord {text!r}") from exc
+
+
+def mirror_chord(c: Chord) -> Chord:
+    """Swap Left and Right; used by mirror-image runs."""
+    out = set(c)
+    if Button.LEFT in out or Button.RIGHT in out:
+        has_left = Button.LEFT in out
+        has_right = Button.RIGHT in out
+        out.discard(Button.LEFT)
+        out.discard(Button.RIGHT)
+        if has_left:
+            out.add(Button.RIGHT)
+        if has_right:
+            out.add(Button.LEFT)
+    return frozenset(out)
+
+
+_ABSOLUTE_TOKENS = {
+    Button.UP: CommandToken.UP,
+    Button.DOWN: CommandToken.DOWN,
+    Button.A: CommandToken.A,
+    Button.B: CommandToken.B,
+    Button.C: CommandToken.C,
+}
+
+
+def chord_tokens(c: Chord, facing_sign: int) -> TokenSet:
+    """Translate held buttons into facing-relative trigger tokens.
+
+    Left/Right become Forward/Back depending on which way the fighter
+    faces; all other buttons map one-to-one (Start has no token).
+    """
+    out = set()
+    for b in c:
+        tok = _ABSOLUTE_TOKENS.get(b)
+        if tok is not None:
+            out.add(tok)
+        elif b is Button.RIGHT:
+            out.add(CommandToken.FORWARD if facing_sign > 0 else CommandToken.BACK)
+        elif b is Button.LEFT:
+            out.add(CommandToken.BACK if facing_sign > 0 else CommandToken.FORWARD)
+    return frozenset(out)
+
+
+# CHORD_OF[mask] is the set of buttons a mask holds
+CHORD_OF = tuple(frozenset(b for b in Button if mask & BIT[b]) for mask in range(256))
+
+
+# -- tests --------------------------------------------------------------------
+
 
 def test_mask_of_round_trips():
-    assert len(MASK_OF) == 256
+    assert EMPTY_CHORD == 0 and chord() == EMPTY_CHORD
+    assert sorted(BIT.values()) == [1 << i for i in range(8)]
+    assert len(set(CHORD_OF)) == 256
     for mask in range(256):
-        assert MASK_OF[CHORD_OF[mask]] == mask
-        # a fresh, equal frozenset finds the same mask
-        assert MASK_OF[frozenset(CHORD_OF[mask])] == mask
+        assert chord(*CHORD_OF[mask]) == mask
+        # repeated buttons change nothing
+        assert chord(*CHORD_OF[mask], *CHORD_OF[mask]) == mask
 
 
 def test_tables_agree_with_set_functions():
@@ -41,8 +132,9 @@ def test_tables_agree_with_set_functions():
         c = CHORD_OF[mask]
         assert CHORD_OF[NORMALIZE[mask]] == normalize_chord(c)
         assert CHORD_OF[MIRROR[mask]] == mirror_chord(c)
-        assert ENCODE[mask] == encode_chord(c)
-        assert decode_chord(ENCODE[mask]) == c
+        assert ENCODE[mask] == encode_chord(mask) == encode_chord_set(c)
+        assert decode_chord(ENCODE[mask]) == mask
+        assert decode_chord_set(ENCODE[mask]) == c
 
 
 def test_token_table_agrees_with_chord_tokens():
@@ -67,6 +159,7 @@ def test_non_canonical_chord_strings_still_replay():
     state = new_match(config)
     digests = [initial_digest(config, data["seed"], state)]
     for enc1, enc2 in trace:
+        assert decode_chord_set(enc1) == CHORD_OF[decode_chord(enc1)]
         state = step(state, decode_chord(enc1), decode_chord(enc2))
         digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
     data = {**data, "input_trace": trace, "state_digests": digests}

@@ -9,7 +9,7 @@ import pytest
 
 from outcome_fixture import fixture_logs
 from lmfa.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, EXIT_SETUP, main
-from lmfa.engine.buttons import Button, decode_chord, encode_chord
+from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -179,9 +179,8 @@ class TestReplay:
     def test_tampered_exit_4_with_frame(self, tmp_path, capsys):
         path = self.run_one(tmp_path)
         data = json.loads(path.read_text())
-        held = set(decode_chord(data["input_trace"][25][0]))
-        held.symmetric_difference_update({Button.B})
-        data["input_trace"][25][0] = encode_chord(frozenset(held))
+        held = decode_chord(data["input_trace"][25][0])
+        data["input_trace"][25][0] = encode_chord(held ^ BIT[Button.B])
         path.write_text(json.dumps(data))
         assert main(["replay", str(path)]) == EXIT_DIVERGENCE
         assert "FRAME=26" in capsys.readouterr().out
@@ -438,6 +437,31 @@ class TestReport:
         assert main(["report", str(mixed), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "log zone vs rand (pair 2, repeat 0)" in err and "match_length_frames" in err
+        assert not out.exists()
+
+    def test_logs_from_two_base_seeds_exit_2(self, tmp_path, capsys):
+        # same config, but per-match seeds 0, 1000 and 2007 fit no one base seed
+        agents = write_agents(tmp_path, BOTS_4[:3])
+        runs = []
+        for seed in (0, 7):
+            (tmp_path / str(seed)).mkdir()
+            cfg = write_config(tmp_path / str(seed), match_length_frames=600)
+            out = tmp_path / str(seed) / "t"
+            argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+            assert main(argv + ["--seed", str(seed)]) == EXIT_OK
+            runs.append(out)
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for source, pattern in ((runs[0], "match_[01]_*.json"), (runs[1], "match_2_*.json")):
+            for path in source.glob(pattern):
+                (mixed / path.name).write_bytes(path.read_bytes())
+        assert len(list(mixed.iterdir())) == 3
+        for path in mixed.iterdir():
+            assert main(["replay", str(path)]) == EXIT_OK
+        out = tmp_path / "r"
+        assert main(["report", str(mixed), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "log zone vs rand (pair 2, repeat 0) has seed 2007" in err
         assert not out.exists()
 
     def test_report_reproduces_six_agent_tournament_bytes(self, tmp_path):

@@ -405,8 +405,8 @@ class TestBookkeeping:
         buttons = list(Button)
         s = make_state(x1=150, x2=250, length=300)
         while s.round_over is None:
-            c1 = frozenset(rng.sample(buttons, rng.randint(0, 3)))
-            c2 = frozenset(rng.sample(buttons, rng.randint(0, 3)))
+            c1 = chord(*rng.sample(buttons, rng.randint(0, 3)))
+            c2 = chord(*rng.sample(buttons, rng.randint(0, 3)))
             s = step(s, c1, c2)
             for leaf in leaves(s):
                 assert not isinstance(leaf, str), leaf
@@ -418,8 +418,8 @@ class TestBookkeeping:
         s = make_state(x1=170, x2=230, length=400)
         last = (1000, 1000)
         while s.round_over is None and s.frame < 400:
-            c1 = frozenset(rng.sample(buttons, rng.randint(0, 3)))
-            c2 = frozenset(rng.sample(buttons, rng.randint(0, 3)))
+            c1 = chord(*rng.sample(buttons, rng.randint(0, 3)))
+            c2 = chord(*rng.sample(buttons, rng.randint(0, 3)))
             s = step(s, c1, c2)
             assert s.p1.health <= last[0] and s.p2.health <= last[1]
             assert 0 <= s.p1.x <= s.arena_width and 0 <= s.p2.x <= s.arena_width

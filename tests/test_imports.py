@@ -1,14 +1,18 @@
-"""Source hygiene: no module-level import in ``src/lmfa`` goes unused."""
+"""Source hygiene: no module-level import in ``src/lmfa`` goes unused, and
+no module-level constant is left that nothing reads."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lmfa"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(SRC.rglob("*.py"))
+CONSTANT = re.compile(r"_*[A-Z][A-Z0-9_]*")
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +41,52 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_constants(sources: dict, readers: list) -> list:
+    """Module-level UPPER_CASE names assigned in ``sources`` (name -> text)
+    that no expression in ``sources`` or ``readers`` loads."""
+    assigned = {}
+    read = set()
+    for name, text in list(sources.items()) + [(None, t) for t in readers]:
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        if name is None:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                for elt in elts:
+                    if isinstance(elt, ast.Name) and CONSTANT.fullmatch(elt.id):
+                        assigned[elt.id] = f"{name}:{node.lineno}"
+    return sorted(f"{n} ({where})" for n, where in assigned.items() if n not in read)
+
+
+def test_detects_an_unread_constant():
+    sources = {
+        "a.py": "LIMIT = 3\nUSED, _SPARE = 1, 2\nx: int = 0\nKEPT: int = 4\nprint(USED)\n",
+        "b.py": "import a\nprint(a.KEPT)\n",
+    }
+    assert unread_constants(sources, ["from a import LIMIT\n"]) == [
+        "LIMIT (a.py:1)",
+        "_SPARE (a.py:2)",
+    ]
+    assert unread_constants(sources, ["from a import LIMIT\nLIMIT + 1\n"]) == [
+        "_SPARE (a.py:2)"
+    ]
+
+
+def test_every_constant_is_read():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unread_constants(sources, readers) == []

@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import Button, EMPTY_CHORD, chord, mirror_chord
+from lmfa.engine.buttons import MIRROR, Button, EMPTY_CHORD, chord
 from lmfa.engine.core import mirror, new_match, step
 from lmfa.engine.state import trace_line
 
 
-def random_chord(rng: random.Random) -> frozenset:
+def random_chord(rng: random.Random) -> int:
     n = rng.randint(0, 3)
-    return frozenset(rng.sample(list(Button), n))
+    return chord(*rng.sample(list(Button), n))
 
 
 def test_mirror_is_involution_on_initial_state():
@@ -52,7 +52,7 @@ def test_mirrored_input_scripts_produce_mirrored_traces():
                 break
             c1, c2 = random_chord(rng), random_chord(rng)
             orig = step(orig, c1, c2)
-            refl = step(refl, mirror_chord(c2), mirror_chord(c1))
+            refl = step(refl, MIRROR[c2], MIRROR[c1])
             assert refl == mirror(orig), (
                 f"divergence at frame {orig.frame} (script {script_seed}):\n"
                 f"  mirrored run: {trace_line(refl)}\n"
@@ -76,8 +76,8 @@ def test_simultaneous_trade_mirrors_exactly():
     punch = chord(Button.A)
     for _ in range(6):
         s = step(s, punch, punch)
-        m = step(m, mirror_chord(punch), mirror_chord(punch))
-        punch = frozenset()
+        m = step(m, MIRROR[punch], MIRROR[punch])
+        punch = EMPTY_CHORD
         assert m == mirror(s)
         if s.round_over is not None:
             break
@@ -95,7 +95,7 @@ def test_mirror_swaps_knockout_winner():
         dist = abs(s.p1.x - s.p2.x)
         c = chord(Button.A) if dist <= 40 and s.p1.actionable else chord(Button.RIGHT)
         s = step(s, c, EMPTY_CHORD)
-        m = step(m, EMPTY_CHORD, mirror_chord(c))
+        m = step(m, EMPTY_CHORD, MIRROR[c])
     assert s.round_over.winner.value == "P1"
     assert m.round_over.winner.value == "P2"
     assert m.round_over.winner_health_fraction == s.round_over.winner_health_fraction

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import Button
+from lmfa.engine.buttons import Button, chord
 from lmfa.engine.core import jump_height, mirror, new_match, step
 from lmfa.engine.state import Player
 from lmfa.observe.describe import (
@@ -43,8 +43,8 @@ def random_state(seed: int):
     for _ in range(rng.randint(0, 120)):
         if s.round_over is not None:
             break
-        c1 = frozenset(rng.sample(list(Button), rng.randint(0, 2)))
-        c2 = frozenset(rng.sample(list(Button), rng.randint(0, 2)))
+        c1 = chord(*rng.sample(list(Button), rng.randint(0, 2)))
+        c2 = chord(*rng.sample(list(Button), rng.randint(0, 2)))
         s = step(s, c1, c2)
     return s
 
@@ -128,7 +128,7 @@ class TestWindow:
 
     def test_sample_window_returns_stored_frames(self):
         s = new_match(MatchConfig())
-        hist = FrameHistory()
+        hist = FrameHistory(capacity=64)
         for f in range(0, 101, 4):
             img = render(dataclasses.replace(s, frame=f))
             hist.append(f, encode_frame_base64(img))
@@ -136,7 +136,7 @@ class TestWindow:
         assert len(frames) == 10
 
     def test_sample_window_missing_frame_raises(self):
-        hist = FrameHistory()
+        hist = FrameHistory(capacity=64)
         with pytest.raises(LookupError):
             sample_window_encoded(hist, 40)
 

@@ -15,7 +15,7 @@ from outcome_fixture import (
 )
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import Button, decode_chord, encode_chord
+from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
 from lmfa.reporting import (
     build_heatmap,
     build_win_rates,
@@ -151,7 +151,12 @@ class TestHeatmap:
         logs = [
             log_to_dict(run_match(bot("r1", BotPolicy.RANDOM, seed=1), bot("z1", BotPolicy.ZONER), cfg)),
             log_to_dict(
-                run_match(bot("z1", BotPolicy.ZONER), bot("r1", BotPolicy.RANDOM, seed=1), cfg, repeat_index=1)
+                run_match(
+                    bot("z1", BotPolicy.ZONER),
+                    bot("r1", BotPolicy.RANDOM, seed=1),
+                    MatchConfig(seed=9, match_length_frames=600),
+                    repeat_index=1,
+                )
             ),
         ]
         heat = build_heatmap(result_from_logs(records(logs)))
@@ -161,8 +166,9 @@ class TestHeatmap:
             for side, aid in (("P1", log["p1"]), ("P2", log["p2"])):
                 idx = 0 if side == "P1" else 1
                 for row in log["input_trace"]:
-                    for b in decode_chord(row[idx]):
-                        recount[aid][BUTTON_NAMES[b]] += 1
+                    for b in Button:
+                        if decode_chord(row[idx]) & BIT[b]:
+                            recount[aid][BUTTON_NAMES[b]] += 1
         assert heat.counts == recount
 
     def test_all_zero_row_stays_zero(self):
@@ -198,9 +204,8 @@ class TestVerifyReplay:
             frame = rng.randrange(n)
             side = rng.randrange(2)
             button = rng.choice(list(Button))
-            held = set(decode_chord(data["input_trace"][frame][side]))
-            held.symmetric_difference_update({button})
-            data["input_trace"][frame][side] = encode_chord(frozenset(held))
+            held = decode_chord(data["input_trace"][frame][side])
+            data["input_trace"][frame][side] = encode_chord(held ^ BIT[button])
             verdict = verify_replay(log_from_dict(data))
             assert not verdict.ok
             assert verdict.kind == "state_divergence"

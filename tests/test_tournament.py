@@ -13,7 +13,7 @@ from lmfa.actions import parse
 from lmfa.agents.mock_server import MockAgentServer
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, BotPolicy, Decision
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import decode_chord
+from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
 from lmfa.engine.state import EndReason, Winner
 from lmfa.observe.describe import describe_state
 from lmfa.observe.window import FrameHistory
@@ -79,8 +79,9 @@ class TestRunMatch:
         }
         for enc1, enc2 in log.input_trace:
             for side, enc in (("P1", enc1), ("P2", enc2)):
-                for b in decode_chord(enc):
-                    recount[side][BUTTON_NAMES[b]] += 1
+                for b in Button:
+                    if decode_chord(enc) & BIT[b]:
+                        recount[side][BUTTON_NAMES[b]] += 1
         assert recount == log.button_counts
 
     def test_digest_chain_length(self):
@@ -115,11 +116,11 @@ class TestRunMatch:
             ]
             if not plan_records:
                 continue
-            expected = plan_records[0].plan.frame_chords()[:8]
+            expected = plan_records[0].plan[:8]
             window = log.input_trace[tick_start : tick_start + 8]
             for offset, (enc1, _) in enumerate(window):
                 want = (
-                    expected[offset] if offset < len(expected) else frozenset()
+                    expected[offset] if offset < len(expected) else EMPTY_CHORD
                 )
                 assert decode_chord(enc1) == want
 
