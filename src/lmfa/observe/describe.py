@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
-from lmfa.observe.raster import FrameImage, ppm_bytes
+from lmfa.observe.raster import FrameImage, ppm_header
 
 ACTION_SLOTS = 5
 
@@ -60,7 +60,10 @@ class WireText(str):
     between quotes instead of scanning the text and encoding it again
     (``lmfa.agents.remote.encode_wire_request``); the caller of ``of``
     guarantees that no piece holds a quote, a backslash or a control byte.
-    Base64 frames are WireText, and so are their prefixed forms.
+    Base64 frames are WireText, and so are their prefixed forms. A frame's
+    pieces are one header piece and then one piece per pixel row, and
+    identical adjacent rows share one ``bytes`` object
+    (``encode_frame_base64``).
     """
 
     pieces: Tuple[bytes, ...]
@@ -88,7 +91,29 @@ def encode_payload_base64(payload: bytes) -> str:
 
 
 def encode_frame_base64(image: FrameImage) -> WireText:
-    return WireText.of(base64.b64encode(ppm_bytes(image)))
+    """Base64 of ``ppm_bytes(image)``, encoded one pixel row at a time.
+
+    Base64 turns each 3 input bytes into 4 characters independently, so
+    ``b64(a + b) == b64(a) + b64(b)`` when ``len(a)`` is a multiple of 3.
+    The split relies on that: a row is ``width * 3`` bytes, and the header
+    must be a multiple of 3 bytes too (15 at 320x224); at a size where it
+    is not, the frame is encoded whole. Rendered frames repeat rows in
+    long runs (sky, floor, HUD), and each run is encoded once and shares
+    one piece.
+    """
+    header = ppm_header(image.width, image.height)
+    row_bytes = image.width * 3
+    if len(header) % 3:
+        return WireText.of(base64.b64encode(header + image.pixels))
+    pixels = image.pixels
+    pieces = [base64.b64encode(header)]
+    row = piece = None
+    for start in range(0, len(pixels), row_bytes):
+        nxt = pixels[start : start + row_bytes]
+        if nxt != row:
+            row, piece = nxt, base64.b64encode(nxt)
+        pieces.append(piece)
+    return WireText.of(*pieces)
 
 
 def decode_frame_base64(text: str) -> bytes:

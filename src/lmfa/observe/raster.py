@@ -106,10 +106,14 @@ class FrameImage:
         )
 
 
+def ppm_header(width: int, height: int) -> bytes:
+    """The P6 header that precedes the pixels in ``ppm_bytes``."""
+    return f"P6\n{width} {height}\n255\n".encode("ascii")
+
+
 def ppm_bytes(image: FrameImage) -> bytes:
     """Canonical lossless container: binary portable pixmap (P6)."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    return header + image.pixels
+    return ppm_header(image.width, image.height) + image.pixels
 
 
 def x_span(lo: int, hi: int, arena_width: int) -> Tuple[int, int]:
@@ -171,19 +175,31 @@ def _draw_stripe(arr: np.ndarray, fs: FighterState, arena_width: int) -> None:
         arr[top:feet, s0:s1] = COLOR_STRIPE
 
 
-def render(state: GameState) -> FrameImage:
-    """Rasterize the scene: background, fighters, HUD bars, timer digits."""
+def _background() -> np.ndarray:
+    """The pixels every frame shares: sky, HUD band, floor, ground line and
+    both health-bar backs (p1 anchored left, p2 mirrored)."""
     arr = np.empty((HEIGHT, WIDTH, 3), dtype=np.uint8)
     arr[:] = COLOR_SKY
     arr[:HUD_ROWS] = COLOR_HUD
     arr[GROUND_ROW:] = COLOR_FLOOR
     arr[GROUND_ROW : GROUND_ROW + 3] = COLOR_GROUND_LINE
-
-    # health bars: p1 anchored left filling rightward, p2 mirrored
     arr[BAR_TOP:BAR_BOTTOM, BAR_MARGIN : BAR_MARGIN + BAR_WIDTH] = COLOR_BAR_BACK
     arr[BAR_TOP:BAR_BOTTOM, WIDTH - BAR_MARGIN - BAR_WIDTH : WIDTH - BAR_MARGIN] = (
         COLOR_BAR_BACK
     )
+    arr.flags.writeable = False  # render copies it; nothing may paint on it
+    return arr
+
+
+_BACKGROUND = _background()
+
+
+def render(state: GameState) -> FrameImage:
+    """Rasterize the scene onto a copy of the prebuilt background: health-bar
+    fills, timer digits, projectiles, fighters."""
+    arr = _BACKGROUND.copy()
+
+    # health bars fill from the outer ends: p1 rightward, p2 leftward
     fill1 = BAR_WIDTH * state.p1.health // HEALTH_MAX
     fill2 = BAR_WIDTH * state.p2.health // HEALTH_MAX
     if fill1:

@@ -310,6 +310,7 @@ _LOG_KEYS = {
     "pair_index": int,
     "repeat_index": int,
     "result": dict,
+    "decisions": list,
     "input_trace": list,
     "state_digests": list,
     "button_counts": dict,
@@ -338,6 +339,10 @@ def _require(ok: bool, field: str, what: str) -> None:
 def log_from_dict(data: dict) -> LogRecord:
     """Check the schema version and the type of every field that replay and
     reports read, and return them as a record.
+
+    The agent ids are outside the digest chain, so every decision must
+    name its side's agent: a log whose ``p1`` and ``p2`` were swapped is
+    malformed, not a replayable win for the other side.
 
     The rows of ``input_trace`` stay unchecked: replay reports a bad row as
     a divergence at the frame it would have produced.
@@ -384,6 +389,20 @@ def log_from_dict(data: dict) -> LogRecord:
             and all(_is_int(n) for n in per_button.values()),
             f"button_counts.{side}",
             "an integer count per button name",
+        )
+    sides = (("P1", data["p1"]), ("P2", data["p2"]))
+    for i, entry in enumerate(data["decisions"]):
+        if isinstance(entry, dict) and (entry.get("player"), entry.get("agent_id")) in sides:
+            continue
+        field = f"decisions[{i}]"
+        _require(isinstance(entry, dict), field, "an object")
+        player = entry.get("player")
+        _require(player in ("P1", "P2"), f"{field}.player", "P1 or P2")
+        agent_id = dict(sides)[player]
+        _require(
+            entry.get("agent_id") == agent_id,
+            f"{field}.agent_id",
+            f"{agent_id!r}, the log's {player.lower()}",
         )
     try:
         config = config_from_dict(data["config"])

@@ -296,7 +296,9 @@ class TestWireBody:
         first = url()
         assert first == "data:image/x-portable-pixmap;base64," + frame
         assert url() is first
-        assert first.pieces[-1] is frame.pieces[0]
+        assert first.pieces[0] == b"data:image/x-portable-pixmap;base64,"
+        assert len(first.pieces) == 1 + len(frame.pieces)
+        assert all(a is b for a, b in zip(first.pieces[1:], frame.pieces))
 
 
 class TestAgentsFile:

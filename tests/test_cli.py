@@ -232,6 +232,10 @@ class TestReplay:
             (("seed",), "42", "'seed' is not an integer"),
             (("config", "arena_width"), "400", "'arena_width' must be an integer"),
             (("config",), [], "'config' is not an object"),
+            (("decisions",), {}, "'decisions' is not a list"),
+            (("decisions", 2), "A", "'decisions[2]' is not an object"),
+            (("decisions", 2, "player"), "P3", "'decisions[2].player' is not P1 or P2"),
+            (("decisions", 2, "agent_id"), "idle", "'decisions[2].agent_id' is not 'rush'"),
         ],
     )
     def test_wrong_type_field_exit_2(self, tmp_path, capsys, path, value, named):
@@ -366,6 +370,29 @@ class TestReport:
         err = capsys.readouterr().err
         assert "match_4_0_" in err and named in err
         assert not (tmp_path / "r").exists()
+
+    def test_swapped_agent_ids_exit_2(self, tmp_path, capsys):
+        # Agent ids are outside the digest chain, so this log still replays
+        # move for move; only its decisions tell that rush played P1.
+        cfg = write_config(tmp_path, match_length_frames=600)
+        agents = write_agents(tmp_path, rush_and_idle())
+        logs_dir = tmp_path / "t"
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(logs_dir)]
+        assert main(argv) == EXIT_OK
+        original = logs_dir / "match_0_0_rush_vs_idle.json"
+        data = json.loads(original.read_text())
+        assert data["result"]["winner"] == "P1"
+        data["p1"], data["p2"] = data["p2"], data["p1"]
+        original.unlink()
+        swapped = logs_dir / "match_0_0_idle_vs_rush.json"
+        swapped.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        named = "'decisions[0].agent_id' is not 'idle', the log's p1"
+        assert main(["replay", str(swapped)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        out = tmp_path / "r"
+        assert main(["report", str(logs_dir), "--out", str(out)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_directory_named_like_log_exit_2(self, tmp_path, capsys):
         logs_dir = write_logs(tmp_path / "logs", fixture_logs())

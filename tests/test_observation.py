@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import random
 
 import numpy as np
 import pytest
 
+from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
-from lmfa.engine.buttons import Button, chord
+from lmfa.engine.buttons import Button, chord, decode_chord
 from lmfa.engine.core import jump_height, mirror, new_match, step
-from lmfa.engine.state import Player
+from lmfa.engine.state import EndReason, Jumping, KnockedDown, Player
 from lmfa.observe.describe import (
     decode_frame_base64,
     describe_state,
@@ -28,6 +30,7 @@ from lmfa.observe.raster import (
     HEIGHT,
     TIMER_RECT,
     WIDTH,
+    FrameImage,
     annotate,
     fighter_center_px,
     marker_rect,
@@ -35,6 +38,7 @@ from lmfa.observe.raster import (
     render,
 )
 from lmfa.observe.window import FrameHistory, sample_window_encoded, window_indices
+from lmfa.tourney.match import run_match
 
 
 def random_state(seed: int):
@@ -166,6 +170,63 @@ class TestEncoding:
     def test_ppm_header(self):
         img = render(new_match(MatchConfig()))
         assert ppm_bytes(img).startswith(b"P6\n320 224\n255\n")
+
+
+@pytest.fixture(scope="module")
+def played_states():
+    """Every state of a 555-frame scripted match with jumps, knockdowns and
+    projectiles, ending in a knockout."""
+    rand = AgentSpec(id="rand", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.RANDOM, seed=1)
+    zone = AgentSpec(id="zone", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.ZONER, seed=6)
+    log = run_match(rand, zone, MatchConfig(seed=1))
+    state = new_match(log.config)
+    states = [state]
+    for enc1, enc2 in log.input_trace:
+        state = step(state, decode_chord(enc1), decode_chord(enc2))
+        states.append(state)
+    return states
+
+
+class TestRowRunEncoding:
+    """encode_frame_base64 encodes each run of identical rows once; base64
+    of the whole PPM buffer is the reference it must equal."""
+
+    @staticmethod
+    def assert_matches_reference(img):
+        expected = base64.b64encode(ppm_bytes(img))
+        encoded = encode_frame_base64(img)
+        assert bytes(str(encoded), "ascii") == expected
+        assert b"".join(encoded.pieces) == expected
+        return encoded
+
+    def test_played_match_frames(self, played_states):
+        fighters = [f for s in played_states for f in (s.p1, s.p2)]
+        assert any(isinstance(f.phase, Jumping) for f in fighters)
+        assert any(isinstance(f.phase, KnockedDown) for f in fighters)
+        assert any(s.projectiles for s in played_states)
+        assert played_states[-1].round_over.end_reason is EndReason.KNOCKOUT
+        for s in played_states:
+            encoded = self.assert_matches_reference(annotate(render(s), s))
+            assert len(encoded.pieces) == 1 + HEIGHT
+
+    def test_random_pixels_no_repeated_rows(self):
+        pixels = random.Random(3).randbytes(WIDTH * HEIGHT * 3)
+        row = WIDTH * 3
+        assert len({pixels[i : i + row] for i in range(0, len(pixels), row)}) == HEIGHT
+        encoded = self.assert_matches_reference(FrameImage(WIDTH, HEIGHT, pixels))
+        assert len({id(p) for p in encoded.pieces}) == 1 + HEIGHT
+
+    def test_uniform_image_shares_one_row_piece(self):
+        img = FrameImage(WIDTH, HEIGHT, bytes((7, 8, 9)) * (WIDTH * HEIGHT))
+        encoded = self.assert_matches_reference(img)
+        assert len(encoded.pieces) == 1 + HEIGHT
+        assert len({id(p) for p in encoded.pieces[1:]}) == 1
+
+    def test_header_off_three_byte_boundary_encoded_whole(self):
+        # "P6\n10 10\n255\n" is 13 bytes, so rows would not start on a
+        # base64 group boundary
+        img = FrameImage(10, 10, random.Random(4).randbytes(10 * 10 * 3))
+        assert len(self.assert_matches_reference(img).pieces) == 1
 
 
 class TestDescribeState:
