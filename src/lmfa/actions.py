@@ -7,11 +7,11 @@ Grammar (documented in docs/grammar.ebnf):
     token   = Up|Down|Left|Right|Forward|Back|A|B|C|Block|Jump|Crouch
 
 Parsing is whitespace- and case-insensitive; aliases collapse during
-normalization (Block->C, Jump->Up, Crouch->Down). Forward/Back are
-facing-relative and resolve to Left/Right only when ``resolve`` compiles
-a command into its per-frame chord masks.
-Error messages are stable strings because they appear verbatim in match
-logs.
+normalization (Block->C, Jump->Up, Crouch->Down). A parsed chord is
+a token mask: bit i stands for the i-th ``CommandToken``, which is also
+the display order. Forward/Back are facing-relative and resolve to
+Left/Right only when ``resolve`` compiles a command into its per-frame
+chord masks, through the facing table in ``lmfa.engine.moves``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button
-from lmfa.engine.moves import CommandToken, TokenSet
+from lmfa.engine.buttons import EMPTY_CHORD
+from lmfa.engine.moves import CHORDS, TOKEN_BIT, CommandToken
 from lmfa.engine.state import Facing
 
 MAX_STEPS = 5
@@ -30,22 +30,10 @@ HOLD_FRAMES = 3
 GAP_FRAMES = 2
 MAX_PLAN_FRAMES = 120
 
-
-# Canonical display order inside a chord: directions before buttons.
-_TOKEN_ORDER = {tok: i for i, tok in enumerate(CommandToken)}
-
-_CANONICAL = {tok.value.lower(): tok for tok in CommandToken}
-_ALIASES = {
-    "block": CommandToken.C,
-    "jump": CommandToken.UP,
-    "crouch": CommandToken.DOWN,
-}
-
-VOCABULARY: Tuple[str, ...] = tuple(t.value for t in CommandToken) + (
-    "Block",
-    "Jump",
-    "Crouch",
-)
+_ALIASES = {"Block": CommandToken.C, "Jump": CommandToken.UP, "Crouch": CommandToken.DOWN}
+_WORDS = {**{tok.value: tok for tok in CommandToken}, **_ALIASES}
+VOCABULARY: Tuple[str, ...] = tuple(_WORDS)
+_BIT_OF_WORD = {word.lower(): TOKEN_BIT[tok] for word, tok in _WORDS.items()}
 
 
 class CommandError(ValueError):
@@ -86,33 +74,27 @@ class ConflictingDirectionsError(CommandError):
 
 @dataclass(frozen=True)
 class Command:
-    raw: str
     normalized: str
-    steps: Tuple[TokenSet, ...]
+    steps: Tuple[int, ...]  # one token mask per chord
 
 
-_CONFLICTS = (
-    (CommandToken.LEFT, CommandToken.RIGHT),
-    (CommandToken.UP, CommandToken.DOWN),
-    (CommandToken.FORWARD, CommandToken.BACK),
-)
+_HORIZONTAL = TOKEN_BIT[CommandToken.LEFT] | TOKEN_BIT[CommandToken.RIGHT]
+_RELATIVE = TOKEN_BIT[CommandToken.FORWARD] | TOKEN_BIT[CommandToken.BACK]
+_VERTICAL = TOKEN_BIT[CommandToken.UP] | TOKEN_BIT[CommandToken.DOWN]
 
 
-def _check_chord(tokens: TokenSet, index: int) -> None:
-    if len(tokens) > MAX_TOKENS_PER_CHORD:
+def _check_chord(tokens: int, index: int) -> None:
+    if tokens.bit_count() > MAX_TOKENS_PER_CHORD:
         raise TooManyTokensError(index)
-    for a, b in _CONFLICTS:
-        if a in tokens and b in tokens:
+    for pair in (_HORIZONTAL, _VERTICAL, _RELATIVE):
+        if tokens & pair == pair:
             raise ConflictingDirectionsError(index)
-    relative = CommandToken.FORWARD in tokens or CommandToken.BACK in tokens
-    absolute = CommandToken.LEFT in tokens or CommandToken.RIGHT in tokens
-    if relative and absolute:
+    if tokens & _RELATIVE and tokens & _HORIZONTAL:
         raise ConflictingDirectionsError(index)
 
 
-def _chord_text(tokens: TokenSet) -> str:
-    ordered = sorted(tokens, key=_TOKEN_ORDER.__getitem__)
-    return " + ".join(t.value for t in ordered)
+def _chord_text(tokens: int) -> str:
+    return " + ".join(tok.value for tok, bit in TOKEN_BIT.items() if tokens & bit)
 
 
 def parse(raw: str) -> Command:
@@ -126,59 +108,30 @@ def parse(raw: str) -> Command:
     position = 0
     for index, segment in enumerate(segments):
         words = segment.split("+")
-        tokens = set()
+        tokens = 0
         for word in words:
             name = word.strip().lower()
             position += 1
-            if not name:
+            bit = _BIT_OF_WORD.get(name)
+            if bit is None:
                 raise UnknownTokenError(word.strip(), position)
-            tok = _CANONICAL.get(name) or _ALIASES.get(name)
-            if tok is None:
-                raise UnknownTokenError(word.strip(), position)
-            tokens.add(tok)
-        chord_spec = frozenset(tokens)
-        _check_chord(chord_spec, index)
-        steps.append(chord_spec)
+            tokens |= bit
+        _check_chord(tokens, index)
+        steps.append(tokens)
     normalized = ", ".join(_chord_text(s) for s in steps)
-    return Command(raw=raw, normalized=normalized, steps=tuple(steps))
-
-
-_ABSOLUTE_BITS = {
-    CommandToken.UP: BIT[Button.UP],
-    CommandToken.DOWN: BIT[Button.DOWN],
-    CommandToken.LEFT: BIT[Button.LEFT],
-    CommandToken.RIGHT: BIT[Button.RIGHT],
-    CommandToken.A: BIT[Button.A],
-    CommandToken.B: BIT[Button.B],
-    CommandToken.C: BIT[Button.C],
-}
-# token -> chord bit for a fighter facing each way
-_BITS = {
-    facing: {
-        **_ABSOLUTE_BITS,
-        CommandToken.FORWARD: BIT[ahead],
-        CommandToken.BACK: BIT[behind],
-    }
-    for facing, ahead, behind in (
-        (Facing.RIGHT, Button.RIGHT, Button.LEFT),
-        (Facing.LEFT, Button.LEFT, Button.RIGHT),
-    )
-}
+    return Command(normalized=normalized, steps=tuple(steps))
 
 
 def resolve(cmd: Command, facing: Facing) -> Tuple[int, ...]:
     """Compile a command into one chord mask per engine frame, mapping
     Forward/Back by facing: each step is held ``HOLD_FRAMES`` and followed
     by ``GAP_FRAMES`` empty frames, none after the last step."""
-    bits = _BITS[facing]
+    chords = CHORDS[facing.sign]
     frames: List[int] = []
-    for spec in cmd.steps:
+    for tokens in cmd.steps:
         if frames:
             frames += [EMPTY_CHORD] * GAP_FRAMES
-        mask = EMPTY_CHORD
-        for tok in spec:
-            mask |= bits[tok]
-        frames += [mask] * HOLD_FRAMES
+        frames += [chords[tokens]] * HOLD_FRAMES
     assert len(frames) <= MAX_PLAN_FRAMES
     return tuple(frames)
 

@@ -38,8 +38,6 @@ def _act_scripted(spec: AgentSpec, obs: Observation) -> Decision:
         failure = FailureKind.PARSE_ERROR
     # scripted latency is identically zero to keep logs byte-reproducible
     return Decision(
-        agent_id=spec.id,
-        frame_issued=obs.frame,
         raw_reply=text,
         command=command,
         latency_ms=0,
@@ -60,8 +58,6 @@ def _act_remote(spec: AgentSpec, obs: Observation, system_prompt: str) -> Decisi
     if command is None:
         command = parse(FALLBACK_COMMAND)
     return Decision(
-        agent_id=spec.id,
-        frame_issued=obs.frame,
         raw_reply=reply or "",
         command=command,
         latency_ms=latency_ms,

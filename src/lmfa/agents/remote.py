@@ -100,8 +100,12 @@ def _write_json(value, out: List[bytes]) -> None:
 
 def extract_reply_text(spec: AgentSpec, body: dict) -> str:
     if spec.wire_format == "chat":
-        return body["choices"][0]["message"]["content"]
-    return body["reply"]
+        reply = body["choices"][0]["message"]["content"]
+    else:
+        reply = body["reply"]
+    if not isinstance(reply, str):
+        raise TypeError(f"reply is {type(reply).__name__}, not a string")
+    return reply
 
 
 def request_headers() -> dict:
@@ -120,7 +124,8 @@ def query_remote(
     """POST the observation; returns (reply_text, failure).
 
     Timeouts and transport errors are retried up to max_retries; malformed
-    response bodies are parse failures and are never retried.
+    response bodies, including a reply that is not a string, are parse
+    failures and are never retried.
     """
     body = encode_wire_request(build_wire_request(spec, obs, system_prompt))
     headers = request_headers()

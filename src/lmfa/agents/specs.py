@@ -84,8 +84,6 @@ class AgentSpec:
 class Decision:
     """One agent decision; failures carry the fallback command executed."""
 
-    agent_id: str
-    frame_issued: int
     raw_reply: str
     command: Command
     latency_ms: int

@@ -33,9 +33,7 @@ BIT: Dict[Button, int] = {b: 1 << i for i, b in enumerate(Button)}
 
 EMPTY_CHORD = 0
 
-# Canonical encoding order for traces/logs.
-_CODE_ORDER = "UDLRABCS"
-_BIT_BY_CODE = {code: 1 << i for i, code in enumerate(_CODE_ORDER)}
+_BIT_BY_CODE = {b.value: BIT[b] for b in Button}
 
 
 def chord(*buttons: Button) -> int:
@@ -86,7 +84,6 @@ def _mirror_mask(mask: int) -> int:
 NORMALIZE: Tuple[int, ...] = tuple(_normalize_mask(m) for m in range(256))
 MIRROR: Tuple[int, ...] = tuple(_mirror_mask(m) for m in range(256))
 ENCODE: Tuple[str, ...] = tuple(
-    "".join(code for i, code in enumerate(_CODE_ORDER) if m >> i & 1)
-    for m in range(256)
+    "".join(code for code, bit in _BIT_BY_CODE.items() if m & bit) for m in range(256)
 )
 _MASK_BY_CODE: Dict[str, int] = {code: m for m, code in enumerate(ENCODE)}

@@ -2,8 +2,15 @@
 
 The table lives in move_table.json (shipped with the package) so tests,
 docs, and the engine share one source of truth. Triggers are written in
-facing-relative tokens; the matcher translates a fighter's recent chord
-masks into token masks through a per-facing table before comparing.
+facing-relative tokens and loaded as token masks, one per step: bit i
+stands for the i-th ``CommandToken``, the way a chord mask's bit i stands
+for the i-th ``Button``.
+
+The facing rule (Forward presses Right when facing right) is one
+token-to-button table per facing. Both lookups derive from it:
+``CHORDS`` turns a token mask into the chord mask ``resolve`` feeds the
+engine, and ``TOKENS`` turns a held chord mask into the token mask the
+trigger matcher compares.
 
 Trigger semantics:
   * A chord trigger fires when every trigger button is held this frame and
@@ -21,9 +28,9 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from lmfa.engine.buttons import BIT, Button
+from lmfa.engine.buttons import BIT, Button, chord
 from lmfa.engine.state import PressEvent
 
 
@@ -49,7 +56,8 @@ class CommandToken(enum.Enum):
     C = "C"
 
 
-TokenSet = FrozenSet[CommandToken]
+# A token mask has bit i set for the i-th CommandToken.
+TOKEN_BIT: Dict[CommandToken, int] = {t: 1 << i for i, t in enumerate(CommandToken)}
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class MoveDef:
     """One entry of the move table; constants are the documented stand-ins."""
 
     id: str
-    trigger: Tuple[TokenSet, ...]
+    trigger: Tuple[int, ...]  # one token mask per step
     startup: int
     active: int
     recovery: int
@@ -89,25 +97,10 @@ class MoveDef:
 
 
 def _parse_move(raw: dict) -> MoveDef:
-    return MoveDef(
-        id=raw["id"],
-        trigger=tuple(
-            frozenset(CommandToken(tok) for tok in step) for step in raw["trigger"]
-        ),
-        startup=raw["startup"],
-        active=raw["active"],
-        recovery=raw["recovery"],
-        damage=raw["damage"],
-        reach=raw["reach"],
-        kind=MoveKind(raw["kind"]),
-        knockback=raw["knockback"],
-        knockdown=raw["knockdown"],
-        advance_per_active_frame=raw.get("advance_per_active_frame", 0),
-        projectile_speed=raw.get("projectile_speed", 0),
-        projectile_spawn_offset=raw.get("projectile_spawn_offset", 0),
-        projectile_hit_radius=raw.get("projectile_hit_radius", 0),
-        projectile_clear_height=raw.get("projectile_clear_height", 0),
+    trigger = tuple(
+        sum(TOKEN_BIT[CommandToken(tok)] for tok in set(step)) for step in raw["trigger"]
     )
+    return MoveDef(**{**raw, "trigger": trigger, "kind": MoveKind(raw["kind"])})
 
 
 def _load_table() -> Tuple[Tuple[MoveDef, ...], int]:
@@ -123,45 +116,46 @@ MOVE_TABLE, GAP_WINDOW_FRAMES = _load_table()
 MOVES_BY_ID = {m.id: m for m in MOVE_TABLE}
 
 
-# The engine matches triggers on integers: a token mask has bit i set for
-# the i-th CommandToken, TOKENS[facing_sign][chord_mask] is the token mask
-# of a chord mask, and each trigger step is precomputed as a token mask.
-# Left/Right become Forward/Back depending on which way the fighter faces;
-# all other buttons map one-to-one (Start has no token).
-
-_ABSOLUTE_TOKENS = {
-    Button.UP: CommandToken.UP,
-    Button.DOWN: CommandToken.DOWN,
-    Button.A: CommandToken.A,
-    Button.B: CommandToken.B,
-    Button.C: CommandToken.C,
+# The facing rule, written once: the button each token presses for a
+# fighter facing right (sign 1) and left (sign -1). Start has no token.
+_BUTTON_OF: Dict[int, Dict[CommandToken, Button]] = {
+    sign: {
+        CommandToken.UP: Button.UP,
+        CommandToken.DOWN: Button.DOWN,
+        CommandToken.LEFT: Button.LEFT,
+        CommandToken.RIGHT: Button.RIGHT,
+        CommandToken.FORWARD: ahead,
+        CommandToken.BACK: behind,
+        CommandToken.A: Button.A,
+        CommandToken.B: Button.B,
+        CommandToken.C: Button.C,
+    }
+    for sign, ahead, behind in ((1, Button.RIGHT, Button.LEFT), (-1, Button.LEFT, Button.RIGHT))
 }
-_TOKEN_BIT: Dict[CommandToken, int] = {t: 1 << i for i, t in enumerate(CommandToken)}
 
-
-def token_mask(tokens: TokenSet) -> int:
-    mask = 0
-    for tok in tokens:
-        mask |= _TOKEN_BIT[tok]
-    return mask
-
-
-def _token_table(facing_sign: int) -> Tuple[int, ...]:
-    forward, back = _TOKEN_BIT[CommandToken.FORWARD], _TOKEN_BIT[CommandToken.BACK]
-    by_button = {b: _TOKEN_BIT[t] for b, t in _ABSOLUTE_TOKENS.items()}
-    by_button[Button.RIGHT] = forward if facing_sign > 0 else back
-    by_button[Button.LEFT] = back if facing_sign > 0 else forward
-    return tuple(
-        sum(tok for b, tok in by_button.items() if mask & BIT[b]) for mask in range(256)
+# CHORDS[sign][tokens] is the chord mask a token mask presses; resolve
+# compiles commands with it. TOKENS[sign][chord] is the token mask a chord
+# mask reads as; the trigger matcher compares with it. A held Left or Right
+# reads as Back or Forward, the facing-relative form triggers are written in.
+CHORDS: Dict[int, Tuple[int, ...]] = {
+    sign: tuple(
+        chord(*(button_of[t] for t, bit in TOKEN_BIT.items() if tokens & bit))
+        for tokens in range(1 << len(CommandToken))
     )
-
-
-TOKENS: Dict[int, Tuple[int, ...]] = {1: _token_table(1), -1: _token_table(-1)}
-
-# (move, trigger steps as token masks), in table order
-_TRIGGER_MASKS: Tuple[Tuple[MoveDef, Tuple[int, ...]], ...] = tuple(
-    (move, tuple(token_mask(step) for step in move.trigger)) for move in MOVE_TABLE
-)
+    for sign, button_of in _BUTTON_OF.items()
+}
+TOKENS: Dict[int, Tuple[int, ...]] = {
+    sign: tuple(
+        sum(
+            bit
+            for t, bit in TOKEN_BIT.items()
+            if t not in (CommandToken.LEFT, CommandToken.RIGHT)
+            and mask & BIT[button_of[t]]
+        )
+        for mask in range(256)
+    )
+    for sign, button_of in _BUTTON_OF.items()
+}
 
 
 def match_trigger(
@@ -219,9 +213,9 @@ def first_triggered_move(
     tokens = TOKENS[facing_sign]
     held_tokens = tokens[held]
     fresh_tokens = tokens[fresh]
-    for move, steps in _TRIGGER_MASKS:
+    for move in MOVE_TABLE:
         if move.kind is MoveKind.PROJECTILE and not fireball_available:
             continue
-        if match_trigger(steps, presses, now, tokens, held_tokens, fresh_tokens):
+        if match_trigger(move.trigger, presses, now, tokens, held_tokens, fresh_tokens):
             return move
     return None

@@ -260,13 +260,13 @@ def outcome_from_dict(data: dict) -> RoundOutcome:
     )
 
 
-def _decision_to_dict(record: DecisionRecord) -> dict:
+def _decision_to_dict(log: MatchLog, record: DecisionRecord) -> dict:
     d = record.decision
     return {
         "player": record.player.value,
         "decision_index": record.decision_index,
-        "agent_id": d.agent_id,
-        "frame": d.frame_issued,
+        "agent_id": log.agent_id(record.player),
+        "frame": record.decision_index * log.config.decision_interval_frames,
         "raw_reply": d.raw_reply,
         "command": d.command.normalized,
         "latency_ms": d.latency_ms,
@@ -286,7 +286,7 @@ def log_to_dict(log: MatchLog) -> dict:
         "repeat_index": log.repeat_index,
         "prompt_version": log.prompt_version,
         "result": outcome_to_dict(log.result),
-        "decisions": [_decision_to_dict(r) for r in log.decisions],
+        "decisions": [_decision_to_dict(log, r) for r in log.decisions],
         "input_trace": [[a, b] for a, b in log.input_trace],
         "state_digests": list(log.state_digests),
         "button_counts": log.button_counts,

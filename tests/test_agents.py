@@ -125,11 +125,12 @@ class TestPrompt:
 class TestScriptedGateway:
     def test_scripted_decision_latency_zero(self):
         s = new_match(MatchConfig())
-        d = act(bot(BotPolicy.IDLE), obs_for(s), "prompt")
+        obs = obs_for(s)
+        d = act(bot(BotPolicy.IDLE), obs, "prompt")
         assert d.latency_ms == 0
         assert d.failure is None
         assert d.command.normalized == "C"
-        assert d.frame_issued == 0
+        assert obs.frame == 0 and d.raw_reply == "C"
 
 
 def remote_spec(url: str, timeout_ms: int = 2000, retries: int = 1) -> AgentSpec:
@@ -185,6 +186,28 @@ class TestRemoteGateway:
             d = act(remote_spec(server.url), obs_for(s), "sys")
             assert d.failure is FailureKind.NO_COMMAND
             assert d.command.normalized == "C"
+
+    @pytest.mark.parametrize(
+        "wire_format, reply",
+        [("lmfa", None), ("lmfa", 5), ("lmfa", ["A"]), ("chat", None)],
+        ids=["null", "number", "list", "chat-null"],
+    )
+    def test_non_string_reply_is_parse_error(self, wire_format, reply):
+        with MockAgentServer(replies=[reply], wire_format=wire_format) as server:
+            s = new_match(MatchConfig())
+            spec = AgentSpec(
+                id="odd",
+                kind=AgentKind.REMOTE,
+                endpoint=server.url,
+                model_name="m",
+                wire_format=wire_format,
+                max_retries=1,
+            )
+            d = act(spec, obs_for(s), "sys")
+            assert d.failure is FailureKind.PARSE_ERROR
+            assert d.command.normalized == "C"
+            assert d.raw_reply == ""
+            assert len(server.requests) == 1  # parse failures are not retried
 
     def test_retry_count_observed(self):
         with MockAgentServer(replies=["A"], status=503) as server:

@@ -1,10 +1,11 @@
-"""Chord-mask tables: every one of the 256 masks against set functions.
+"""Chord- and token-mask tables: every mask against set functions.
 
 The engine, the command compiler and the logs take chords as 8-bit masks
-only. The set-of-``Button`` functions below define normalize, mirror,
-encode, decode and the facing-relative token translation independently
-of the bit arithmetic, so the tables are checked against a second
-definition rather than against themselves.
+and token sets as 9-bit masks only. The set functions below define
+normalize, mirror, encode, decode and both facing-relative translations
+(chord to tokens for trigger matching, tokens to chord for ``resolve``)
+independently of the bit arithmetic, so the tables are checked against a
+second definition rather than against themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from lmfa.engine.buttons import (
 )
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import trace_line
-from lmfa.engine.moves import TOKENS, CommandToken, TokenSet, token_mask
+from lmfa.engine.moves import CHORDS, TOKENS, CommandToken
 from lmfa.reporting import verify_replay
 from lmfa.tourney.match import (
     chain_digest,
@@ -39,6 +40,7 @@ from lmfa.tourney.match import (
 # -- set-form oracle ----------------------------------------------------------
 
 Chord = FrozenSet[Button]
+TokenSet = FrozenSet[CommandToken]
 
 _CODE_ORDER = "UDLRABCS"
 _BY_CODE = {b.value: b for b in Button}
@@ -110,8 +112,43 @@ def chord_tokens(c: Chord, facing_sign: int) -> TokenSet:
     return frozenset(out)
 
 
+_ABSOLUTE_BUTTONS = {
+    **{t: b for b, t in _ABSOLUTE_TOKENS.items()},
+    CommandToken.LEFT: Button.LEFT,
+    CommandToken.RIGHT: Button.RIGHT,
+}
+
+
+def token_buttons(tokens: TokenSet, facing_sign: int) -> Chord:
+    """Buttons a set of command tokens presses: Forward is Right for a
+    fighter facing right and Left for one facing left, Back the opposite."""
+    out = set()
+    for tok in tokens:
+        if tok is CommandToken.FORWARD:
+            tok = CommandToken.RIGHT if facing_sign > 0 else CommandToken.LEFT
+        elif tok is CommandToken.BACK:
+            tok = CommandToken.LEFT if facing_sign > 0 else CommandToken.RIGHT
+        out.add(_ABSOLUTE_BUTTONS[tok])
+    return frozenset(out)
+
+
+def token_mask(tokens: Iterable[CommandToken]) -> int:
+    """Token mask of a set of tokens: bit i stands for the i-th CommandToken."""
+    held = set(tokens)
+    return sum(1 << i for i, tok in enumerate(CommandToken) if tok in held)
+
+
+def token_sets(steps: Iterable[int]) -> tuple:
+    """Each token mask of ``steps`` as the set of tokens it holds."""
+    return tuple(TOKEN_SET_OF[mask] for mask in steps)
+
+
 # CHORD_OF[mask] is the set of buttons a mask holds
 CHORD_OF = tuple(frozenset(b for b in Button if mask & BIT[b]) for mask in range(256))
+# TOKEN_SET_OF[mask] is the set of tokens a token mask holds
+TOKEN_SET_OF = tuple(
+    frozenset(t for i, t in enumerate(CommandToken) if mask >> i & 1) for mask in range(512)
+)
 
 
 # -- tests --------------------------------------------------------------------
@@ -142,6 +179,21 @@ def test_token_table_agrees_with_chord_tokens():
         for mask in range(256):
             expected = token_mask(chord_tokens(CHORD_OF[mask], facing_sign))
             assert TOKENS[facing_sign][mask] == expected
+
+
+def test_chord_table_agrees_with_token_buttons():
+    assert len(set(TOKEN_SET_OF)) == 512
+    absolute = token_mask({CommandToken.LEFT, CommandToken.RIGHT})
+    for facing_sign in (1, -1):
+        assert len(CHORDS[facing_sign]) == 512
+        for tokens in range(512):
+            assert token_mask(TOKEN_SET_OF[tokens]) == tokens
+            expected = token_buttons(TOKEN_SET_OF[tokens], facing_sign)
+            chord_mask = CHORDS[facing_sign][tokens]
+            assert CHORD_OF[chord_mask] == expected
+            # the matcher reads back the facing-relative tokens resolve pressed
+            if not tokens & absolute:
+                assert TOKENS[facing_sign][chord_mask] == tokens
 
 
 def test_non_canonical_chord_strings_still_replay():

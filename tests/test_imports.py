@@ -1,5 +1,6 @@
 """Source hygiene: no module-level import in ``src/lmfa`` goes unused, and
-no module-level constant is left that nothing reads."""
+no module-level constant, function, class or method is left that nothing
+reads."""
 
 from __future__ import annotations
 
@@ -43,6 +44,17 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def loaded_names(tree: ast.AST) -> set:
+    """Every name and attribute that an expression in ``tree`` loads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
 def unread_constants(sources: dict, readers: list) -> list:
     """Module-level UPPER_CASE names assigned in ``sources`` (name -> text)
     that no expression in ``sources`` or ``readers`` loads."""
@@ -50,11 +62,7 @@ def unread_constants(sources: dict, readers: list) -> list:
     read = set()
     for name, text in list(sources.items()) + [(None, t) for t in readers]:
         tree = ast.parse(text)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        read |= loaded_names(tree)
         if name is None:
             continue
         for node in tree.body:
@@ -90,3 +98,68 @@ def test_every_constant_is_read():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
     readers = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unread_constants(sources, readers) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_definitions(sources: dict, readers: list) -> list:
+    """Module-level functions and classes in ``sources`` (name -> text), and
+    the non-dunder methods of those classes, whose name no expression in
+    ``sources`` or ``readers`` loads."""
+    defined = []
+    read = set()
+    for name, text in list(sources.items()) + [(None, t) for t in readers]:
+        tree = ast.parse(text)
+        read |= loaded_names(tree)
+        if name is None:
+            continue
+        for node in tree.body:
+            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                continue
+            defined.append((node.name, f"{name}:{node.lineno}"))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{item.name}", f"{name}:{item.lineno}")
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("__")
+                ]
+    return sorted(
+        f"{n} ({where})" for n, where in defined if n.rpartition(".")[2] not in read
+    )
+
+
+def test_detects_an_unused_definition():
+    sources = {
+        "a.py": (
+            "def used(): pass\n"
+            "def _spare(): pass\n"
+            "class Box:\n"
+            "    def __init__(self): pass\n"
+            "    def size(self): pass\n"
+            "    def idle(self): pass\n"
+            "    @property\n"
+            "    def area(self): pass\n"
+            "def outer():\n"
+            "    def inner(): pass\n"
+            "    return used()\n"
+        ),
+        "b.py": "from a import Box\nBox().size()\n",
+    }
+    assert unused_definitions(sources, ["import a\na.outer()\n"]) == [
+        "Box.area (a.py:8)",
+        "Box.idle (a.py:6)",
+        "_spare (a.py:2)",
+    ]
+    assert unused_definitions(sources, ["import a\n"]) == [
+        "Box.area (a.py:8)",
+        "Box.idle (a.py:6)",
+        "_spare (a.py:2)",
+        "outer (a.py:9)",
+    ]
+
+
+def test_every_definition_is_used():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unused_definitions(sources, readers) == []

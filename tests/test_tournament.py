@@ -273,7 +273,7 @@ class TestRemoteIntegration:
         def meet(spec, obs, system_prompt):
             threads[obs.for_player.value].add(threading.get_ident())
             barrier.wait()
-            return Decision(spec.id, obs.frame, "C", parse("C"), 0, None)
+            return Decision("C", parse("C"), 0, None)
 
         monkeypatch.setattr(match_module, "act", meet)
         cfg = MatchConfig(seed=6, match_length_frames=120, decision_interval_frames=40)
