@@ -1,8 +1,9 @@
 """A conforming mock endpoint for integration tests.
 
 Serves the wire protocol from remote.py: POST in, {"reply": ...} out.
-Replies cycle through a configured list; optional artificial delay and
-error status let tests exercise the timeout/retry/fallback paths.
+Replies cycle through a configured list; an optional artificial delay, a
+per-byte drip of the body and an error status let tests exercise the
+timeout/retry/fallback paths.
 
 Run standalone with:  python -m lmfa.agents.mock_server --port 8631 --reply C
 """
@@ -24,12 +25,14 @@ class MockAgentServer:
         self,
         replies: Sequence[str] = ("C",),
         delay_s: float = 0.0,
+        drip_s: float = 0.0,
         status: int = 200,
         wire_format: str = "lmfa",
         port: int = 0,
     ) -> None:
         self.replies = list(replies)
         self.delay_s = delay_s
+        self.drip_s = drip_s  # pause before each body byte; 0 writes it at once
         self.status = status
         self.wire_format = wire_format
         self.port = port
@@ -75,7 +78,15 @@ class MockAgentServer:
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
-                self.wfile.write(data)
+                try:
+                    if outer.drip_s:
+                        for i in range(len(data)):
+                            time.sleep(outer.drip_s)
+                            self.wfile.write(data[i : i + 1])
+                    else:
+                        self.wfile.write(data)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client stopped reading
 
             def log_message(self, *args) -> None:  # silence test output
                 pass

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from typing import List, Optional, Tuple
 
 import requests
+from urllib3.exceptions import HTTPError, ReadTimeoutError
 
 from lmfa.agents.specs import AgentSpec, FailureKind
 from lmfa.observe.describe import Observation, WireText
@@ -31,6 +33,7 @@ PROTOCOL = "lmfa/1"
 REPLY_FORMAT = "single_command_last_line"
 AUTH_ENV_VAR = "LMFA_AUTH_HEADER"
 FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
+MAX_REPLY_BYTES = 64 * 1024  # a longer response body is a parse failure
 
 
 def _frame_url(b64: str) -> str:
@@ -118,35 +121,58 @@ def request_headers() -> dict:
     return headers
 
 
+def _read_reply(response: requests.Response, deadline: float) -> Optional[bytes]:
+    """The decoded body, read as chunks arrive; None once it passes
+    MAX_REPLY_BYTES. Raises TimeoutError when ``deadline`` (a
+    ``time.monotonic`` value) passes between chunks."""
+    body = bytearray()
+    while time.monotonic() < deadline:
+        chunk = response.raw.read1(MAX_REPLY_BYTES + 1, decode_content=True)
+        if not chunk:
+            return bytes(body)
+        body += chunk
+        if len(body) > MAX_REPLY_BYTES:
+            return None
+    raise TimeoutError("deadline passed while reading the reply")
+
+
 def query_remote(
     spec: AgentSpec, obs: Observation, system_prompt: str
 ) -> Tuple[Optional[str], Optional[FailureKind]]:
     """POST the observation; returns (reply_text, failure).
 
-    Timeouts and transport errors are retried up to max_retries; malformed
-    response bodies, including a reply that is not a string, are parse
-    failures and are never retried.
+    ``timeout_ms`` is a wall-clock deadline for the whole exchange, retries
+    included; passing it is a timeout. Timeouts and transport errors are
+    retried while time remains, up to max_retries; malformed response
+    bodies, including a reply that is not a string or a body longer than
+    MAX_REPLY_BYTES, are parse failures and are never retried.
     """
     body = encode_wire_request(build_wire_request(spec, obs, system_prompt))
     headers = request_headers()
-    timeout_s = spec.timeout_ms / 1000
+    deadline = time.monotonic() + spec.timeout_ms / 1000
     failure: Optional[FailureKind] = None
     for _ in range(spec.max_retries + 1):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None, FailureKind.TIMEOUT
         try:
-            response = requests.post(
-                spec.endpoint, data=body, headers=headers, timeout=timeout_s
-            )
-        except requests.Timeout:
+            with requests.post(
+                spec.endpoint, data=body, headers=headers, timeout=remaining, stream=True
+            ) as response:
+                if response.status_code != 200:
+                    failure = FailureKind.TRANSPORT
+                    continue
+                reply = _read_reply(response, deadline)
+        except (requests.Timeout, ReadTimeoutError, TimeoutError):
             failure = FailureKind.TIMEOUT
             continue
-        except requests.RequestException:
+        except (requests.RequestException, HTTPError):
             failure = FailureKind.TRANSPORT
             continue
-        if response.status_code != 200:
-            failure = FailureKind.TRANSPORT
-            continue
+        if reply is None:
+            return None, FailureKind.PARSE_ERROR
         try:
-            return extract_reply_text(spec, response.json()), None
+            return extract_reply_text(spec, json.loads(reply)), None
         except (ValueError, KeyError, IndexError, TypeError):
             return None, FailureKind.PARSE_ERROR
     return None, failure

@@ -10,6 +10,7 @@ timer digits and, after annotation, the player marker boxes).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -138,15 +139,19 @@ def _phase_color(phase: Phase) -> Tuple[int, int, int]:
     return PHASE_COLORS[type(phase)]
 
 
+@functools.cache
+def _glyph_mask(glyph: str, scale: int) -> np.ndarray:
+    """The lit pixels of ``glyph`` at ``scale``: each font bit becomes a
+    scale x scale block. Read-only, since every caller shares it."""
+    bits = np.array([[b == "1" for b in row] for row in _FONT3X5[glyph]])
+    mask = bits.repeat(scale, axis=0).repeat(scale, axis=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _draw_glyph(arr: np.ndarray, glyph: str, x: int, y: int, scale: int, color) -> None:
-    rows = _FONT3X5[glyph]
-    for gy, row in enumerate(rows):
-        for gx, bit in enumerate(row):
-            if bit == "1":
-                arr[
-                    y + gy * scale : y + (gy + 1) * scale,
-                    x + gx * scale : x + (gx + 1) * scale,
-                ] = color
+    mask = _glyph_mask(glyph, scale)
+    arr[y : y + mask.shape[0], x : x + mask.shape[1]][mask] = color
 
 
 def _draw_body(arr: np.ndarray, fs: FighterState, arena_width: int) -> None:

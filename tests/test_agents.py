@@ -12,7 +12,12 @@ from lmfa.agents.bots import RANDOM_COMMAND_POOL, decide
 from lmfa.agents.gateway import act
 from lmfa.agents.mock_server import MockAgentServer
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
-from lmfa.agents.remote import AUTH_ENV_VAR, build_wire_request, encode_wire_request
+from lmfa.agents.remote import (
+    AUTH_ENV_VAR,
+    MAX_REPLY_BYTES,
+    build_wire_request,
+    encode_wire_request,
+)
 from lmfa.agents.specs import (
     AgentKind,
     AgentSetupError,
@@ -214,6 +219,49 @@ class TestRemoteGateway:
             s = new_match(MatchConfig())
             act(remote_spec(server.url, retries=2), obs_for(s), "sys")
             assert len(server.requests) == 3
+
+    def test_oversized_reply_is_parse_error(self):
+        reply = "x" * 2_000_000 + "\nA"
+        with MockAgentServer(replies=[reply]) as server:
+            s = new_match(MatchConfig())
+            d = act(remote_spec(server.url, retries=1), obs_for(s), "sys")
+            assert d.failure is FailureKind.PARSE_ERROR
+            assert d.command.normalized == "C"
+            assert d.raw_reply == ""
+            assert len(server.requests) == 1  # parse failures are not retried
+
+    def test_reply_under_the_cap_is_kept_whole(self):
+        reply = "x" * (MAX_REPLY_BYTES - 100) + "\nA"
+        with MockAgentServer(replies=[reply]) as server:
+            d = act(remote_spec(server.url), obs_for(new_match(MatchConfig())), "sys")
+            assert d.failure is None
+            assert d.command.normalized == "A"
+            assert d.raw_reply == reply
+
+    def test_dripped_reply_times_out_at_the_deadline(self):
+        # every socket read returns within 0.2 s, so only a wall-clock
+        # deadline stops the exchange
+        with MockAgentServer(replies=["A"], drip_s=0.2) as server:
+            s = new_match(MatchConfig())
+            spec = remote_spec(server.url, timeout_ms=500, retries=1)
+            started = time.perf_counter()
+            d = act(spec, obs_for(s), "sys")
+            elapsed_s = time.perf_counter() - started
+            assert d.failure is FailureKind.TIMEOUT
+            assert d.command.normalized == "C"
+            assert d.raw_reply == ""
+            assert elapsed_s < 1.5
+
+    def test_deadline_covers_retries(self):
+        with MockAgentServer(replies=["A"], delay_s=0.3, status=503) as server:
+            s = new_match(MatchConfig())
+            spec = remote_spec(server.url, timeout_ms=500, retries=3)
+            started = time.perf_counter()
+            d = act(spec, obs_for(s), "sys")
+            elapsed_s = time.perf_counter() - started
+            assert d.failure is FailureKind.TIMEOUT
+            assert len(server.requests) == 2  # the second attempt ran out of time
+            assert elapsed_s < 0.9
 
     def test_auth_header_passthrough(self, monkeypatch):
         monkeypatch.setenv(AUTH_ENV_VAR, "X-Api-Key: sesame")

@@ -21,6 +21,7 @@ from lmfa.observe.describe import (
     encode_payload_base64,
     parse_state_text,
 )
+from lmfa.observe import raster
 from lmfa.observe.raster import (
     AnnotationError,
     BAR_BOTTOM,
@@ -118,6 +119,25 @@ class TestAnnotate:
     def test_annotation_actually_draws(self):
         s = new_match(MatchConfig())
         assert annotate(render(s), s).pixels != render(s).pixels
+
+
+def draw_glyph_by_bits(arr, glyph, x, y, scale, color):
+    """Reference: one scale x scale block per lit bit of the font."""
+    for gy, row in enumerate(raster._FONT3X5[glyph]):
+        for gx, bit in enumerate(row):
+            if bit == "1":
+                top, left = y + gy * scale, x + gx * scale
+                arr[top : top + scale, left : left + scale] = color
+
+
+@pytest.mark.parametrize("scale", [1, 2, 4])
+def test_glyph_mask_paints_the_font_bits(scale):
+    for glyph in raster._FONT3X5:
+        want = np.zeros((30, 20, 3), dtype=np.uint8)
+        got = want.copy()
+        draw_glyph_by_bits(want, glyph, 3, 5, scale, (250, 1, 7))
+        raster._draw_glyph(got, glyph, 3, 5, scale, (250, 1, 7))
+        assert np.array_equal(got, want), glyph
 
 
 class TestWindow:
