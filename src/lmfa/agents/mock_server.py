@@ -2,8 +2,8 @@
 
 Serves the wire protocol from remote.py: POST in, {"reply": ...} out.
 Replies cycle through a configured list; an optional artificial delay, a
-per-byte drip of the body and an error status let tests exercise the
-timeout/retry/fallback paths.
+per-byte drip of the body, an error status and a raw body sent in place
+of the JSON document let tests exercise the timeout/retry/fallback paths.
 
 Run standalone with:  python -m lmfa.agents.mock_server --port 8631 --reply C
 """
@@ -29,6 +29,7 @@ class MockAgentServer:
         status: int = 200,
         wire_format: str = "lmfa",
         port: int = 0,
+        raw_body: Optional[bytes] = None,
     ) -> None:
         self.replies = list(replies)
         self.delay_s = delay_s
@@ -36,6 +37,7 @@ class MockAgentServer:
         self.status = status
         self.wire_format = wire_format
         self.port = port
+        self.raw_body = raw_body  # sent verbatim instead of the reply document
         self.requests: List[dict] = []
         self._lock = threading.Lock()
         self._counter = 0
@@ -73,7 +75,7 @@ class MockAgentServer:
                     doc = {"choices": [{"message": {"content": reply}}]}
                 else:
                     doc = {"reply": reply}
-                data = json.dumps(doc).encode()
+                data = json.dumps(doc).encode() if outer.raw_body is None else outer.raw_body
                 self.send_response(outer.status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

@@ -144,8 +144,9 @@ def query_remote(
     ``timeout_ms`` is a wall-clock deadline for the whole exchange, retries
     included; passing it is a timeout. Timeouts and transport errors are
     retried while time remains, up to max_retries; malformed response
-    bodies, including a reply that is not a string or a body longer than
-    MAX_REPLY_BYTES, are parse failures and are never retried.
+    bodies, including a reply that is not a string, a body longer than
+    MAX_REPLY_BYTES or one nested too deep for ``json.loads``, are parse
+    failures and are never retried.
     """
     body = encode_wire_request(build_wire_request(spec, obs, system_prompt))
     headers = request_headers()
@@ -173,6 +174,6 @@ def query_remote(
             return None, FailureKind.PARSE_ERROR
         try:
             return extract_reply_text(spec, json.loads(reply)), None
-        except (ValueError, KeyError, IndexError, TypeError):
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError):
             return None, FailureKind.PARSE_ERROR
     return None, failure

@@ -14,12 +14,19 @@ state. The per-frame order of operations is fixed:
 Both fighters are updated from the same pre-frame snapshot and damage is
 applied to both sides at once, so no rule ever depends on player order;
 this is what makes mirrored runs exact mirror images.
+
+Quiet frames cost less. An idle fighter that holds nothing, held nothing
+the frame before and has no press due to expire comes back as the same
+``FighterState`` object. Each later stage runs only when it can change
+something: projectiles while one is live or spawning, hit checks for an
+active move, facing for a grounded, actionable fighter off the
+opponent's x, and the round-end check at zero health or time.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, NORMALIZE, Button
@@ -30,6 +37,7 @@ from lmfa.engine.moves import (
     first_triggered_move,
 )
 from lmfa.engine.state import (
+    ACTIONABLE,
     BLOCKING,
     Blocking,
     EndReason,
@@ -65,6 +73,9 @@ _LEFT = BIT[Button.LEFT]
 _RIGHT = BIT[Button.RIGHT]
 _C = BIT[Button.C]
 _FIREBALL = MOVES_BY_ID["fireball"]
+# enum members as plain globals: a member lookup on its class is slow
+_FACING_RIGHT = Facing.RIGHT
+_FACING_LEFT = Facing.LEFT
 
 
 class EngineError(Exception):
@@ -154,11 +165,13 @@ def _advance_fighter(
     fighter's own state and input, never on the opponent, so both sides
     advance from the same snapshot.
     """
-    fresh = held & ~fs.prev_chord
     presses = fs.presses
     cutoff = frame - PRESS_HISTORY_FRAMES
     if presses and presses[0][0] <= cutoff:  # ascending by frame
         presses = tuple(ev for ev in presses if ev[0] > cutoff)
+    elif not held and not fs.prev_chord and fs.phase is IDLE:
+        return fs, None  # a quiet frame: an idle fighter stays as it is
+    fresh = held & ~fs.prev_chord
     if fresh:
         presses = presses + ((frame, fresh),)
 
@@ -233,9 +246,10 @@ class _Hit:
 
 
 def _melee_hit(attacker: FighterState, target: FighterState) -> Optional[MoveDef]:
-    """The attacker's move if it connects this frame, else None."""
+    """The move of an attacker in ``MoveActive`` if it connects this frame,
+    else None."""
     phase = attacker.phase
-    if not isinstance(phase, MoveActive) or phase.hit_done:
+    if phase.hit_done:
         return None
     move = MOVES_BY_ID[phase.move_id]
     if move.kind is MoveKind.PROJECTILE or not move.is_active_frame(phase.t):
@@ -251,8 +265,6 @@ def _melee_hit(attacker: FighterState, target: FighterState) -> Optional[MoveDef
 
 
 def _resolve_damage(fs: FighterState, hits: List[_Hit], width: int) -> FighterState:
-    if not hits:
-        return fs
     blocking = isinstance(fs.phase, Blocking)
     health = fs.health
     x = fs.x
@@ -272,16 +284,8 @@ def _resolve_damage(fs: FighterState, hits: List[_Hit], width: int) -> FighterSt
 
 
 def _refresh_facing(fs: FighterState, opponent_x: int) -> FighterState:
-    if fs.y != 0 or not fs.actionable:
-        return fs
-    if fs.x < opponent_x:
-        facing = Facing.RIGHT
-    elif fs.x > opponent_x:
-        facing = Facing.LEFT
-    else:
-        # Exact ties keep the previous facing; any fixed choice would break
-        # mirror symmetry.
-        facing = fs.facing
+    """A grounded, actionable fighter turned toward an opponent at another x."""
+    facing = _FACING_RIGHT if fs.x < opponent_x else _FACING_LEFT
     return fs if facing is fs.facing else replace(fs, facing=facing)
 
 
@@ -310,27 +314,31 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
 
     frame = state.frame
     width = state.arena_width
-    owners = [p.owner for p in state.projectiles]
+    live = state.projectiles
+    fireball1 = fireball2 = True  # no projectile of the fighter's own is live
+    for p in live:
+        if p.owner is Player.P1:
+            fireball1 = False
+        else:
+            fireball2 = False
 
-    p1, spawn1 = _advance_fighter(
-        state.p1, NORMALIZE[input_p1], frame, width, Player.P1 not in owners
-    )
-    p2, spawn2 = _advance_fighter(
-        state.p2, NORMALIZE[input_p2], frame, width, Player.P2 not in owners
-    )
+    p1, spawn1 = _advance_fighter(state.p1, NORMALIZE[input_p1], frame, width, fireball1)
+    p2, spawn2 = _advance_fighter(state.p2, NORMALIZE[input_p2], frame, width, fireball2)
 
-    # Projectiles move before new ones spawn; off-arena shots despawn.
-    projectiles = [
-        Projectile(p.owner, p.x + p.vx, p.y, p.vx)
-        for p in state.projectiles
-        if 0 <= p.x + p.vx <= width
-    ]
-    for owner, fighter, spawn in ((Player.P1, p1, spawn1), (Player.P2, p2, spawn2)):
-        if spawn is not None:
-            sign = fighter.facing.sign
-            px = _clamp_x(fighter.x + spawn.projectile_spawn_offset * sign, width)
-            projectiles.append(Projectile(owner, px, 0, spawn.projectile_speed * sign))
-    projectiles.sort(key=lambda p: p.owner.value)
+    projectiles: Sequence[Projectile] = ()
+    if live or spawn1 is not None or spawn2 is not None:
+        # Projectiles move before new ones spawn; off-arena shots despawn.
+        projectiles = [
+            Projectile(p.owner, p.x + p.vx, p.y, p.vx)
+            for p in live
+            if 0 <= p.x + p.vx <= width
+        ]
+        for owner, fighter, spawn in ((Player.P1, p1, spawn1), (Player.P2, p2, spawn2)):
+            if spawn is not None:
+                sign = fighter.facing.sign
+                px = _clamp_x(fighter.x + spawn.projectile_spawn_offset * sign, width)
+                projectiles.append(Projectile(owner, px, 0, spawn.projectile_speed * sign))
+        projectiles.sort(key=lambda p: p.owner.value)
 
     # Collect all hits from the post-move snapshot, then apply both sides at
     # once; simultaneous trades land for both players (double KO possible).
@@ -338,8 +346,8 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
     # it as a target, so both melee checks can run first.
     hits_on_p1: List[_Hit] = []
     hits_on_p2: List[_Hit] = []
-    move1 = _melee_hit(p1, p2)
-    move2 = _melee_hit(p2, p1)
+    move1 = _melee_hit(p1, p2) if type(p1.phase) is MoveActive else None
+    move2 = _melee_hit(p2, p1) if type(p2.phase) is MoveActive else None
     if move1 is not None:
         hits_on_p2.append(_Hit(move1.damage, move1.knockback, p1.facing.sign, move1.knockdown))
         p1 = replace(p1, phase=replace(p1.phase, hit_done=True))
@@ -364,16 +372,24 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
         else:
             surviving.append(proj)
 
-    p1 = _resolve_damage(p1, hits_on_p1, width)
-    p2 = _resolve_damage(p2, hits_on_p2, width)
+    if hits_on_p1:
+        p1 = _resolve_damage(p1, hits_on_p1, width)
+    if hits_on_p2:
+        p2 = _resolve_damage(p2, hits_on_p2, width)
 
-    p2_x = p2.x
+    # Exact x ties keep both facings; any fixed choice would break mirror
+    # symmetry.
     p1_x = p1.x
-    p1 = _refresh_facing(p1, p2_x)
-    p2 = _refresh_facing(p2, p1_x)
+    p2_x = p2.x
+    if p1_x != p2_x:
+        if p1.y == 0 and isinstance(p1.phase, ACTIONABLE):
+            p1 = _refresh_facing(p1, p2_x)
+        if p2.y == 0 and isinstance(p2.phase, ACTIONABLE):
+            p2 = _refresh_facing(p2, p1_x)
 
     frame += 1
     timer = state.timer_frames - 1
+    ended = timer <= 0 or p1.health == 0 or p2.health == 0
     return GameState(
         frame,
         timer,
@@ -381,5 +397,5 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
         p1,
         p2,
         tuple(surviving),
-        _check_round_end(p1, p2, timer, frame),
+        _check_round_end(p1, p2, timer, frame) if ended else None,
     )

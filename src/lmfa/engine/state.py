@@ -107,25 +107,18 @@ Phase = Union[Idle, Walking, Blocking, Jumping, MoveActive, Hitstun, KnockedDown
 IDLE = Idle()
 WALKING = Walking()
 BLOCKING = Blocking()
+ACTIONABLE = (Idle, Walking, Blocking)  # the grounded phases that take new input
 
-
-def phase_code(phase: Phase) -> str:
-    match phase:
-        case Idle():
-            return "idle"
-        case Walking():
-            return "walk"
-        case Blocking():
-            return "block"
-        case Jumping(t=t):
-            return f"jump:{t}"
-        case MoveActive(move_id=m, t=t):
-            return f"move:{m}:{t}"
-        case Hitstun(left=n):
-            return f"hitstun:{n}"
-        case KnockedDown(left=n):
-            return f"down:{n}"
-    raise TypeError(f"unknown phase {phase!r}")
+# The trace code of a phase, by phase type.
+PHASE_CODE = {
+    Idle: lambda p: "idle",
+    Walking: lambda p: "walk",
+    Blocking: lambda p: "block",
+    Jumping: lambda p: f"jump:{p.t}",
+    MoveActive: lambda p: f"move:{p.move_id}:{p.t}",
+    Hitstun: lambda p: f"hitstun:{p.left}",
+    KnockedDown: lambda p: f"down:{p.left}",
+}
 
 
 PressEvent = Tuple[int, int]  # (frame, mask of freshly pressed buttons)
@@ -146,7 +139,7 @@ class FighterState:
 
     @property
     def actionable(self) -> bool:
-        return isinstance(self.phase, (Idle, Walking, Blocking))
+        return isinstance(self.phase, ACTIONABLE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,27 +210,26 @@ for _cls in (Idle, Walking, Blocking, Jumping, MoveActive, Hitstun, KnockedDown,
     _cls.__init__ = _slot_writing_init(_cls)
 
 
+_RIGHT = Facing.RIGHT  # a member lookup on an Enum class is slow
+_P1 = Player.P1
+
+
 def trace_line(state: GameState) -> str:
-    parts = [str(state.frame), str(state.timer_frames)]
-    for fs in (state.p1, state.p2):
-        parts.extend(
-            (
-                str(fs.health),
-                str(fs.x),
-                str(fs.y),
-                "R" if fs.facing is Facing.RIGHT else "L",
-                phase_code(fs.phase),
-            )
-        )
-    if state.projectiles:
-        projs = "|".join(
-            f"{'1' if p.owner is Player.P1 else '2'}:{p.x}:{p.y}:{p.vx}"
-            for p in state.projectiles
-        )
-    else:
-        projs = "-"
-    parts.append(projs)
-    return ",".join(parts)
+    p1 = state.p1
+    p2 = state.p2
+    projs = (
+        "|".join(f"{'1' if p.owner is _P1 else '2'}:{p.x}:{p.y}:{p.vx}" for p in state.projectiles)
+        if state.projectiles
+        else "-"
+    )
+    return (
+        f"{state.frame},{state.timer_frames},"
+        f"{p1.health},{p1.x},{p1.y},{'R' if p1.facing is _RIGHT else 'L'},"
+        f"{PHASE_CODE[type(p1.phase)](p1.phase)},"
+        f"{p2.health},{p2.x},{p2.y},{'R' if p2.facing is _RIGHT else 'L'},"
+        f"{PHASE_CODE[type(p2.phase)](p2.phase)},"
+        f"{projs}"
+    )
 
 
 def _mirror_phase(phase: Phase, width: int) -> Phase:

@@ -7,6 +7,11 @@ index so neither agent systematically starts as P1. Per-match seeds are
 schedule once, whatever order the logs come in, so parallel execution
 cannot change any report byte, and it refuses logs that are not exactly
 one schedule.
+
+With ``parallel > 1``, only matches with a remote agent go to a thread
+pool, because only they wait on I/O; a scripted match is pure computation
+that threads would only slow down, so those run on the calling thread
+while the pool works.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from lmfa.agents.specs import AgentSetupError, AgentSpec, require_unique_ids
+from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
 from lmfa.engine.state import Player, RoundOutcome, Winner
 from lmfa.tourney.match import BUTTON_NAMES, LogRecord, MatchLog, run_match
@@ -258,9 +263,14 @@ def run_round_robin(
             repeat_index=entry["repeat_index"],
         )
 
+    def waits_on_io(entry: dict) -> bool:
+        return AgentKind.REMOTE in (by_id[entry["p1"]].kind, by_id[entry["p2"]].kind)
+
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            logs = list(pool.map(play, schedule))
+            pending = [pool.submit(play, e) if waits_on_io(e) else None for e in schedule]
+            played = [play(e) if f is None else None for e, f in zip(schedule, pending)]
+            logs = [log if f is None else f.result() for f, log in zip(pending, played)]
     else:
         logs = [play(entry) for entry in schedule]
 

@@ -230,6 +230,24 @@ class TestRemoteGateway:
             assert d.raw_reply == ""
             assert len(server.requests) == 1  # parse failures are not retried
 
+    def test_reply_nested_too_deep_is_parse_error(self):
+        nested = b"[" * 30_000 + b"]" * 30_000
+        assert len(nested) < MAX_REPLY_BYTES
+        with pytest.raises(RecursionError):
+            json.loads(nested)
+        with MockAgentServer(raw_body=nested) as server:
+            d = act(remote_spec(server.url), obs_for(new_match(MatchConfig())), "sys")
+            assert d.failure is FailureKind.PARSE_ERROR
+            assert d.command.normalized == "C"
+            assert d.raw_reply == ""
+            assert len(server.requests) == 1  # parse failures are not retried
+
+    def test_raw_body_is_sent_verbatim(self):
+        with MockAgentServer(replies=["A"], raw_body=b'{"reply": "B"}') as server:
+            d = act(remote_spec(server.url), obs_for(new_match(MatchConfig())), "sys")
+            assert d.failure is None
+            assert d.raw_reply == "B"
+
     def test_reply_under_the_cap_is_kept_whole(self):
         reply = "x" * (MAX_REPLY_BYTES - 100) + "\nA"
         with MockAgentServer(replies=[reply]) as server:

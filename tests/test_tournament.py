@@ -11,13 +11,21 @@ import pytest
 
 from lmfa.actions import parse
 from lmfa.agents.mock_server import MockAgentServer
-from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, BotPolicy, Decision
+from lmfa.agents.specs import (
+    AgentKind,
+    AgentSetupError,
+    AgentSpec,
+    BotPolicy,
+    Decision,
+    FailureKind,
+)
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
 from lmfa.engine.state import EndReason, Winner
 from lmfa.observe.describe import describe_state
 from lmfa.observe.window import FrameHistory
 from lmfa.tourney import match as match_module
+from lmfa.tourney import roundrobin as roundrobin_module
 from lmfa.tourney.match import (
     BUTTON_NAMES,
     UnsupportedSchemaError,
@@ -208,6 +216,19 @@ class TestRoundRobin:
         assert result_to_dict(serial) == result_to_dict(para)
         assert [log_to_dict(a) for a in logs_s] == [log_to_dict(b) for b in logs_p]
 
+    def test_scripted_matches_stay_on_the_calling_thread(self, monkeypatch):
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return run_match(*args, **kwargs)
+
+        monkeypatch.setattr(roundrobin_module, "run_match", recording)
+        cfg = MatchConfig(match_length_frames=300)
+        _, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], cfg, base_seed=3, parallel=4)
+        assert len(logs) == 6
+        assert threads == [threading.get_ident()] * 6
+
     def test_seeds_follow_pair_and_repeat_indices(self):
         cfg = MatchConfig(match_length_frames=600)
         _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), bot("idle3", BotPolicy.IDLE)], cfg, base_seed=100, matches_per_pair=2)
@@ -284,6 +305,44 @@ class TestRemoteIntegration:
         assert threads["P1"] == {threading.get_ident()}
         assert len(threads["P2"]) == 1 and threads["P2"] != threads["P1"]
 
+    def test_mixed_tournament_overlaps_its_remote_matches(self, monkeypatch):
+        def masked(logs) -> list:
+            docs = [log_to_dict(log) for log in logs]
+            for doc in docs:
+                for d in doc["decisions"]:
+                    d["latency_ms"] = 0
+            return docs
+
+        cfg = MatchConfig(match_length_frames=120, decision_interval_frames=40)
+        with MockAgentServer(replies=["Forward + A"]) as s1, MockAgentServer(
+            replies=["Down + B"], wire_format="chat"
+        ) as s2:
+            r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint=s1.url)
+            r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint=s2.url, wire_format="chat")
+            agents = [RUSH, r1, IDLE, r2]
+            serial, logs_s = run_round_robin(agents, cfg, base_seed=5)
+
+            # the first two remote entries must meet at the barrier: run one
+            # after the other, the first would break it after its timeout
+            schedule = pair_schedule([a.id for a in agents], 1)
+            remote = [(e["pair_index"], 0) for e in schedule if {"r1", "r2"} & {e["p1"], e["p2"]}]
+            barrier = threading.Barrier(2, timeout=5)
+            threads = {}
+
+            def meeting(p1, p2, config, pair_index, repeat_index):
+                threads[pair_index, repeat_index] = threading.get_ident()
+                if (pair_index, repeat_index) in remote[:2]:
+                    barrier.wait()
+                return run_match(p1, p2, config, pair_index, repeat_index)
+
+            monkeypatch.setattr(roundrobin_module, "run_match", meeting)
+            para, logs_p = run_round_robin(agents, cfg, base_seed=5, parallel=2)
+        assert len(remote) == 5
+        here = threading.get_ident()
+        assert {key for key, ident in threads.items() if ident == here} == {(1, 0)}
+        assert result_to_dict(para) == result_to_dict(serial)
+        assert masked(logs_p) == masked(logs_s)
+
     def test_shared_endpoint_stays_serial(self):
         cfg = MatchConfig(seed=6, match_length_frames=200, decision_interval_frames=40)
         with MockAgentServer(replies=["A", "B"]) as server:
@@ -336,6 +395,22 @@ class TestRemoteIntegration:
         first_full = -(-36 // interval)  # first tick at frame >= 36
         assert counts[first_full:] and set(counts[first_full:]) == {10}
         assert [r["body"] for r in sized.requests] == [r["body"] for r in wide.requests]
+
+    def test_reply_too_deep_to_decode_loses_no_match(self):
+        # 60,000 bytes of nesting stay under the reply cap, but json.loads
+        # raises RecursionError on them
+        nested = b"[" * 30_000 + b"]" * 30_000
+        cfg = MatchConfig(seed=4, match_length_frames=120, decision_interval_frames=40)
+        with MockAgentServer(raw_body=nested) as server:
+            remote = AgentSpec(id="remote-d", kind=AgentKind.REMOTE, endpoint=server.url)
+            _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), remote], cfg)
+        assert len(logs) == 3
+        remote_decisions = [
+            r.decision for log in logs for r in log.decisions
+            if log.agent_id(r.player) == "remote-d"
+        ]
+        assert len(remote_decisions) == 6
+        assert {d.failure for d in remote_decisions} == {FailureKind.PARSE_ERROR}
 
     def test_remote_failures_never_abort_the_match(self):
         cfg = MatchConfig(seed=4, match_length_frames=120, decision_interval_frames=40)
