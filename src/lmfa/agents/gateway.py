@@ -2,11 +2,14 @@
 
 Remote transport/timeout/parse failures and unparseable replies are all
 captured inside the Decision; the fallback command (block) is what the
-match runner actually executes, so failure never turns into offense.
+match runner actually executes, so failure never turns into offense. Any
+other exception raised on the remote path is a transport failure, and
+its traceback goes to this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 
 from lmfa.actions import (
@@ -47,13 +50,16 @@ def _act_scripted(spec: AgentSpec, obs: Observation) -> Decision:
 
 def _act_remote(spec: AgentSpec, obs: Observation, system_prompt: str) -> Decision:
     started = time.perf_counter()
-    reply, failure = query_remote(spec, obs, system_prompt)
-    command = None
-    if reply is not None:
-        try:
+    reply = command = None
+    try:
+        reply, failure = query_remote(spec, obs, system_prompt)
+        if reply is not None:
             command = extract_command(reply)
-        except NoCommandFoundError:
-            failure = FailureKind.NO_COMMAND
+    except NoCommandFoundError:
+        failure = FailureKind.NO_COMMAND
+    except Exception:  # any other fault on the remote path: act never raises
+        logging.getLogger(__name__).exception("agent %s: remote decision failed", spec.id)
+        failure = FailureKind.TRANSPORT
     latency_ms = int((time.perf_counter() - started) * 1000)
     if command is None:
         command = parse(FALLBACK_COMMAND)

@@ -12,8 +12,11 @@ form (system message plus one user message with interleaved image parts)
 for endpoints that only speak that dialect. The env var LMFA_AUTH_HEADER
 ("Header-Name: value") is attached verbatim when set.
 
-The body is exactly ``json.dumps(build_wire_request(...)).encode()``, but
-frames are spliced in as pre-encoded bytes rather than re-scanned.
+The body is exactly ``json.dumps(request).encode()`` for the request of
+``build_wire_request(...)`` with each frame replaced by its text,
+``str(frame)``. Rendered frames are WireText, base64 held as row pieces;
+``encode_wire_request`` splices those pieces in as pre-encoded bytes and
+joins each body once, so a frame's text is never built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import requests
 from urllib3.exceptions import HTTPError, ReadTimeoutError
@@ -36,7 +39,7 @@ FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
 MAX_REPLY_BYTES = 64 * 1024  # a longer response body is a parse failure
 
 
-def _frame_url(b64: str) -> str:
+def _frame_url(b64: Union[WireText, str]) -> Union[WireText, str]:
     if isinstance(b64, WireText):
         return b64.prefixed(FRAME_URL_PREFIX)
     return FRAME_URL_PREFIX + b64
@@ -70,7 +73,8 @@ def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) ->
 
 def encode_wire_request(payload) -> bytes:
     """``json.dumps(payload).encode()``, byte for byte, with every WireText
-    written from its ``pieces`` instead of being scanned."""
+    written as its text from its ``pieces``; the one copy is the final
+    join."""
     out: List[bytes] = []
     _write_json(payload, out)
     return b"".join(out)

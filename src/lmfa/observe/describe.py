@@ -9,16 +9,16 @@ Template v1, exactly five lines, self-perspective resolved per player:
     OPPONENT LAST 5 ACTIONS: {c1}; {c2}; {c3}; {c4}; {c5}
 
 Missing action slots render as "-", oldest first, newest last. Parsing the
-text recovers the structured features exactly (round-trip tested); prompt
-stability across agents depends on this template staying fixed.
+text recovers the structured features exactly (the tests hold the parser
+and check the round trip); prompt stability across agents depends on this
+template staying fixed.
 """
 
 from __future__ import annotations
 
 import base64
-import re
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple, Union
 
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
 from lmfa.observe.raster import FrameImage, ppm_header
@@ -48,46 +48,41 @@ class Observation:
     for_player: Player
     frame: int
     decision_index: int
-    frames: Tuple[str, ...]  # base64-encoded canonical images, oldest first
+    # base64 of the canonical images, oldest first: WireText when rendered
+    # by a match, plain str when a caller supplies its own
+    frames: Tuple[Union[WireText, str], ...]
     state_text: str
     features: ObservationFeatures
 
 
-class WireText(str):
-    """ASCII text that needs no JSON escaping, kept together with its bytes.
+class WireText:
+    """ASCII text that needs no JSON escaping, held as its bytes in pieces.
 
-    ``pieces`` are the text's bytes in order. A JSON writer splices them
-    between quotes instead of scanning the text and encoding it again
-    (``lmfa.agents.remote.encode_wire_request``); the caller of ``of``
+    ``pieces`` are the text's bytes in order; nothing joins them until a
+    JSON writer splices them between quotes into a request body
+    (``lmfa.agents.remote.encode_wire_request``). Whoever builds one
     guarantees that no piece holds a quote, a backslash or a control byte.
     Base64 frames are WireText, and so are their prefixed forms. A frame's
     pieces are one header piece and then one piece per pixel row, and
     identical adjacent rows share one ``bytes`` object
-    (``encode_frame_base64``).
+    (``encode_frame_base64``). ``len`` is the character count and ``str``
+    the joined text. A WireText is not a ``str``: ``json.dumps`` refuses it.
     """
 
-    pieces: Tuple[bytes, ...]
+    __slots__ = ("pieces",)
 
-    @classmethod
-    def of(cls, *pieces: bytes) -> "WireText":
-        text = cls(b"".join(pieces), "ascii")
-        text.pieces = pieces
-        return text
+    def __init__(self, *pieces: bytes) -> None:
+        self.pieces = pieces
+
+    def __len__(self) -> int:
+        return sum(map(len, self.pieces))
+
+    def __str__(self) -> str:
+        return b"".join(self.pieces).decode("ascii")
 
     def prefixed(self, prefix: str) -> "WireText":
-        """``prefix + self``, sharing this text's bytes; built once per prefix,
-        however many requests carry it (two threads racing here both build
-        an equal text, and either may be kept)."""
-        memo: Dict[str, WireText] = self.__dict__.setdefault("_prefixed", {})
-        text = memo.get(prefix)
-        if text is None:
-            text = memo[prefix] = WireText.of(prefix.encode("ascii"), *self.pieces)
-        return text
-
-
-def encode_payload_base64(payload: bytes) -> str:
-    """Standard base64, no line wrapping."""
-    return base64.b64encode(payload).decode("ascii")
+        """``prefix`` followed by this text, sharing its pieces."""
+        return WireText(prefix.encode("ascii"), *self.pieces)
 
 
 def encode_frame_base64(image: FrameImage) -> WireText:
@@ -104,7 +99,7 @@ def encode_frame_base64(image: FrameImage) -> WireText:
     header = ppm_header(image.width, image.height)
     row_bytes = image.width * 3
     if len(header) % 3:
-        return WireText.of(base64.b64encode(header + image.pixels))
+        return WireText(base64.b64encode(header + image.pixels))
     pixels = image.pixels
     pieces = [base64.b64encode(header)]
     row = piece = None
@@ -113,11 +108,7 @@ def encode_frame_base64(image: FrameImage) -> WireText:
         if nxt != row:
             row, piece = nxt, base64.b64encode(nxt)
         pieces.append(piece)
-    return WireText.of(*pieces)
-
-
-def decode_frame_base64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"), validate=True)
+    return WireText(*pieces)
 
 
 def _facing_word(facing: Facing) -> str:
@@ -146,59 +137,10 @@ def build_state_text(features: ObservationFeatures) -> str:
     )
 
 
-_LINE_RE = {
-    "timer": re.compile(r"^TIMER: (\d+) seconds$"),
-    "you": re.compile(
-        r"^YOU: health (\d\.\d{3}), position \((-?\d+),(-?\d+)\), facing (left|right)$"
-    ),
-    "opp": re.compile(
-        r"^OPPONENT: health (\d\.\d{3}), position \((-?\d+),(-?\d+)\), facing (left|right)$"
-    ),
-    "yours": re.compile(r"^YOUR LAST 5 ACTIONS: (.*)$"),
-    "opps": re.compile(r"^OPPONENT LAST 5 ACTIONS: (.*)$"),
-}
-
-
-class StateTextError(ValueError):
-    pass
-
-
-def _parse_actions(text: str) -> Tuple[str, ...]:
-    slots = text.split("; ")
-    if len(slots) != ACTION_SLOTS:
-        raise StateTextError(f"expected {ACTION_SLOTS} action slots: {text!r}")
-    return tuple(s for s in slots if s != "-")
-
-
-def parse_state_text(text: str) -> ObservationFeatures:
-    """Inverse of build_state_text; used by the coherence tests."""
-    lines = text.split("\n")
-    if len(lines) != 5:
-        raise StateTextError("state text must have exactly 5 lines")
-    m_timer = _LINE_RE["timer"].match(lines[0])
-    m_you = _LINE_RE["you"].match(lines[1])
-    m_opp = _LINE_RE["opp"].match(lines[2])
-    m_yours = _LINE_RE["yours"].match(lines[3])
-    m_opps = _LINE_RE["opps"].match(lines[4])
-    if not all((m_timer, m_you, m_opp, m_yours, m_opps)):
-        raise StateTextError("state text does not match template v1")
-    return ObservationFeatures(
-        timer_seconds=int(m_timer.group(1)),
-        self_health_fraction=float(m_you.group(1)),
-        opponent_health_fraction=float(m_opp.group(1)),
-        self_position=(int(m_you.group(2)), int(m_you.group(3))),
-        opponent_position=(int(m_opp.group(2)), int(m_opp.group(3))),
-        self_facing=m_you.group(4),
-        opponent_facing=m_opp.group(4),
-        self_last_actions=_parse_actions(m_yours.group(1)),
-        opponent_last_actions=_parse_actions(m_opps.group(1)),
-    )
-
-
 def describe_state(
     state: GameState,
     for_player: Player,
-    frames: Tuple[str, ...] = (),
+    frames: Tuple[Union[WireText, str], ...] = (),
     decision_index: int = 0,
     last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ()),
 ) -> Observation:

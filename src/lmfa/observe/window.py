@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from lmfa.observe.describe import WireText
+
 WINDOW_SIZE = 10
 WINDOW_SPACING = 4
 
@@ -21,28 +23,29 @@ def window_indices(now: int) -> Tuple[int, ...]:
 
 
 class FrameHistory:
-    """Bounded ring of encoded frames (base64 of the canonical container)
-    keyed by engine frame index."""
+    """Bounded ring of encoded frames keyed by engine frame index: the
+    ``WireText`` of ``encode_frame_base64``, stored and returned as is, so
+    a sampled frame still shares its row pieces."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < WINDOW_SIZE:
             raise ValueError("history capacity below window size")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, str]" = OrderedDict()
+        self._entries: "OrderedDict[int, WireText]" = OrderedDict()
 
-    def append(self, frame: int, encoded: str) -> None:
+    def append(self, frame: int, encoded: WireText) -> None:
         self._entries[frame] = encoded
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def get(self, frame: int) -> Optional[str]:
+    def get(self, frame: int) -> Optional[WireText]:
         return self._entries.get(frame)
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def sample_window_encoded(history: FrameHistory, now: int) -> List[str]:
+def sample_window_encoded(history: FrameHistory, now: int) -> List[WireText]:
     """Encoded frames at the window indices, oldest first.
 
     Raises LookupError if a required frame was never rendered into the

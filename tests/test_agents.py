@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
 import pytest
 
 from lmfa.actions import VOCABULARY, parse
+from lmfa.agents import gateway
 from lmfa.agents.bots import RANDOM_COMMAND_POOL, decide
 from lmfa.agents.gateway import act
 from lmfa.agents.mock_server import MockAgentServer
@@ -184,6 +186,19 @@ class TestRemoteGateway:
         d = act(spec, obs_for(s), "sys")
         assert d.failure is FailureKind.TRANSPORT
         assert d.command.normalized == "C"
+
+    def test_unexpected_exception_falls_back_to_block(self, monkeypatch, caplog):
+        def broken(spec, obs, system_prompt):
+            time.sleep(0.03)
+            raise RuntimeError("fault below the transport")
+
+        monkeypatch.setattr(gateway, "query_remote", broken)
+        d = act(remote_spec("http://127.0.0.1:1/"), obs_for(new_match(MatchConfig())), "sys")
+        assert d.failure is FailureKind.TRANSPORT
+        assert d.command.normalized == "C"
+        assert d.raw_reply == ""
+        assert d.latency_ms >= 30
+        assert "RuntimeError: fault below the transport" in caplog.text
 
     def test_prose_only_reply_is_no_command(self):
         with MockAgentServer(replies=["I cannot decide what to do."]) as server:
@@ -366,28 +381,35 @@ class TestWireBody:
                 wire_format=wire_format,
             )
             decision = act(spec, obs, SYSTEM_PROMPT)
-        expected = json.dumps(build_wire_request(spec, obs, SYSTEM_PROMPT)).encode()
+        as_text = dataclasses.replace(obs, frames=tuple(str(f) for f in frames))
+        expected = json.dumps(build_wire_request(spec, as_text, SYSTEM_PROMPT)).encode()
         assert decision.failure is None
         assert encode_wire_request(build_wire_request(spec, obs, SYSTEM_PROMPT)) == expected
         assert [r["body"] for r in server.requests] == [expected]
 
-    def test_chat_url_built_once_and_shares_frame_bytes(self):
+    def test_chat_url_shares_frame_pieces(self):
         (frame,) = rendered_frames(1)
         obs = describe_state(new_match(MatchConfig()), Player.P1, frames=(frame,))
         spec = AgentSpec(
             id="c", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format="chat"
         )
+        request = build_wire_request(spec, obs, "sys")
+        url = request["messages"][1]["content"][1]["image_url"]["url"]
+        assert url.pieces[0] == b"data:image/x-portable-pixmap;base64,"
+        assert len(url.pieces) == 1 + len(frame.pieces)
+        assert all(a is b for a, b in zip(url.pieces[1:], frame.pieces))
+        assert str(url) == "data:image/x-portable-pixmap;base64," + str(frame)
+        again = build_wire_request(spec, obs, "sys")
+        assert encode_wire_request(again) == encode_wire_request(request)
 
-        def url():
-            content = build_wire_request(spec, obs, "sys")["messages"][1]["content"]
-            return content[1]["image_url"]["url"]
-
-        first = url()
-        assert first == "data:image/x-portable-pixmap;base64," + frame
-        assert url() is first
-        assert first.pieces[0] == b"data:image/x-portable-pixmap;base64,"
-        assert len(first.pieces) == 1 + len(frame.pieces)
-        assert all(a is b for a, b in zip(first.pieces[1:], frame.pieces))
+    @pytest.mark.parametrize("wire_format", ["lmfa", "chat"])
+    def test_json_dumps_refuses_a_rendered_frame(self, wire_format):
+        obs = describe_state(new_match(MatchConfig()), Player.P1, frames=rendered_frames(1))
+        spec = AgentSpec(
+            id="w", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format=wire_format
+        )
+        with pytest.raises(TypeError):
+            json.dumps(build_wire_request(spec, obs, "sys"))
 
 
 class TestAgentsFile:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import base64
 import dataclasses
 import random
+import re
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -15,11 +17,10 @@ from lmfa.engine.buttons import Button, chord, decode_chord
 from lmfa.engine.core import jump_height, mirror, new_match, step
 from lmfa.engine.state import EndReason, Jumping, KnockedDown, Player
 from lmfa.observe.describe import (
-    decode_frame_base64,
+    ACTION_SLOTS,
+    ObservationFeatures,
     describe_state,
     encode_frame_base64,
-    encode_payload_base64,
-    parse_state_text,
 )
 from lmfa.observe import raster
 from lmfa.observe.raster import (
@@ -40,6 +41,64 @@ from lmfa.observe.raster import (
 )
 from lmfa.observe.window import FrameHistory, sample_window_encoded, window_indices
 from lmfa.tourney.match import run_match
+
+
+def encode_payload_base64(payload: bytes) -> str:
+    """Standard base64, no line wrapping."""
+    return base64.b64encode(payload).decode("ascii")
+
+
+def decode_frame_base64(text: str) -> bytes:
+    return base64.b64decode(text.encode("ascii"), validate=True)
+
+
+_LINE_RE = {
+    "timer": re.compile(r"^TIMER: (\d+) seconds$"),
+    "you": re.compile(
+        r"^YOU: health (\d\.\d{3}), position \((-?\d+),(-?\d+)\), facing (left|right)$"
+    ),
+    "opp": re.compile(
+        r"^OPPONENT: health (\d\.\d{3}), position \((-?\d+),(-?\d+)\), facing (left|right)$"
+    ),
+    "yours": re.compile(r"^YOUR LAST 5 ACTIONS: (.*)$"),
+    "opps": re.compile(r"^OPPONENT LAST 5 ACTIONS: (.*)$"),
+}
+
+
+class StateTextError(ValueError):
+    pass
+
+
+def _parse_actions(text: str) -> Tuple[str, ...]:
+    slots = text.split("; ")
+    if len(slots) != ACTION_SLOTS:
+        raise StateTextError(f"expected {ACTION_SLOTS} action slots: {text!r}")
+    return tuple(s for s in slots if s != "-")
+
+
+def parse_state_text(text: str) -> ObservationFeatures:
+    """Inverse of build_state_text: the oracle of the round-trip tests."""
+    lines = text.split("\n")
+    if len(lines) != 5:
+        raise StateTextError("state text must have exactly 5 lines")
+    m_timer = _LINE_RE["timer"].match(lines[0])
+    m_you = _LINE_RE["you"].match(lines[1])
+    m_opp = _LINE_RE["opp"].match(lines[2])
+    m_yours = _LINE_RE["yours"].match(lines[3])
+    m_opps = _LINE_RE["opps"].match(lines[4])
+    if not all((m_timer, m_you, m_opp, m_yours, m_opps)):
+        raise StateTextError("state text does not match template v1")
+    return ObservationFeatures(
+        timer_seconds=int(m_timer.group(1)),
+        self_health_fraction=float(m_you.group(1)),
+        opponent_health_fraction=float(m_opp.group(1)),
+        self_position=(int(m_you.group(2)), int(m_you.group(3))),
+        opponent_position=(int(m_opp.group(2)), int(m_opp.group(3))),
+        self_facing=m_you.group(4),
+        opponent_facing=m_opp.group(4),
+        self_last_actions=_parse_actions(m_yours.group(1)),
+        opponent_last_actions=_parse_actions(m_opps.group(1)),
+    )
 
 
 def random_state(seed: int):
@@ -159,6 +218,19 @@ class TestWindow:
         frames = sample_window_encoded(hist, 100)
         assert len(frames) == 10
 
+    def test_sampled_frame_shares_its_row_pieces(self):
+        s = new_match(MatchConfig())
+        hist = FrameHistory(capacity=64)
+        encoded = {}
+        for f in range(0, 37, 4):
+            encoded[f] = encode_frame_base64(render(dataclasses.replace(s, frame=f)))
+            hist.append(f, encoded[f])
+        frames = sample_window_encoded(hist, 36)
+        for f, frame in zip(range(0, 37, 4), frames):
+            assert frame.pieces is encoded[f].pieces
+        # identical adjacent rows still share one piece
+        assert frames[0].pieces[1] is frames[0].pieces[2]
+
     def test_sample_window_missing_frame_raises(self):
         hist = FrameHistory(capacity=64)
         with pytest.raises(LookupError):
@@ -181,11 +253,17 @@ class TestEncoding:
     def test_round_trip_exact(self):
         s = random_state(5)
         img = render(s)
-        assert decode_frame_base64(encode_frame_base64(img)) == ppm_bytes(img)
+        assert decode_frame_base64(str(encode_frame_base64(img))) == ppm_bytes(img)
 
     def test_no_line_wrapping(self):
         s = random_state(6)
-        assert "\n" not in encode_frame_base64(render(s))
+        assert "\n" not in str(encode_frame_base64(render(s)))
+
+    def test_len_is_the_text_length(self):
+        s = random_state(7)
+        frame = encode_frame_base64(annotate(render(s), s))
+        assert len(frame) == len(str(frame)) == 286_740
+        assert len(frame.prefixed("ab")) == len(str(frame.prefixed("ab"))) == 286_742
 
     def test_ppm_header(self):
         img = render(new_match(MatchConfig()))

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from lmfa.actions import parse
+from lmfa.agents import gateway
 from lmfa.agents.mock_server import MockAgentServer
 from lmfa.agents.specs import (
     AgentKind,
@@ -284,6 +285,24 @@ class TestRemoteIntegration:
             for a, b in zip(s1.requests, s2.requests):
                 assert a["json"]["system_prompt"] == b["json"]["system_prompt"]
                 assert a["json"]["frames_b64"] == b["json"]["frames_b64"]
+
+    def test_tournament_survives_a_raising_remote_path(self, monkeypatch):
+        def broken(spec, obs, system_prompt):
+            raise RuntimeError("fault below the transport")
+
+        monkeypatch.setattr(gateway, "query_remote", broken)
+        cfg = MatchConfig(match_length_frames=120, decision_interval_frames=40)
+        remote = AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:1/")
+        idle2 = bot("idle2", BotPolicy.IDLE)
+        _, logs = run_round_robin([IDLE, idle2, remote], cfg, base_seed=2)
+        assert len(logs) == 3
+        assert all(log.result is not None for log in logs)
+        remote_decisions = [
+            r.decision for log in logs for r in log.decisions if log.agent_id(r.player) == "r"
+        ]
+        assert len(remote_decisions) == 2 * 3
+        assert {d.failure for d in remote_decisions} == {FailureKind.TRANSPORT}
+        assert {d.command.normalized for d in remote_decisions} == {"C"}
 
     def test_distinct_endpoints_queried_side_by_side(self, monkeypatch):
         # each tick's two act calls must meet at the barrier: serial calls
