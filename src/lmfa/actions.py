@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from lmfa.engine.buttons import EMPTY_CHORD
@@ -97,8 +98,14 @@ def _chord_text(tokens: int) -> str:
     return " + ".join(tok.value for tok, bit in TOKEN_BIT.items() if tokens & bit)
 
 
+@lru_cache(maxsize=256)
 def parse(raw: str) -> Command:
-    """Parse a command string; raises a typed CommandError on any defect."""
+    """Parse a command string; raises a typed CommandError on any defect.
+
+    Memoised: bots repeat a few texts, and a ``Command`` is frozen, so
+    callers may share one. A raised error is not kept, so bad text raises
+    on every call.
+    """
     if raw is None or not raw.strip():
         raise EmptyCommandError()
     segments = raw.split(",")

@@ -17,10 +17,19 @@ this is what makes mirrored runs exact mirror images.
 
 Quiet frames cost less. An idle fighter that holds nothing, held nothing
 the frame before and has no press due to expire comes back as the same
-``FighterState`` object. Each later stage runs only when it can change
-something: projectiles while one is live or spawning, hit checks for an
-active move, facing for a grounded, actionable fighter off the
-opponent's x, and the round-end check at zero health or time.
+``FighterState`` object, without a call to advance it. Each later stage
+runs only when it can change something: projectiles while one is live or
+spawning, hit checks (and their lists) while a projectile is live or a
+move is active, a new facing for a grounded, actionable fighter that
+faces away from an opponent at another x, and the round-end check at
+zero health or time.
+
+Phases advance by table lookup. At import each move gets a frame table
+(total frames, an active flag per ``t``, the spawn frame and its
+``MoveActive`` phase for every ``t`` and ``hit_done``), and the
+``Hitstun`` and ``KnockedDown`` phases and the jump arc are built once.
+Interned phases are ordinary equal values: a phase built by hand equals
+and hashes like the table's, and ``step`` accepts either.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, NORMALIZE, Button
 from lmfa.engine.moves import (
+    MOVE_TABLE,
     MOVES_BY_ID,
     MoveDef,
     MoveKind,
@@ -152,6 +162,33 @@ def _clamp_x(x: int, width: int) -> int:
     return 0 if x < 0 else width if x > width else x
 
 
+class _MoveFrames:
+    """One move's frame data as tables indexed by a ``MoveActive`` phase's t."""
+
+    __slots__ = ("move", "total", "active", "spawn_t", "phases")
+
+    def __init__(self, move: MoveDef) -> None:
+        self.move = move
+        self.total = move.total_frames
+        self.active = tuple(move.is_active_frame(t) for t in range(self.total))
+        self.spawn_t = move.startup if move.kind is MoveKind.PROJECTILE else -1
+        # phases[t][hit_done] is MoveActive(move.id, t, hit_done), built once
+        self.phases = tuple(
+            (MoveActive(move.id, t, False), MoveActive(move.id, t, True))
+            for t in range(self.total)
+        )
+
+
+# Built at import so a frame looks its phases up instead of building them.
+# Interned phases are ordinary values: equal to, and hashing like, a phase
+# built by hand, which the engine accepts as well.
+_MOVE_FRAMES = {move.id: _MoveFrames(move) for move in MOVE_TABLE}
+_HITSTUN = tuple(Hitstun(n) for n in range(HITSTUN_FRAMES + 1))  # [n] is Hitstun(n)
+_KNOCKED_DOWN = tuple(KnockedDown(n) for n in range(KNOCKDOWN_FRAMES + 1))
+_JUMP_ARC = tuple(jump_height(t) for t in range(JUMP_FRAMES))
+_PROJECTILE = MoveKind.PROJECTILE
+
+
 def _advance_fighter(
     fs: FighterState,
     held: int,
@@ -169,8 +206,6 @@ def _advance_fighter(
     cutoff = frame - PRESS_HISTORY_FRAMES
     if presses and presses[0][0] <= cutoff:  # ascending by frame
         presses = tuple(ev for ev in presses if ev[0] > cutoff)
-    elif not held and not fs.prev_chord and fs.phase is IDLE:
-        return fs, None  # a quiet frame: an idle fighter stays as it is
     fresh = held & ~fs.prev_chord
     if fresh:
         presses = presses + ((frame, fresh),)
@@ -181,22 +216,27 @@ def _advance_fighter(
     spawn: Optional[MoveDef] = None
     kind = type(phase)
 
-    if kind is Hitstun:
-        phase = IDLE if phase.left <= 1 else Hitstun(phase.left - 1)
-    elif kind is KnockedDown:
-        phase = IDLE if phase.left <= 1 else KnockedDown(phase.left - 1)
-    elif kind is MoveActive:
-        move = MOVES_BY_ID[phase.move_id]
+    if kind is MoveActive:
+        frames = _MOVE_FRAMES[phase.move_id]
         t = phase.t + 1
-        if t >= move.total_frames:
+        if t >= frames.total:
             phase = IDLE
         else:
-            if move.is_active_frame(t):
+            if frames.active[t]:
+                move = frames.move
                 if move.advance_per_active_frame:
                     x = _clamp_x(x + move.advance_per_active_frame * fs.facing.sign, width)
-                if move.kind is MoveKind.PROJECTILE and t == move.startup:
+                if t == frames.spawn_t:
                     spawn = move
-            phase = MoveActive(move.id, t, phase.hit_done)
+            phase = frames.phases[t][phase.hit_done]
+    elif kind is Hitstun:
+        left = phase.left - 1
+        phase = IDLE if left < 1 else _HITSTUN[left] if left <= HITSTUN_FRAMES else Hitstun(left)
+    elif kind is KnockedDown:
+        left = phase.left - 1
+        phase = (
+            IDLE if left < 1 else _KNOCKED_DOWN[left] if left <= KNOCKDOWN_FRAMES else KnockedDown(left)
+        )
     elif kind is Jumping:
         t = phase.t + 1
         x = _clamp_x(phase.origin_x + _scaled_drift(phase.drift, t), width)
@@ -204,7 +244,7 @@ def _advance_fighter(
             y = 0
             phase = IDLE
         else:
-            y = jump_height(t)
+            y = _JUMP_ARC[t]
             phase = Jumping(t, phase.origin_x, phase.drift)
     else:
         # Grounded and actionable: idle, walking, or blocking.
@@ -212,7 +252,7 @@ def _advance_fighter(
             presses, frame, fs.facing.sign, held, fresh, fireball_available
         )
         if move is not None:
-            phase = MoveActive(move.id, 0)
+            phase = _MOVE_FRAMES[move.id].phases[0][False]
         elif held & _C:
             phase = BLOCKING
         elif held & _UP:
@@ -251,10 +291,11 @@ def _melee_hit(attacker: FighterState, target: FighterState) -> Optional[MoveDef
     phase = attacker.phase
     if phase.hit_done:
         return None
-    move = MOVES_BY_ID[phase.move_id]
-    if move.kind is MoveKind.PROJECTILE or not move.is_active_frame(phase.t):
+    frames = _MOVE_FRAMES[phase.move_id]
+    move = frames.move
+    if move.kind is _PROJECTILE or not frames.active[phase.t]:
         return None
-    if isinstance(target.phase, KnockedDown):
+    if type(target.phase) is KnockedDown:
         return None
     if target.y > 0 and move.kind is not MoveKind.AERIAL:
         return None
@@ -262,6 +303,15 @@ def _melee_hit(attacker: FighterState, target: FighterState) -> Optional[MoveDef
     if not 0 <= dx <= move.reach:
         return None
     return move
+
+
+def _hit_done(fs: FighterState) -> FighterState:
+    """An attacker whose move has connected, so it hits no more."""
+    phase = fs.phase
+    return FighterState(
+        fs.health, fs.x, fs.y, fs.facing,
+        _MOVE_FRAMES[phase.move_id].phases[phase.t][True], fs.prev_chord, fs.presses,
+    )
 
 
 def _resolve_damage(fs: FighterState, hits: List[_Hit], width: int) -> FighterState:
@@ -276,17 +326,61 @@ def _resolve_damage(fs: FighterState, hits: List[_Hit], width: int) -> FighterSt
     health = max(0, health)
     if blocking:
         # Chip damage, pushback, no stun; the guard holds.
-        return replace(fs, health=health, x=x)
+        return FighterState(health, x, fs.y, fs.facing, fs.phase, fs.prev_chord, fs.presses)
     if fs.y > 0:
         knockdown = True  # air hits ground the target
-    phase = KnockedDown(KNOCKDOWN_FRAMES) if knockdown else Hitstun(HITSTUN_FRAMES)
-    return replace(fs, health=health, x=x, y=0, phase=phase)
+    phase = _KNOCKED_DOWN[KNOCKDOWN_FRAMES] if knockdown else _HITSTUN[HITSTUN_FRAMES]
+    return FighterState(health, x, 0, fs.facing, phase, fs.prev_chord, fs.presses)
 
 
-def _refresh_facing(fs: FighterState, opponent_x: int) -> FighterState:
-    """A grounded, actionable fighter turned toward an opponent at another x."""
-    facing = _FACING_RIGHT if fs.x < opponent_x else _FACING_LEFT
-    return fs if facing is fs.facing else replace(fs, facing=facing)
+def _land_hits(
+    p1: FighterState, p2: FighterState, projectiles: Sequence[Projectile], width: int
+) -> Tuple[FighterState, FighterState, Tuple[Projectile, ...]]:
+    """Both fighters after this frame's hits, and the projectiles that hit
+    nothing.
+
+    Collects all hits from the post-move snapshot, then applies both sides
+    at once; simultaneous trades land for both players (double KO
+    possible). Marking an attacker's hit as done changes nothing
+    ``_melee_hit`` reads of it as a target, so both melee checks run first.
+    """
+    hits_on_p1: List[_Hit] = []
+    hits_on_p2: List[_Hit] = []
+    move1 = _melee_hit(p1, p2) if type(p1.phase) is MoveActive else None
+    move2 = _melee_hit(p2, p1) if type(p2.phase) is MoveActive else None
+    if move1 is not None:
+        hits_on_p2.append(_Hit(move1.damage, move1.knockback, p1.facing.sign, move1.knockdown))
+        p1 = _hit_done(p1)
+    if move2 is not None:
+        hits_on_p1.append(_Hit(move2.damage, move2.knockback, p2.facing.sign, move2.knockdown))
+        p2 = _hit_done(p2)
+
+    surviving: List[Projectile] = []
+    for proj in projectiles:
+        if proj.owner is Player.P1:
+            target, hits = p2, hits_on_p2
+        else:
+            target, hits = p1, hits_on_p1
+        if (
+            type(target.phase) is not KnockedDown
+            and target.y <= _FIREBALL.projectile_clear_height
+            and abs(proj.x - target.x) <= _FIREBALL.projectile_hit_radius
+        ):
+            hits.append(
+                _Hit(_FIREBALL.damage, _FIREBALL.knockback, 1 if proj.vx > 0 else -1, False)
+            )
+        else:
+            surviving.append(proj)
+
+    if hits_on_p1:
+        p1 = _resolve_damage(p1, hits_on_p1, width)
+    if hits_on_p2:
+        p2 = _resolve_damage(p2, hits_on_p2, width)
+    return p1, p2, tuple(surviving)
+
+
+def _turned(fs: FighterState, facing: Facing) -> FighterState:
+    return FighterState(fs.health, fs.x, fs.y, facing, fs.phase, fs.prev_chord, fs.presses)
 
 
 def _check_round_end(
@@ -322,13 +416,22 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
         else:
             fireball2 = False
 
-    p1, spawn1 = _advance_fighter(state.p1, NORMALIZE[input_p1], frame, width, fireball1)
-    p2, spawn2 = _advance_fighter(state.p2, NORMALIZE[input_p2], frame, width, fireball2)
+    # A quiet fighter stays as it is: idle, holding nothing now or the frame
+    # before, with no press due to leave its history.
+    cutoff = frame - PRESS_HISTORY_FRAMES
+    p1, spawn1 = state.p1, None
+    held = NORMALIZE[input_p1]
+    if held or p1.prev_chord or p1.phase is not IDLE or (p1.presses and p1.presses[0][0] <= cutoff):
+        p1, spawn1 = _advance_fighter(p1, held, frame, width, fireball1)
+    p2, spawn2 = state.p2, None
+    held = NORMALIZE[input_p2]
+    if held or p2.prev_chord or p2.phase is not IDLE or (p2.presses and p2.presses[0][0] <= cutoff):
+        p2, spawn2 = _advance_fighter(p2, held, frame, width, fireball2)
 
-    projectiles: Sequence[Projectile] = ()
+    # Hits are checked only while a projectile is live or a move is active.
     if live or spawn1 is not None or spawn2 is not None:
         # Projectiles move before new ones spawn; off-arena shots despawn.
-        projectiles = [
+        moved = [
             Projectile(p.owner, p.x + p.vx, p.y, p.vx)
             for p in live
             if 0 <= p.x + p.vx <= width
@@ -337,55 +440,26 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
             if spawn is not None:
                 sign = fighter.facing.sign
                 px = _clamp_x(fighter.x + spawn.projectile_spawn_offset * sign, width)
-                projectiles.append(Projectile(owner, px, 0, spawn.projectile_speed * sign))
-        projectiles.sort(key=lambda p: p.owner.value)
+                moved.append(Projectile(owner, px, 0, spawn.projectile_speed * sign))
+        moved.sort(key=lambda p: p.owner.value)
+        p1, p2, projectiles = _land_hits(p1, p2, moved, width)
+    elif type(p1.phase) is MoveActive or type(p2.phase) is MoveActive:
+        p1, p2, projectiles = _land_hits(p1, p2, (), width)
+    else:
+        projectiles = ()
 
-    # Collect all hits from the post-move snapshot, then apply both sides at
-    # once; simultaneous trades land for both players (double KO possible).
-    # Marking an attacker's hit as done changes nothing _melee_hit reads of
-    # it as a target, so both melee checks can run first.
-    hits_on_p1: List[_Hit] = []
-    hits_on_p2: List[_Hit] = []
-    move1 = _melee_hit(p1, p2) if type(p1.phase) is MoveActive else None
-    move2 = _melee_hit(p2, p1) if type(p2.phase) is MoveActive else None
-    if move1 is not None:
-        hits_on_p2.append(_Hit(move1.damage, move1.knockback, p1.facing.sign, move1.knockdown))
-        p1 = replace(p1, phase=replace(p1.phase, hit_done=True))
-    if move2 is not None:
-        hits_on_p1.append(_Hit(move2.damage, move2.knockback, p2.facing.sign, move2.knockdown))
-        p2 = replace(p2, phase=replace(p2.phase, hit_done=True))
-
-    surviving: List[Projectile] = []
-    for proj in projectiles:
-        if proj.owner is Player.P1:
-            target, hits = p2, hits_on_p2
-        else:
-            target, hits = p1, hits_on_p1
-        if (
-            not isinstance(target.phase, KnockedDown)
-            and target.y <= _FIREBALL.projectile_clear_height
-            and abs(proj.x - target.x) <= _FIREBALL.projectile_hit_radius
-        ):
-            hits.append(
-                _Hit(_FIREBALL.damage, _FIREBALL.knockback, 1 if proj.vx > 0 else -1, False)
-            )
-        else:
-            surviving.append(proj)
-
-    if hits_on_p1:
-        p1 = _resolve_damage(p1, hits_on_p1, width)
-    if hits_on_p2:
-        p2 = _resolve_damage(p2, hits_on_p2, width)
-
-    # Exact x ties keep both facings; any fixed choice would break mirror
-    # symmetry.
+    # A grounded, actionable fighter turns toward the opponent. Exact x ties
+    # keep both facings; any fixed choice would break mirror symmetry.
     p1_x = p1.x
     p2_x = p2.x
     if p1_x != p2_x:
-        if p1.y == 0 and isinstance(p1.phase, ACTIONABLE):
-            p1 = _refresh_facing(p1, p2_x)
-        if p2.y == 0 and isinstance(p2.phase, ACTIONABLE):
-            p2 = _refresh_facing(p2, p1_x)
+        toward1, toward2 = (
+            (_FACING_RIGHT, _FACING_LEFT) if p1_x < p2_x else (_FACING_LEFT, _FACING_RIGHT)
+        )
+        if p1.facing is not toward1 and p1.y == 0 and isinstance(p1.phase, ACTIONABLE):
+            p1 = _turned(p1, toward1)
+        if p2.facing is not toward2 and p2.y == 0 and isinstance(p2.phase, ACTIONABLE):
+            p2 = _turned(p2, toward2)
 
     frame += 1
     timer = state.timer_frames - 1
@@ -396,6 +470,6 @@ def step(state: GameState, input_p1: int, input_p2: int) -> GameState:
         width,
         p1,
         p2,
-        tuple(surviving),
+        projectiles,
         _check_round_end(p1, p2, timer, frame) if ended else None,
     )

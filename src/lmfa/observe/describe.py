@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple, Union
 
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
@@ -43,7 +44,11 @@ class ObservationFeatures:
 
 @dataclass(frozen=True)
 class Observation:
-    """The multimodal bundle handed to one agent for one decision."""
+    """The multimodal bundle handed to one agent for one decision.
+
+    ``state_text`` is built from ``features`` on first read and kept; a
+    scripted bot reads only the features, so its ticks never build it.
+    """
 
     for_player: Player
     frame: int
@@ -51,8 +56,11 @@ class Observation:
     # base64 of the canonical images, oldest first: WireText when rendered
     # by a match, plain str when a caller supplies its own
     frames: Tuple[Union[WireText, str], ...]
-    state_text: str
     features: ObservationFeatures
+
+    @cached_property
+    def state_text(self) -> str:
+        return build_state_text(self.features)
 
 
 class WireText:
@@ -168,6 +176,5 @@ def describe_state(
         frame=state.frame,
         decision_index=decision_index,
         frames=frames,
-        state_text=build_state_text(features),
         features=features,
     )

@@ -143,8 +143,11 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
             False, "state_divergence", 0, "initial state digest mismatch"
         )
     for i, row in enumerate(log.input_trace):
+        # A row is a list (a tuple in a MatchLog); a two-character string or
+        # a two-key object would unpack as well, so it counts as no pair.
+        pair = row if isinstance(row, (list, tuple)) else ()
         try:
-            enc1, enc2 = row
+            enc1, enc2 = pair
             m1, m2 = decode_chord(enc1), decode_chord(enc2)
         except (ValueError, TypeError):  # not a pair of strings, or an unknown code
             return ReplayVerdict(

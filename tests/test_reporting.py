@@ -228,6 +228,24 @@ class TestVerifyReplay:
             assert verdict.kind == "state_divergence"
             assert verdict.first_divergent_frame == 4
 
+    def test_trace_row_that_is_not_a_list_is_divergence(self):
+        # idle blocks while rushdown walks in, so row 0 is ["C", "L"]; a
+        # two-character string and a two-key object unpack to the same pair
+        log = run_match(
+            bot("idle", BotPolicy.IDLE),
+            bot("rushdown", BotPolicy.RUSHDOWN),
+            MatchConfig(seed=5, match_length_frames=600),
+        )
+        base = log_to_dict(log)
+        assert base["input_trace"][0] == ["C", "L"]
+        for bad in ("CL", {"C": 0, "L": 0}):
+            data = {**base, "input_trace": list(base["input_trace"])}
+            data["input_trace"][0] = bad
+            verdict = verify_replay(log_from_dict(data))
+            assert not verdict.ok
+            assert verdict.kind == "state_divergence"
+            assert verdict.first_divergent_frame == 1
+
     def test_schema_version_checked(self):
         data = log_to_dict(self.make_log())
         data["schema"] = "lmfa-log/2"
