@@ -20,7 +20,7 @@ from lmfa.agents.specs import AgentSetupError, load_agents_file
 from lmfa.config import ConfigError, load_config_file, with_seed
 from lmfa.engine.state import RoundOutcome, Winner
 from lmfa.reporting import verify_replay, write_reports
-from lmfa.tourney.match import log_filename, read_log, run_match, write_log
+from lmfa.tourney.match import MatchLog, log_filename, read_log, run_match, write_log
 from lmfa.tourney.roundrobin import ReportIntegrityError, result_from_logs, run_round_robin
 
 EXIT_OK = 0
@@ -75,11 +75,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     agents = load_agents_file(args.agents)
     out = _ensure_out_dir(args.out, args.force)
     result, logs = run_round_robin(
-        agents,
-        config,
-        base_seed=config.seed,
-        matches_per_pair=args.matches_per_pair,
-        parallel=args.parallel,
+        agents, config, matches_per_pair=args.matches_per_pair, parallel=args.parallel
     )
     for log in logs:
         write_log(
@@ -91,18 +87,22 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def _read_log(path) -> MatchLog:
     try:
-        log = read_log(args.log)
+        return read_log(path)
     except FileNotFoundError:
-        raise ConfigError(f"log file not found: {args.log}") from None
+        raise ConfigError(f"log file not found: {path}") from None
     except (OSError, ValueError) as exc:
         # a directory or unreadable file, bad JSON, wrong schema, missing field
-        raise ConfigError(f"unreadable match log {args.log}: {exc}") from exc
-    verdict = verify_replay(log)
+        raise ConfigError(f"unreadable match log {path}: {exc}") from exc
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    verdict = verify_replay(_read_log(args.log))
     if verdict.ok:
         print("REPLAY=match")
         return EXIT_OK
+    print(f"replay: {verdict.detail}", file=sys.stderr)
     if verdict.kind == "result_forgery":
         print("REPLAY=result_forgery")
     else:
@@ -117,12 +117,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(logs_dir.glob("match_*.json"))
     if not paths:
         raise ConfigError(f"no match logs in {logs_dir}")
-    logs = []
-    for path in paths:
-        try:
-            logs.append(read_log(path))
-        except (OSError, ValueError) as exc:  # as in cmd_replay
-            raise ConfigError(f"unreadable match log {path}: {exc}") from exc
+    logs = [_read_log(path) for path in paths]
     # result_from_logs refuses logs that are not one round-robin schedule
     # before any file is opened, so a refused report leaves the output
     # directory as it was.

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from lmfa.engine.buttons import decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import trace_line
-from lmfa.tourney.match import BUTTON_NAMES, LogRecord, chain_digest, initial_digest
+from lmfa.tourney.match import BUTTON_NAMES, MatchLog, chain_digest, count_buttons, initial_digest
 from lmfa.tourney.roundrobin import AgentStanding, TournamentResult, write_tournament
 
 
@@ -128,8 +128,9 @@ class ReplayVerdict:
     detail: str = ""
 
 
-def verify_replay(log: LogRecord) -> ReplayVerdict:
-    """Re-run the engine over the logged inputs and compare digest chains.
+def verify_replay(log: MatchLog) -> ReplayVerdict:
+    """Re-run the engine over the logged inputs and compare digest chains,
+    then the result and the held-frame button counts.
 
     The chain covers both the injected inputs and the serialized state, so
     any single-bit mutation of the input trace diverges at exactly the
@@ -137,15 +138,16 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
     """
     state = new_match(log.config)
     logged = log.state_digests
-    digest = initial_digest(log.config, log.seed, state)
+    digest = initial_digest(log.config, state)
     if not logged or logged[0] != digest:
         return ReplayVerdict(
             False, "state_divergence", 0, "initial state digest mismatch"
         )
+    hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
     for i, row in enumerate(log.input_trace):
-        # A row is a list (a tuple in a MatchLog); a two-character string or
-        # a two-key object would unpack as well, so it counts as no pair.
-        pair = row if isinstance(row, (list, tuple)) else ()
+        # A row is a list; a two-character string or a two-key object would
+        # unpack as well, so it counts as no pair.
+        pair = row if isinstance(row, list) else ()
         try:
             enc1, enc2 = pair
             m1, m2 = decode_chord(enc1), decode_chord(enc2)
@@ -160,6 +162,8 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
                 False, "state_divergence", i + 1, f"trace continues past round end at frame {i}"
             )
         digest = chain_digest(digest, enc1, enc2, trace_line(state))
+        hist1[m1] += 1
+        hist2[m2] += 1
         if i + 1 >= len(logged) or logged[i + 1] != digest:
             return ReplayVerdict(
                 False,
@@ -177,6 +181,10 @@ def verify_replay(log: LogRecord) -> ReplayVerdict:
     if state.round_over != log.result:
         return ReplayVerdict(
             False, "result_forgery", None, "logged result does not match replay"
+        )
+    if count_buttons(hist1, hist2) != log.button_counts:
+        return ReplayVerdict(
+            False, "result_forgery", None, "logged button_counts do not match replay"
         )
     return ReplayVerdict(True, "match")
 

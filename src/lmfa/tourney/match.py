@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from lmfa.actions import resolve
 from lmfa.agents.gateway import act
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
-from lmfa.agents.specs import AgentKind, AgentSpec, Decision
+from lmfa.agents.specs import AgentKind, AgentSpec
 from lmfa.config import ConfigError, MatchConfig, config_from_dict, config_to_dict
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, encode_chord
 from lmfa.engine.core import new_match, step
@@ -58,28 +58,23 @@ BUTTON_NAMES = {
 
 
 @dataclass(frozen=True)
-class DecisionRecord:
-    player: Player
-    decision_index: int
-    decision: Decision
-    plan: Tuple[int, ...]  # chord mask per frame, from resolve
+class MatchLog:
+    """One match log: ``run_match`` returns it, ``write_log`` stores it and
+    ``read_log`` returns it again.
 
-
-@dataclass(frozen=True)
-class LogRecord:
-    """The fields of a match log that replay and reports read.
-
-    ``log_from_dict`` builds one from an archived document after checking
-    every field's type; ``MatchLog`` extends it with what only the runner
-    knows, so consumers take either.
+    Each decision entry is the dict the log stores: ``player``,
+    ``decision_index``, ``agent_id``, ``frame``, ``raw_reply``, ``command``
+    (normalized), ``latency_ms``, ``failure`` (a ``FailureKind`` value or
+    None) and ``plan`` (the encoded chord per frame, from ``resolve``).
     """
 
     config: MatchConfig
     p1_id: str
     p2_id: str
-    seed: int
     pair_index: int
     repeat_index: int
+    prompt_version: str
+    decisions: Sequence[dict]
     input_trace: Sequence[Sequence[str]]  # encoded chords per frame
     state_digests: Sequence[str]  # chain values d_0 .. d_F
     result: RoundOutcome
@@ -89,18 +84,12 @@ class LogRecord:
         return self.p1_id if player is Player.P1 else self.p2_id
 
 
-@dataclass(frozen=True)
-class MatchLog(LogRecord):
-    prompt_version: str
-    decisions: Tuple[DecisionRecord, ...]
-
-
-def initial_digest(config: MatchConfig, seed: int, initial: GameState) -> str:
+def initial_digest(config: MatchConfig, initial: GameState) -> str:
     header = "|".join(
         (
             LOG_SCHEMA,
             json.dumps(config_to_dict(config), sort_keys=True),
-            str(seed),
+            str(config.seed),
             trace_line(initial),
         )
     )
@@ -111,12 +100,16 @@ def chain_digest(prev: str, enc1: str, enc2: str, line: str) -> str:
     return hashlib.sha256(f"{prev}|{enc1}|{enc2}|{line}".encode()).hexdigest()
 
 
-def _expand_histogram(histogram: List[int]) -> Dict[str, int]:
-    """Held-frame count per button from a frame count per chord mask."""
+def count_buttons(hist1: List[int], hist2: List[int]) -> Dict[str, Dict[str, int]]:
+    """Held-frame count per side and button from each side's frame count
+    per chord mask."""
     counts = {}
-    for b, name in BUTTON_NAMES.items():
-        bit = BIT[b]
-        counts[name] = sum(n for mask, n in enumerate(histogram) if mask & bit)
+    for side, histogram in (("P1", hist1), ("P2", hist2)):
+        held = [(mask, n) for mask, n in enumerate(histogram) if n]
+        counts[side] = per_button = {}
+        for b, name in BUTTON_NAMES.items():
+            bit = BIT[b]  # an enum-keyed lookup, kept out of the sum
+            per_button[name] = sum(n for mask, n in held if mask & bit)
     return counts
 
 
@@ -131,7 +124,6 @@ def run_match(
     p1 = p1.validated()
     p2 = p2.validated()
     config = config.validated()
-    seed = config.seed
 
     state = new_match(config)
     prompt = build_system_prompt(config)
@@ -157,12 +149,12 @@ def run_match(
     )
 
     feed1 = feed2 = iter(())  # each plan's remaining masks
-    decisions: List[DecisionRecord] = []
-    input_trace: List[Tuple[str, str]] = []
+    decisions: List[dict] = []
+    input_trace: List[List[str]] = []
     # P1's and P2's last ACTION_SLOTS commands, oldest first
     last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
     hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
-    digests = [initial_digest(config, seed, state)]
+    digests = [initial_digest(config, state)]
     tick = 0
 
     helper_pool = ThreadPoolExecutor(1, "lmfa-p2") if side_by_side else nullcontext()
@@ -200,7 +192,19 @@ def run_match(
                 feeds = []
                 for player, decision in zip((Player.P1, Player.P2), chosen):
                     plan = resolve(decision.command, state.fighter(player).facing)
-                    decisions.append(DecisionRecord(player, tick, decision, plan))
+                    decisions.append(
+                        {
+                            "player": player.value,
+                            "decision_index": tick,
+                            "agent_id": specs[player].id,
+                            "frame": frame,
+                            "raw_reply": decision.raw_reply,
+                            "command": decision.command.normalized,
+                            "latency_ms": decision.latency_ms,
+                            "failure": decision.failure.value if decision.failure else None,
+                            "plan": [encode_chord(m) for m in plan],
+                        }
+                    )
                     feeds.append(iter(plan))
                 feed1, feed2 = feeds
                 last_actions = tuple(
@@ -211,7 +215,7 @@ def run_match(
 
             m1, m2 = next(feed1, EMPTY_CHORD), next(feed2, EMPTY_CHORD)
             enc1, enc2 = ENCODE[m1], ENCODE[m2]
-            input_trace.append((enc1, enc2))
+            input_trace.append([enc1, enc2])
             hist1[m1] += 1
             hist2[m2] += 1
 
@@ -222,18 +226,14 @@ def run_match(
         config=config,
         p1_id=p1.id,
         p2_id=p2.id,
-        seed=seed,
         pair_index=pair_index,
         repeat_index=repeat_index,
         prompt_version=PROMPT_VERSION,
-        decisions=tuple(decisions),
-        input_trace=tuple(input_trace),
-        state_digests=tuple(digests),
+        decisions=decisions,
+        input_trace=input_trace,
+        state_digests=digests,
         result=state.round_over,
-        button_counts={
-            "P1": _expand_histogram(hist1),
-            "P2": _expand_histogram(hist2),
-        },
+        button_counts=count_buttons(hist1, hist2),
     )
 
 
@@ -260,35 +260,22 @@ def outcome_from_dict(data: dict) -> RoundOutcome:
     )
 
 
-def _decision_to_dict(log: MatchLog, record: DecisionRecord) -> dict:
-    d = record.decision
-    return {
-        "player": record.player.value,
-        "decision_index": record.decision_index,
-        "agent_id": log.agent_id(record.player),
-        "frame": record.decision_index * log.config.decision_interval_frames,
-        "raw_reply": d.raw_reply,
-        "command": d.command.normalized,
-        "latency_ms": d.latency_ms,
-        "failure": d.failure.value if d.failure else None,
-        "plan": [encode_chord(m) for m in record.plan],
-    }
-
-
 def log_to_dict(log: MatchLog) -> dict:
+    """The log document; its sequences are the log's own, not copies
+    (``json.dumps`` writes a tuple as a list)."""
     return {
         "schema": LOG_SCHEMA,
         "config": config_to_dict(log.config),
         "p1": log.p1_id,
         "p2": log.p2_id,
-        "seed": log.seed,
+        "seed": log.config.seed,
         "pair_index": log.pair_index,
         "repeat_index": log.repeat_index,
         "prompt_version": log.prompt_version,
         "result": outcome_to_dict(log.result),
-        "decisions": [_decision_to_dict(log, r) for r in log.decisions],
-        "input_trace": [[a, b] for a, b in log.input_trace],
-        "state_digests": list(log.state_digests),
+        "decisions": log.decisions,
+        "input_trace": log.input_trace,
+        "state_digests": log.state_digests,
         "button_counts": log.button_counts,
     }
 
@@ -309,6 +296,7 @@ _LOG_KEYS = {
     "seed": int,
     "pair_index": int,
     "repeat_index": int,
+    "prompt_version": str,
     "result": dict,
     "decisions": list,
     "input_trace": list,
@@ -336,13 +324,17 @@ def _require(ok: bool, field: str, what: str) -> None:
         raise MalformedLogError(f"log field {field!r} is not {what}")
 
 
-def log_from_dict(data: dict) -> LogRecord:
+def log_from_dict(data: dict) -> MatchLog:
     """Check the schema version and the type of every field that replay and
-    reports read, and return them as a record.
+    reports read, and return the log. For a document that ``write_log``
+    wrote, ``log_to_dict`` of the result gives it back, so rewriting a log
+    reproduces its bytes.
 
-    The agent ids are outside the digest chain, so every decision must
-    name its side's agent: a log whose ``p1`` and ``p2`` were swapped is
-    malformed, not a replayable win for the other side.
+    The seed is stored once more at the top level, and must equal
+    ``config.seed``. The agent ids are outside the digest chain, so every
+    decision must name its side's agent: a log whose ``p1`` and ``p2`` were
+    swapped is malformed, not a replayable win for the other side. The
+    decision entries are otherwise returned as written.
 
     The rows of ``input_trace`` stay unchecked: replay reports a bad row as
     a divergence at the frame it would have produced.
@@ -408,13 +400,15 @@ def log_from_dict(data: dict) -> LogRecord:
         config = config_from_dict(data["config"])
     except ConfigError as exc:
         raise MalformedLogError(f"log field 'config': {exc}") from None
-    return LogRecord(
+    _require(data["seed"] == config.seed, "seed", f"config.seed, {config.seed}")
+    return MatchLog(
         config=config,
         p1_id=data["p1"],
         p2_id=data["p2"],
-        seed=data["seed"],
         pair_index=data["pair_index"],
         repeat_index=data["repeat_index"],
+        prompt_version=data["prompt_version"],
+        decisions=data["decisions"],
         input_trace=data["input_trace"],
         state_digests=data["state_digests"],
         result=outcome_from_dict(result),
@@ -428,7 +422,7 @@ def write_log(log: MatchLog, path: Union[str, Path]) -> None:
     )
 
 
-def read_log(path: Union[str, Path]) -> LogRecord:
+def read_log(path: Union[str, Path]) -> MatchLog:
     return log_from_dict(json.loads(Path(path).read_text()))
 
 

@@ -3,7 +3,7 @@
 Every unordered pair plays once (or ``matches_per_pair`` times); the side
 assignment alternates deterministically with the pair index and repeat
 index so neither agent systematically starts as P1. Per-match seeds are
-``base_seed + pair_index * 1000 + repeat_index``. Aggregation walks the
+``config.seed + pair_index * 1000 + repeat_index``. Aggregation walks the
 schedule once, whatever order the logs come in, so parallel execution
 cannot change any report byte, and it refuses logs that are not exactly
 one schedule.
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
 from lmfa.engine.state import Player, RoundOutcome, Winner
-from lmfa.tourney.match import BUTTON_NAMES, LogRecord, MatchLog, run_match
+from lmfa.tourney.match import BUTTON_NAMES, MatchLog, run_match
 
 
 class ReportIntegrityError(ValueError):
@@ -93,14 +93,14 @@ def match_seed(base_seed: int, pair_index: int, repeat_index: int) -> int:
     return base_seed + pair_index * 1000 + repeat_index
 
 
-def _wins_for(log: LogRecord, agent_id: str) -> bool:
+def _wins_for(log: MatchLog, agent_id: str) -> bool:
     winner = log.result.winner
     if winner is Winner.DRAW:
         return False
     return log.agent_id(Player.P1 if winner is Winner.P1 else Player.P2) == agent_id
 
 
-def _aggregate_cell(row: str, col: str, logs: Sequence[LogRecord]) -> PairCell:
+def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> PairCell:
     row_wins = sum(_wins_for(log, row) for log in logs)
     col_wins = sum(_wins_for(log, col) for log in logs)
     draws = len(logs) - row_wins - col_wins
@@ -121,11 +121,11 @@ def _aggregate_cell(row: str, col: str, logs: Sequence[LogRecord]) -> PairCell:
     return PairCell(row, col, row_wins, col_wins, draws, winner, winner_health)
 
 
-def _where(log: LogRecord) -> str:
+def _where(log: MatchLog) -> str:
     return f"log {log.p1_id} vs {log.p2_id} (pair {log.pair_index}, repeat {log.repeat_index})"
 
 
-def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult:
+def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> TournamentResult:
     """Fold the logs of one round-robin over ``ids`` in schedule order.
 
     Raises ReportIntegrityError unless the logs are exactly
@@ -136,7 +136,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
     ``base_seed + pair_index * 1000 + repeat_index`` for one base seed.
     """
     ids = list(ids)
-    by_key: Dict[Tuple[int, int], LogRecord] = {}
+    by_key: Dict[Tuple[int, int], MatchLog] = {}
     first = config_to_dict(logs[0].config) if logs else {}
     for log in logs:
         if (log.pair_index, log.repeat_index) in by_key:
@@ -153,7 +153,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
     stats = {aid: {"wins": 0, "draws": 0, "losses": 0, "matches": 0, "hsum": 0} for aid in ids}
     counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
     cells: List[PairCell] = []
-    pair_logs: List[LogRecord] = []
+    pair_logs: List[MatchLog] = []
     missing = []
     base_seed: Optional[int] = None
     for entry in pair_schedule(ids, repeats):
@@ -165,14 +165,14 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
             raise ReportIntegrityError(
                 f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
             )
-        elif base_seed is not None and log.seed != match_seed(base_seed, *key):
+        elif base_seed is not None and log.config.seed != match_seed(base_seed, *key):
             raise ReportIntegrityError(
-                f"{_where(log)} has seed {log.seed}, not {match_seed(base_seed, *key)}"
+                f"{_where(log)} has seed {log.config.seed}, not {match_seed(base_seed, *key)}"
                 f" (base seed {base_seed})"
             )
         else:
             if base_seed is None:
-                base_seed = log.seed - match_seed(0, *key)
+                base_seed = log.config.seed - match_seed(0, *key)
             pair_logs.append(log)
             for player in (Player.P1, Player.P2):
                 aid = log.agent_id(player)
@@ -216,7 +216,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[LogRecord]) -> TournamentResult
     )
 
 
-def reconstruct_agent_order(logs: Sequence[LogRecord]) -> List[str]:
+def reconstruct_agent_order(logs: Sequence[MatchLog]) -> List[str]:
     """Recover the original agent ordering from archived logs.
 
     Pair 0 repeat 0 is never flipped and each later pair of the first row
@@ -232,7 +232,7 @@ def reconstruct_agent_order(logs: Sequence[LogRecord]) -> List[str]:
     return order
 
 
-def result_from_logs(logs: Sequence[LogRecord]) -> TournamentResult:
+def result_from_logs(logs: Sequence[MatchLog]) -> TournamentResult:
     """Rebuild the aggregate result from logs alone (no re-simulation)."""
     return aggregate(reconstruct_agent_order(logs), logs)
 
@@ -240,7 +240,6 @@ def result_from_logs(logs: Sequence[LogRecord]) -> TournamentResult:
 def run_round_robin(
     agents: Sequence[AgentSpec],
     config: MatchConfig,
-    base_seed: Optional[int] = None,
     matches_per_pair: int = 1,
     parallel: int = 1,
 ) -> Tuple[TournamentResult, List[MatchLog]]:
@@ -250,7 +249,6 @@ def run_round_robin(
     require_unique_ids(agents)
     if matches_per_pair < 1:
         raise AgentSetupError("matches_per_pair must be >= 1")
-    seed0 = config.seed if base_seed is None else base_seed
     by_id = {a.id: a for a in agents}
     schedule = pair_schedule([a.id for a in agents], matches_per_pair)
 
@@ -258,7 +256,7 @@ def run_round_robin(
         return run_match(
             by_id[entry["p1"]],
             by_id[entry["p2"]],
-            with_seed(config, match_seed(seed0, entry["pair_index"], entry["repeat_index"])),
+            with_seed(config, match_seed(config.seed, entry["pair_index"], entry["repeat_index"])),
             pair_index=entry["pair_index"],
             repeat_index=entry["repeat_index"],
         )

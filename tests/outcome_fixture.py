@@ -67,7 +67,7 @@ def fixture_log(
     health = round(health_fraction * 1000)
     return {
         "schema": LOG_SCHEMA,
-        "config": config_to_dict(MatchConfig()),
+        "config": config_to_dict(MatchConfig(seed=pair_index * 1000)),
         "p1": p1,
         "p2": p2,
         "seed": pair_index * 1000,

@@ -137,7 +137,7 @@ def test_criterion_03_rushdown_beats_idle_exactly():
     assert log.result.winner_health_fraction == 1.000
     # the analytic bound holds frame by frame: no idle decision ever attacks
     idle_commands = {
-        r.decision.command.normalized for r in log.decisions if r.player.value == "P2"
+        r["command"] for r in log.decisions if r["player"] == "P2"
     }
     assert idle_commands == {"C"}
     print("\nACCEPTANCE 3 PASS rushdown vs idle knockout at 1.000")
@@ -274,9 +274,9 @@ def test_criterion_08_gateway_timeout_contract():
         cfg = MatchConfig(seed=2, match_length_frames=120, decision_interval_frames=40)
         log = run_match(spec, bot("idle", BotPolicy.IDLE), cfg)
         assert log.result is not None
-        p1 = [r for r in log.decisions if r.player.value == "P1"]
-        assert all(r.decision.failure is FailureKind.TIMEOUT for r in p1)
-        assert all(r.decision.command.normalized == "C" for r in p1)
+        p1 = [r for r in log.decisions if r["player"] == "P1"]
+        assert all(r["failure"] == FailureKind.TIMEOUT.value for r in p1)
+        assert all(r["command"] == "C" for r in p1)
     print(f"\nACCEPTANCE 8 PASS gateway timeout contract ({stall_ms:.0f}ms stall)")
 
 

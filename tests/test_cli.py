@@ -185,6 +185,39 @@ class TestReplay:
         assert main(["replay", str(path)]) == EXIT_DIVERGENCE
         assert "FRAME=26" in capsys.readouterr().out
 
+    def test_divergence_reason_goes_to_stderr(self, tmp_path, capsys):
+        path = self.run_one(tmp_path)
+        data = json.loads(path.read_text())
+        held = decode_chord(data["input_trace"][25][0])
+        data["input_trace"][25][0] = encode_chord(held ^ BIT[Button.B])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == "REPLAY=divergence FRAME=26\n"
+        assert captured.err == "replay: digest chain diverges at frame 26\n"
+
+    def test_forged_button_counts_exit_4(self, tmp_path, capsys):
+        path = self.run_one(tmp_path)
+        data = json.loads(path.read_text())
+        data["button_counts"]["P1"]["A"] += 1000
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == "REPLAY=result_forgery\n"
+        assert captured.err == "replay: logged button_counts do not match replay\n"
+
+    def test_seed_other_than_config_seed_exit_2(self, tmp_path, capsys):
+        path = self.run_one(tmp_path)
+        data = json.loads(path.read_text())
+        data["seed"] += 1
+        path.write_text(json.dumps(data))
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unreadable match log")
+        assert "'seed' is not config.seed, 42" in err
+
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
@@ -230,6 +263,7 @@ class TestReplay:
             (("state_digests",), 5, "'state_digests' is not a list"),
             (("input_trace",), 5, "'input_trace' is not a list"),
             (("seed",), "42", "'seed' is not an integer"),
+            (("prompt_version",), 1, "'prompt_version' is not a string"),
             (("config", "arena_width"), "400", "'arena_width' must be an integer"),
             (("config",), [], "'config' is not an object"),
             (("decisions",), {}, "'decisions' is not a list"),

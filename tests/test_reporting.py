@@ -218,6 +218,17 @@ class TestVerifyReplay:
         assert not verdict.ok
         assert verdict.kind == "result_forgery"
 
+    def test_forged_button_counts_are_flagged_as_forgery(self):
+        data = log_to_dict(self.make_log())
+        counts = data["button_counts"]
+        for side, button in (("P1", "A"), ("P2", "Start")):
+            forged = {**counts, side: {**counts[side], button: counts[side][button] + 1}}
+            verdict = verify_replay(log_from_dict({**data, "button_counts": forged}))
+            assert not verdict.ok
+            assert verdict.kind == "result_forgery"
+            assert verdict.detail == "logged button_counts do not match replay"
+        assert verify_replay(log_from_dict(data)).ok
+
     def test_malformed_trace_row_is_divergence(self):
         base = log_to_dict(self.make_log())
         for bad in (["C"], ["", "", ""], 7, ["A", 5]):

@@ -20,7 +20,7 @@ from lmfa.agents.specs import (
     Decision,
     FailureKind,
 )
-from lmfa.config import MatchConfig
+from lmfa.config import MatchConfig, with_seed
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
 from lmfa.engine.state import EndReason, Winner
 from lmfa.observe.describe import describe_state
@@ -71,8 +71,8 @@ class TestRunMatch:
         frames = log.result.frames_elapsed
         ticks = math.ceil(frames / cfg.decision_interval_frames)
         assert len(log.decisions) == 2 * ticks
-        per_player = [r for r in log.decisions if r.player.value == "P1"]
-        assert [r.decision_index for r in per_player] == list(range(ticks))
+        per_player = [r for r in log.decisions if r["player"] == "P1"]
+        assert [r["decision_index"] for r in per_player] == list(range(ticks))
 
     def test_match_is_bit_reproducible(self):
         cfg = MatchConfig(seed=11, match_length_frames=900)
@@ -121,11 +121,11 @@ class TestRunMatch:
             plan_records = [
                 r
                 for r in log.decisions
-                if r.player.value == "P1" and r.decision_index == tick_start // 8
+                if r["player"] == "P1" and r["decision_index"] == tick_start // 8
             ]
             if not plan_records:
                 continue
-            expected = plan_records[0].plan[:8]
+            expected = [decode_chord(enc) for enc in plan_records[0]["plan"][:8]]
             window = log.input_trace[tick_start : tick_start + 8]
             for offset, (enc1, _) in enumerate(window):
                 want = (
@@ -193,7 +193,7 @@ class TestSchedule:
 class TestRoundRobin:
     def test_four_bots_full_run(self):
         result, logs = run_round_robin(
-            [RUSH, ZONE, RAND, IDLE], MatchConfig(match_length_frames=1200), base_seed=42
+            [RUSH, ZONE, RAND, IDLE], with_seed(MatchConfig(match_length_frames=1200), 42)
         )
         assert len(logs) == 6
         assert len(result.cells) == 6
@@ -203,16 +203,16 @@ class TestRoundRobin:
 
     def test_two_runs_identical(self):
         cfg = MatchConfig(match_length_frames=900)
-        r1, logs1 = run_round_robin([RUSH, ZONE, RAND], cfg, base_seed=7)
-        r2, logs2 = run_round_robin([RUSH, ZONE, RAND], cfg, base_seed=7)
+        r1, logs1 = run_round_robin([RUSH, ZONE, RAND], with_seed(cfg, 7))
+        r2, logs2 = run_round_robin([RUSH, ZONE, RAND], with_seed(cfg, 7))
         assert result_to_dict(r1) == result_to_dict(r2)
         assert [log_to_dict(a) for a in logs1] == [log_to_dict(b) for b in logs2]
 
     def test_parallel_equals_serial(self):
         cfg = MatchConfig(match_length_frames=900)
-        serial, logs_s = run_round_robin([RUSH, ZONE, RAND, IDLE], cfg, base_seed=3)
+        serial, logs_s = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3))
         para, logs_p = run_round_robin(
-            [RUSH, ZONE, RAND, IDLE], cfg, base_seed=3, parallel=4
+            [RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3), parallel=4
         )
         assert result_to_dict(serial) == result_to_dict(para)
         assert [log_to_dict(a) for a in logs_s] == [log_to_dict(b) for b in logs_p]
@@ -226,14 +226,14 @@ class TestRoundRobin:
 
         monkeypatch.setattr(roundrobin_module, "run_match", recording)
         cfg = MatchConfig(match_length_frames=300)
-        _, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], cfg, base_seed=3, parallel=4)
+        _, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3), parallel=4)
         assert len(logs) == 6
         assert threads == [threading.get_ident()] * 6
 
     def test_seeds_follow_pair_and_repeat_indices(self):
         cfg = MatchConfig(match_length_frames=600)
-        _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), bot("idle3", BotPolicy.IDLE)], cfg, base_seed=100, matches_per_pair=2)
-        seeds = {(l.pair_index, l.repeat_index): l.seed for l in logs}
+        _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), bot("idle3", BotPolicy.IDLE)], with_seed(cfg, 100), matches_per_pair=2)
+        seeds = {(l.pair_index, l.repeat_index): l.config.seed for l in logs}
         assert seeds[(0, 0)] == 100
         assert seeds[(0, 1)] == 101
         assert seeds[(1, 0)] == 1100
@@ -249,7 +249,7 @@ class TestRoundRobin:
 
     def test_result_reconstruction_from_logs(self):
         cfg = MatchConfig(match_length_frames=900)
-        result, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], cfg, base_seed=13)
+        result, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 13))
         rebuilt = result_from_logs([log_from_dict(log_to_dict(l)) for l in logs])
         assert result_to_dict(rebuilt) == result_to_dict(result)
 
@@ -294,15 +294,15 @@ class TestRemoteIntegration:
         cfg = MatchConfig(match_length_frames=120, decision_interval_frames=40)
         remote = AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:1/")
         idle2 = bot("idle2", BotPolicy.IDLE)
-        _, logs = run_round_robin([IDLE, idle2, remote], cfg, base_seed=2)
+        _, logs = run_round_robin([IDLE, idle2, remote], with_seed(cfg, 2))
         assert len(logs) == 3
         assert all(log.result is not None for log in logs)
         remote_decisions = [
-            r.decision for log in logs for r in log.decisions if log.agent_id(r.player) == "r"
+            r for log in logs for r in log.decisions if r["agent_id"] == "r"
         ]
         assert len(remote_decisions) == 2 * 3
-        assert {d.failure for d in remote_decisions} == {FailureKind.TRANSPORT}
-        assert {d.command.normalized for d in remote_decisions} == {"C"}
+        assert {d["failure"] for d in remote_decisions} == {FailureKind.TRANSPORT.value}
+        assert {d["command"] for d in remote_decisions} == {"C"}
 
     def test_distinct_endpoints_queried_side_by_side(self, monkeypatch):
         # each tick's two act calls must meet at the barrier: serial calls
@@ -320,7 +320,7 @@ class TestRemoteIntegration:
         r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:1/")
         r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:2/")
         log = run_match(r1, r2, cfg)
-        assert [r.player.value for r in log.decisions] == ["P1", "P2"] * 3
+        assert [r["player"] for r in log.decisions] == ["P1", "P2"] * 3
         assert threads["P1"] == {threading.get_ident()}
         assert len(threads["P2"]) == 1 and threads["P2"] != threads["P1"]
 
@@ -339,7 +339,7 @@ class TestRemoteIntegration:
             r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint=s1.url)
             r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint=s2.url, wire_format="chat")
             agents = [RUSH, r1, IDLE, r2]
-            serial, logs_s = run_round_robin(agents, cfg, base_seed=5)
+            serial, logs_s = run_round_robin(agents, with_seed(cfg, 5))
 
             # the first two remote entries must meet at the barrier: run one
             # after the other, the first would break it after its timeout
@@ -355,7 +355,7 @@ class TestRemoteIntegration:
                 return run_match(p1, p2, config, pair_index, repeat_index)
 
             monkeypatch.setattr(roundrobin_module, "run_match", meeting)
-            para, logs_p = run_round_robin(agents, cfg, base_seed=5, parallel=2)
+            para, logs_p = run_round_robin(agents, with_seed(cfg, 5), parallel=2)
         assert len(remote) == 5
         here = threading.get_ident()
         assert {key for key, ident in threads.items() if ident == here} == {(1, 0)}
@@ -368,7 +368,7 @@ class TestRemoteIntegration:
             r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint=server.url)
             r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint=server.url)
             log = run_match(r1, r2, cfg)
-        replies = [(r.player.value, r.decision.raw_reply) for r in log.decisions]
+        replies = [(r["player"], r["raw_reply"]) for r in log.decisions]
         assert replies == [("P1", "A"), ("P2", "B")] * 5
 
     def test_side_by_side_logs_repeat(self):
@@ -425,11 +425,10 @@ class TestRemoteIntegration:
             _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), remote], cfg)
         assert len(logs) == 3
         remote_decisions = [
-            r.decision for log in logs for r in log.decisions
-            if log.agent_id(r.player) == "remote-d"
+            r for log in logs for r in log.decisions if r["agent_id"] == "remote-d"
         ]
         assert len(remote_decisions) == 6
-        assert {d.failure for d in remote_decisions} == {FailureKind.PARSE_ERROR}
+        assert {d["failure"] for d in remote_decisions} == {FailureKind.PARSE_ERROR.value}
 
     def test_remote_failures_never_abort_the_match(self):
         cfg = MatchConfig(seed=4, match_length_frames=120, decision_interval_frames=40)
@@ -444,6 +443,6 @@ class TestRemoteIntegration:
             )
             log = run_match(remote, IDLE, cfg)
         assert log.result.end_reason is EndReason.TIMEOUT
-        p1_decisions = [r for r in log.decisions if r.player.value == "P1"]
-        assert all(r.decision.failure is not None for r in p1_decisions)
-        assert all(r.decision.command.normalized == "C" for r in p1_decisions)
+        p1_decisions = [r for r in log.decisions if r["player"] == "P1"]
+        assert all(r["failure"] is not None for r in p1_decisions)
+        assert all(r["command"] == "C" for r in p1_decisions)
