@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
 from lmfa.actions import Command
+from lmfa.config import check_fields, load_document
 
 
 class AgentSetupError(ValueError):
@@ -54,11 +54,9 @@ class AgentSpec:
     max_retries: int = 1
     wire_format: str = "lmfa"
 
-    def validated(self) -> "AgentSpec":
+    def __post_init__(self) -> None:
         if not self.id or not _ID_RE.match(self.id):
-            raise AgentSetupError(
-                f"agent id {self.id!r} must match [A-Za-z0-9_.-]+"
-            )
+            raise AgentSetupError(f"agent id {self.id!r} must match [A-Za-z0-9_.-]+")
         if self.timeout_ms < 1:
             raise AgentSetupError(f"agent {self.id}: timeout_ms must be >= 1")
         if self.max_retries < 0:
@@ -67,17 +65,12 @@ class AgentSpec:
             if not self.endpoint:
                 raise AgentSetupError(f"agent {self.id}: remote agent needs endpoint")
             if self.wire_format not in WIRE_FORMATS:
-                raise AgentSetupError(
-                    f"agent {self.id}: unknown wire_format {self.wire_format!r}"
-                )
+                raise AgentSetupError(f"agent {self.id}: unknown wire_format {self.wire_format!r}")
         else:
             if self.bot_policy is None:
                 raise AgentSetupError(f"agent {self.id}: scripted agent needs policy")
             if self.bot_policy is BotPolicy.FIXED_SCRIPT and not self.script_path:
-                raise AgentSetupError(
-                    f"agent {self.id}: fixed_script policy needs script_path"
-                )
-        return self
+                raise AgentSetupError(f"agent {self.id}: fixed_script policy needs script_path")
 
 
 @dataclass(frozen=True)
@@ -90,61 +83,41 @@ class Decision:
     failure: Optional[FailureKind] = None
 
 
-_TEXT_KEYS = {"id", "kind", "endpoint", "model_name", "policy", "script_path", "wire_format"}
-_INT_KEYS = {"seed", "timeout_ms", "max_retries"}
+# an agents-file entry; every key but id and kind may be left out
+_ENTRY_KINDS = {
+    "id": str,
+    "kind": tuple(k.value for k in AgentKind),
+    "endpoint": str,
+    "model_name": str,
+    "policy": tuple(p.value for p in BotPolicy),
+    "seed": int,
+    "script_path": str,
+    "timeout_ms": int,
+    "max_retries": int,
+    "wire_format": str,
+}
 
 
-def _spec_from_dict(raw: object, source: str) -> AgentSpec:
-    if not isinstance(raw, dict):
-        raise AgentSetupError(f"agent entry {raw!r} in {source} is not an object")
-    unknown = set(raw) - _TEXT_KEYS - _INT_KEYS
-    if unknown:
-        raise AgentSetupError(f"unknown agent keys {sorted(unknown)} in {source}")
-    name = raw.get("id")
-    for key, value in raw.items():
-        if key in _INT_KEYS and type(value) is not int:  # rejects bool
-            raise AgentSetupError(f"agent {name!r}: {key} must be an integer, not {value!r}")
-        if key in _TEXT_KEYS and not isinstance(value, str):
-            raise AgentSetupError(f"agent {name!r}: {key} must be a string, not {value!r}")
-    if "id" not in raw:
-        raise AgentSetupError(f"agent entry without an id in {source}")
-    kwargs = dict(raw)
-    try:
-        kwargs["kind"] = AgentKind(raw.get("kind"))
-    except ValueError:
-        raise AgentSetupError(
-            f"agent {name!r}: kind must be one of {[k.value for k in AgentKind]}"
-        ) from None
+def _spec_from_dict(raw: dict, where: str) -> AgentSpec:
+    present = raw if type(raw) is dict else {}
+    kinds = {k: kind for k, kind in _ENTRY_KINDS.items() if k in present or k in ("id", "kind")}
+    check_fields(raw, kinds, AgentSetupError, where)
+    kwargs = dict(raw, kind=AgentKind(raw["kind"]))
     if "policy" in kwargs:
-        try:
-            kwargs["bot_policy"] = BotPolicy(kwargs.pop("policy"))
-        except ValueError:
-            raise AgentSetupError(
-                f"agent {name!r}: unknown policy {raw['policy']!r}"
-            ) from None
-    return AgentSpec(**kwargs).validated()
+        kwargs["bot_policy"] = BotPolicy(kwargs.pop("policy"))
+    return AgentSpec(**kwargs)
+
+
+def _specs_from_dict(data: dict) -> List[AgentSpec]:
+    check_fields(data, {"lmfa_agents": (1,), "agents": list}, AgentSetupError, "")
+    specs = [_spec_from_dict(raw, f"agents[{i}].") for i, raw in enumerate(data["agents"])]
+    require_unique_ids(specs)
+    return specs
 
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
     """Read the versioned agents file: {"lmfa_agents": 1, "agents": [...]}."""
-    p = Path(path)
-    if not p.is_file():
-        raise AgentSetupError(f"agents file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise AgentSetupError(f"agents file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("lmfa_agents") != 1:
-        raise AgentSetupError(f'agents file {p} must carry "lmfa_agents": 1')
-    unknown = set(data) - {"lmfa_agents", "agents"}
-    if unknown:
-        raise AgentSetupError(f"unknown top-level keys {sorted(unknown)} in {p}")
-    entries = data.get("agents", [])
-    if not isinstance(entries, list):
-        raise AgentSetupError(f'"agents" in {p} must be a list of agent objects')
-    specs = [_spec_from_dict(raw, str(p)) for raw in entries]
-    require_unique_ids(specs)
-    return specs
+    return load_document(path, "agents", _specs_from_dict, AgentSetupError)
 
 
 def require_unique_ids(specs: List[AgentSpec]) -> None:

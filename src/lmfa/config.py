@@ -1,4 +1,5 @@
-"""Match configuration and the versioned JSON config file format.
+"""Match configuration, the versioned JSON config file format, and the
+field checker that every document lmfa reads goes through.
 
 Config files carry a ``"lmfa_config": 1`` schema key; unknown keys are
 hard errors so typos cannot silently fall back to defaults.
@@ -8,12 +9,58 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Union
+from typing import Callable, Sequence, Type, Union
 
 
 class ConfigError(ValueError):
     """Invalid configuration; names the offending field or file."""
+
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def check_fields(doc, kinds: dict, error: Type[Exception], where: str) -> None:
+    """Raise ``error`` unless ``doc`` is an object that holds exactly the
+    keys of ``kinds``, each with a value of its kind. A kind is a type,
+    matched exactly, so ``int`` refuses ``bool``; or a tuple of the allowed
+    values, matched by type as well as value, so ``True`` is not ``1``.
+    ``where`` is the path of ``doc`` in its document, ending in a dot (empty
+    for the whole document); messages name each field by its full path."""
+    if type(doc) is not dict:
+        raise error(f"field '{where[:-1]}' is not an object" if where else "not an object")
+    missing = [where + key for key in kinds if key not in doc]
+    if missing:
+        raise error(f"lacks field(s): {', '.join(missing)}")
+    unknown = [where + key for key in doc if key not in kinds]
+    if unknown:
+        raise error(f"unknown field(s): {', '.join(unknown)}")
+    for key, kind in kinds.items():
+        value = doc[key]
+        if type(kind) is tuple:
+            if not any(type(value) is type(v) and value == v for v in kind):
+                raise error(f"field '{where}{key}' is not {' or '.join(map(repr, kind))}")
+        elif type(value) is not kind:
+            raise error(f"field '{where}{key}' is not {_KIND_NAMES[kind]}")
+
+
+def fields_hold(docs: Sequence, kinds: dict) -> bool:
+    """Whether ``check_fields`` passes every one of ``docs``, tested one
+    field at a time across all of them, which is faster for long lists."""
+    try:
+        if not set(map(len, docs)) <= {len(kinds)}:
+            return False
+        for key, kind in kinds.items():
+            column = list(map(itemgetter(key), docs))
+            if type(kind) is tuple:
+                if not set(zip(map(type, column), column)) <= {(type(v), v) for v in kind}:
+                    return False
+            elif not set(map(type, column)) <= {kind}:
+                return False
+    except (KeyError, TypeError):  # a missing key, a non-object, an unhashable value
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -25,7 +72,7 @@ class MatchConfig:
     best_of: int = 1
     seed: int = 0
 
-    def validated(self) -> "MatchConfig":
+    def __post_init__(self) -> None:
         if self.arena_width <= 0:
             raise ConfigError("arena_width must be > 0")
         if self.arena_width % 2 != 0:
@@ -38,47 +85,40 @@ class MatchConfig:
             raise ConfigError("decision_interval_frames must be >= 1")
         if self.best_of != 1:
             raise ConfigError("best_of values other than 1 are not supported")
-        return self
 
 
-_CONFIG_FIELDS = {f.name for f in fields(MatchConfig)}
+# a config document as config_to_dict writes it
+CONFIG_KINDS = {"lmfa_config": (1,), **{f.name: int for f in fields(MatchConfig)}}
+
+
+def load_document(path: Union[str, Path], name: str, parse: Callable, error: Type[Exception]):
+    """``parse`` of the JSON file at ``path``; each error names the file."""
+    p = Path(path)
+    if not p.is_file():
+        raise error(f"{name} file not found: {p}")
+    try:
+        return parse(json.loads(p.read_text()))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        raise error(f"{name} file {p} is not valid JSON: {exc}") from exc
+    except error as exc:
+        raise error(f"{name} file {p}: {exc}") from None
 
 
 def load_config_file(path: Union[str, Path]) -> MatchConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    try:
-        return config_from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"config file {p}: {exc}") from None
+    return load_document(path, "config", config_from_dict, ConfigError)
 
 
 def config_to_dict(cfg: MatchConfig) -> dict:
-    out = {"lmfa_config": 1}
-    out.update({f.name: getattr(cfg, f.name) for f in fields(MatchConfig)})
-    return out
+    return {"lmfa_config": 1, **vars(cfg)}
 
 
 def config_from_dict(data: dict) -> MatchConfig:
-    """A validated config from a config document, as a file or a match log
-    carries it; unknown keys and non-integer values are errors."""
-    if not isinstance(data, dict) or data.get("lmfa_config") != 1:
-        raise ConfigError('a config must be an object carrying "lmfa_config": 1')
-    kwargs = {}
-    for key, value in data.items():
-        if key == "lmfa_config":
-            continue
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if type(value) is not int:  # rejects bool
-            raise ConfigError(f"config key {key!r} must be an integer")
-        kwargs[key] = value
-    return MatchConfig(**kwargs).validated()
+    """The config that a config document describes; a key it leaves out
+    keeps its default."""
+    present = data if type(data) is dict else {}
+    kinds = {k: kind for k, kind in CONFIG_KINDS.items() if k in present or k == "lmfa_config"}
+    check_fields(data, kinds, ConfigError, "")
+    return MatchConfig(**{k: v for k, v in data.items() if k != "lmfa_config"})
 
 
 def with_seed(cfg: MatchConfig, seed: int) -> MatchConfig:

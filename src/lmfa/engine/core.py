@@ -98,7 +98,6 @@ class RoundOverError(EngineError):
 
 def new_match(config: MatchConfig) -> GameState:
     """Symmetric initial state: full health, mirrored positions, timer set."""
-    config = config.validated()
     half = config.arena_width // 2
     p1 = FighterState(
         health=HEALTH_MAX,

@@ -21,8 +21,16 @@ from typing import Dict, List, Sequence, Tuple, Union
 from lmfa.actions import resolve
 from lmfa.agents.gateway import act
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
-from lmfa.agents.specs import AgentKind, AgentSpec
-from lmfa.config import ConfigError, MatchConfig, config_from_dict, config_to_dict
+from lmfa.agents.specs import AgentKind, AgentSpec, FailureKind
+from lmfa.config import (
+    CONFIG_KINDS,
+    ConfigError,
+    MatchConfig,
+    check_fields,
+    config_from_dict,
+    config_to_dict,
+    fields_hold,
+)
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, encode_chord
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import (
@@ -60,13 +68,9 @@ BUTTON_NAMES = {
 @dataclass(frozen=True)
 class MatchLog:
     """One match log: ``run_match`` returns it, ``write_log`` stores it and
-    ``read_log`` returns it again.
-
-    Each decision entry is the dict the log stores: ``player``,
-    ``decision_index``, ``agent_id``, ``frame``, ``raw_reply``, ``command``
-    (normalized), ``latency_ms``, ``failure`` (a ``FailureKind`` value or
-    None) and ``plan`` (the encoded chord per frame, from ``resolve``).
-    """
+    ``read_log`` returns it again. Each decision entry is the dict the log
+    stores, with the fields of ``_DECISION_KINDS``: ``command`` is normalized,
+    and ``plan`` holds the encoded chord per frame, from ``resolve``."""
 
     config: MatchConfig
     p1_id: str
@@ -121,10 +125,6 @@ def run_match(
     repeat_index: int = 0,
 ) -> MatchLog:
     """Run one full match and return its replayable log."""
-    p1 = p1.validated()
-    p2 = p2.validated()
-    config = config.validated()
-
     state = new_match(config)
     prompt = build_system_prompt(config)
     interval = config.decision_interval_frames
@@ -285,11 +285,12 @@ class UnsupportedSchemaError(ValueError):
 
 
 class MalformedLogError(ValueError):
-    """A log of the supported schema lacks a field its consumers read, or
-    holds one of the wrong type."""
+    """A log of the supported schema is not as ``write_log`` writes it: a
+    field is missing, unknown, of the wrong kind, or at odds with another."""
 
 
-_LOG_KEYS = {
+_LOG_KINDS = {
+    "schema": (LOG_SCHEMA,),
     "config": dict,
     "p1": str,
     "p2": str,
@@ -303,104 +304,81 @@ _LOG_KEYS = {
     "state_digests": list,
     "button_counts": dict,
 }
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
-_WINNER_VALUES = tuple(w.value for w in Winner)
-_END_REASON_VALUES = tuple(r.value for r in EndReason)
-_BUTTON_SET = frozenset(BUTTON_NAMES.values())
-
-
-def _is_int(value) -> bool:
-    return type(value) is int  # rejects bool
-
-
-def _require_keys(data: dict, keys, prefix: str = "") -> None:
-    missing = [prefix + key for key in keys if key not in data]
-    if missing:
-        raise MalformedLogError(f"log lacks field(s): {', '.join(missing)}")
-
-
-def _require(ok: bool, field: str, what: str) -> None:
-    if not ok:
-        raise MalformedLogError(f"log field {field!r} is not {what}")
+# a won round; a drawn one is checked against _DRAW_KINDS
+_RESULT_KINDS = {
+    "winner": tuple(w.value for w in Winner),
+    "winner_health": int,
+    "winner_health_fraction": str,
+    "end_reason": tuple(r.value for r in EndReason),
+    "frames_elapsed": int,
+}
+_DRAW_KINDS = {**_RESULT_KINDS, "winner_health": (None,), "winner_health_fraction": (None,)}
+_COUNT_KINDS = {name: int for name in BUTTON_NAMES.values()}
+# P1's and P2's entries alternate, each naming its own side's agent
+_DECISION_KINDS = {
+    "player": ("P1", "P2"),
+    "decision_index": int,
+    "agent_id": str,
+    "frame": int,
+    "raw_reply": str,
+    "command": str,
+    "latency_ms": int,
+    "failure": (None, *(f.value for f in FailureKind)),
+    "plan": list,
+}
 
 
 def log_from_dict(data: dict) -> MatchLog:
-    """Check the schema version and the type of every field that replay and
-    reports read, and return the log. For a document that ``write_log``
-    wrote, ``log_to_dict`` of the result gives it back, so rewriting a log
-    reproduces its bytes.
+    """Check that ``data`` holds what ``write_log`` writes, and return the
+    log; ``log_to_dict`` of the result gives ``data`` back, so rewriting a
+    log reproduces its bytes.
 
     The seed is stored once more at the top level, and must equal
-    ``config.seed``. The agent ids are outside the digest chain, so every
-    decision must name its side's agent: a log whose ``p1`` and ``p2`` were
-    swapped is malformed, not a replayable win for the other side. The
-    decision entries are otherwise returned as written.
+    ``config.seed``. ``result`` must read as ``outcome_to_dict`` writes it,
+    its ``winner_health_fraction`` included. The agent ids are outside the
+    digest chain, so every decision must name its side's agent, P1's and
+    P2's entries in turn: a log whose ``p1`` and ``p2`` were swapped is
+    malformed, not a replayable win for the other side.
 
-    The rows of ``input_trace`` stay unchecked: replay reports a bad row as
-    a divergence at the frame it would have produced.
+    The rows of ``input_trace`` and ``state_digests`` stay unchecked:
+    replay reports a bad one as a divergence at its frame.
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != LOG_SCHEMA:
         raise UnsupportedSchemaError(
             f"unsupported log schema {schema!r} (want {LOG_SCHEMA})"
         )
-    _require_keys(data, _LOG_KEYS)
-    for key, kind in _LOG_KEYS.items():
-        value = data[key]
-        _require(
-            _is_int(value) if kind is int else isinstance(value, kind),
-            key,
-            _KIND_NAMES[kind],
-        )
-    result = data["result"]
-    _require_keys(
-        result, ("winner", "winner_health", "end_reason", "frames_elapsed"), "result."
-    )
-    _require(
-        result["winner"] in _WINNER_VALUES,
-        "result.winner",
-        f"one of {', '.join(_WINNER_VALUES)}",
-    )
-    health = result["winner_health"]
-    _require(
-        health is None or _is_int(health), "result.winner_health", "an integer or null"
-    )
-    _require(
-        result["end_reason"] in _END_REASON_VALUES,
-        "result.end_reason",
-        f"one of {', '.join(_END_REASON_VALUES)}",
-    )
-    _require(_is_int(result["frames_elapsed"]), "result.frames_elapsed", "an integer")
-    counts = data["button_counts"]
-    _require_keys(counts, ("P1", "P2"), "button_counts.")
-    for side in ("P1", "P2"):
-        per_button = counts[side]
-        _require(
-            isinstance(per_button, dict)
-            and per_button.keys() <= _BUTTON_SET
-            and all(_is_int(n) for n in per_button.values()),
-            f"button_counts.{side}",
-            "an integer count per button name",
-        )
-    sides = (("P1", data["p1"]), ("P2", data["p2"]))
-    for i, entry in enumerate(data["decisions"]):
-        if isinstance(entry, dict) and (entry.get("player"), entry.get("agent_id")) in sides:
-            continue
-        field = f"decisions[{i}]"
-        _require(isinstance(entry, dict), field, "an object")
-        player = entry.get("player")
-        _require(player in ("P1", "P2"), f"{field}.player", "P1 or P2")
-        agent_id = dict(sides)[player]
-        _require(
-            entry.get("agent_id") == agent_id,
-            f"{field}.agent_id",
-            f"{agent_id!r}, the log's {player.lower()}",
-        )
+    check_fields(data, _LOG_KINDS, MalformedLogError, "")
+    check_fields(data["config"], CONFIG_KINDS, MalformedLogError, "config.")
     try:
         config = config_from_dict(data["config"])
     except ConfigError as exc:
-        raise MalformedLogError(f"log field 'config': {exc}") from None
-    _require(data["seed"] == config.seed, "seed", f"config.seed, {config.seed}")
+        raise MalformedLogError(f"field 'config': {exc}") from None
+    if data["seed"] != config.seed:
+        raise MalformedLogError(f"field 'seed' is not config.seed, {config.seed}")
+
+    result = data["result"]
+    kinds = _DRAW_KINDS if result.get("winner") == Winner.DRAW.value else _RESULT_KINDS
+    check_fields(result, kinds, MalformedLogError, "result.")
+    outcome = outcome_from_dict(result)
+    written = {key: (value,) for key, value in outcome_to_dict(outcome).items()}
+    check_fields(result, written, MalformedLogError, "result.")
+
+    counts = data["button_counts"]
+    check_fields(counts, {"P1": dict, "P2": dict}, MalformedLogError, "button_counts.")
+    for side in ("P1", "P2"):
+        check_fields(counts[side], _COUNT_KINDS, MalformedLogError, f"button_counts.{side}.")
+
+    decisions = data["decisions"]
+    sides = [
+        {**_DECISION_KINDS, "player": (player,), "agent_id": (agent_id,)}
+        for player, agent_id in (("P1", data["p1"]), ("P2", data["p2"]))
+    ]
+    # one pass per field; only a log that fails it is checked entry by entry
+    if not (fields_hold(decisions[0::2], sides[0]) and fields_hold(decisions[1::2], sides[1])):
+        for i, entry in enumerate(decisions):
+            check_fields(entry, sides[i % 2], MalformedLogError, f"decisions[{i}].")
+
     return MatchLog(
         config=config,
         p1_id=data["p1"],
@@ -408,10 +386,10 @@ def log_from_dict(data: dict) -> MatchLog:
         pair_index=data["pair_index"],
         repeat_index=data["repeat_index"],
         prompt_version=data["prompt_version"],
-        decisions=data["decisions"],
+        decisions=decisions,
         input_trace=data["input_trace"],
         state_digests=data["state_digests"],
-        result=outcome_from_dict(result),
+        result=outcome,
         button_counts=counts,
     )
 

@@ -243,12 +243,13 @@ def run_round_robin(
     matches_per_pair: int = 1,
     parallel: int = 1,
 ) -> Tuple[TournamentResult, List[MatchLog]]:
-    agents = [a.validated() for a in agents]
     if len(agents) < 2:
         raise AgentSetupError("a tournament needs at least 2 agents")
     require_unique_ids(agents)
     if matches_per_pair < 1:
         raise AgentSetupError("matches_per_pair must be >= 1")
+    if parallel < 1:
+        raise AgentSetupError("parallel must be >= 1")
     by_id = {a.id: a for a in agents}
     schedule = pair_schedule([a.id for a in agents], matches_per_pair)
 

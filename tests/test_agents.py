@@ -466,6 +466,39 @@ class TestAgentsFile:
 
     def test_bad_id_rejected(self):
         with pytest.raises(AgentSetupError):
-            AgentSpec(
-                id="has space", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE
-            ).validated()
+            AgentSpec(id="has space", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"lmfa_agents": True, "agents": []}, "'lmfa_agents' is not 1"),
+            ({"lmfa_agents": 1.0, "agents": []}, "'lmfa_agents' is not 1"),
+            ({"lmfa_agents": 1}, "lacks field(s): agents"),
+            (
+                {"lmfa_agents": 1, "agents": [{"id": "a", "kind": "scripted", "policy": "dance"}]},
+                "'agents[0].policy' is not 'idle' or 'random'",
+            ),
+            ({"lmfa_agents": 1, "agents": [{"id": "a", "policy": "idle"}]}, "lacks field(s): agents[0].kind"),
+        ],
+    )
+    def test_document_the_writer_never_writes_is_refused(self, tmp_path, doc, named):
+        path = tmp_path / "agents.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AgentSetupError) as caught:
+            load_agents_file(path)
+        assert named in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"timeout_ms": 0},
+            {"max_retries": -1},
+            {"id": ""},
+            {"kind": AgentKind.REMOTE},
+            {"bot_policy": BotPolicy.FIXED_SCRIPT},
+        ],
+    )
+    def test_an_invalid_spec_cannot_be_built(self, change):
+        spec = AgentSpec(id="a", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+        with pytest.raises(AgentSetupError):
+            dataclasses.replace(spec, **change)

@@ -38,6 +38,9 @@ def rush_and_idle(**rush_overrides) -> list:
     return [{**BOTS_4[0], **rush_overrides}, BOTS_4[3]]
 
 
+DELETED = object()
+
+
 def write_logs(logs_dir: Path, logs) -> Path:
     logs_dir.mkdir()
     for log in logs:
@@ -72,6 +75,14 @@ class TestRunMatch:
         assert code == EXIT_CONFIG
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which, code", [("config", EXIT_CONFIG), ("agents", EXIT_SETUP)])
+    def test_file_not_utf8_exit_without_traceback(self, tmp_path, capsys, which, code):
+        paths = {"config": write_config(tmp_path), "agents": write_agents(tmp_path, BOTS_4[:2])}
+        paths[which].write_bytes(b"\xff\xfe{}")
+        argv = ["run-match", "--config", str(paths["config"]), "--agents", str(paths["agents"])]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        assert f"{which} file {paths[which]} is not valid JSON" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, typo_key=3)
         agents = write_agents(tmp_path, BOTS_4[:2])
@@ -91,10 +102,10 @@ class TestRunMatch:
             (rush_and_idle(max_retries="2"), "max_retries"),
             (rush_and_idle(seed="s"), "seed"),
             (rush_and_idle(seed=True), "seed"),
-            (rush_and_idle(id=5), "agent 5: id"),
-            (rush_and_idle(kind="remote", endpoint=7), "agent 'rush': endpoint"),
-            (5, '"agents"'),
-            ([5], "agent entry 5"),
+            (rush_and_idle(id=5), "'agents[0].id' is not a string"),
+            (rush_and_idle(kind="remote", endpoint=7), "'agents[0].endpoint' is not a string"),
+            (5, "'agents' is not a list"),
+            ([5], "'agents[0]' is not an object"),
         ],
     )
     def test_wrong_type_agent_value_exit_3(self, tmp_path, capsys, agents_value, named):
@@ -151,6 +162,16 @@ class TestTournament:
         assert len(logs) == 3
         sides = [json.loads(p.read_text())["p1"] for p in logs]
         assert sides == ["rush", "zone", "rush"]
+
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exit_3(self, tmp_path, capsys, parallel):
+        cfg = write_config(tmp_path)
+        agents = write_agents(tmp_path, BOTS_4)
+        out = tmp_path / "t"
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv + ["--parallel", parallel]) == EXIT_SETUP
+        assert "parallel must be >= 1" in capsys.readouterr().err
+        assert not list(out.glob("match_*.json"))
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -264,12 +285,18 @@ class TestReplay:
             (("input_trace",), 5, "'input_trace' is not a list"),
             (("seed",), "42", "'seed' is not an integer"),
             (("prompt_version",), 1, "'prompt_version' is not a string"),
-            (("config", "arena_width"), "400", "'arena_width' must be an integer"),
+            (("config", "arena_width"), "400", "'config.arena_width' is not an integer"),
             (("config",), [], "'config' is not an object"),
             (("decisions",), {}, "'decisions' is not a list"),
             (("decisions", 2), "A", "'decisions[2]' is not an object"),
-            (("decisions", 2, "player"), "P3", "'decisions[2].player' is not P1 or P2"),
+            (("decisions", 2, "player"), "P3", "'decisions[2].player' is not 'P1'"),
             (("decisions", 2, "agent_id"), "idle", "'decisions[2].agent_id' is not 'rush'"),
+            (("decisions", 0, "plan"), 5, "'decisions[0].plan' is not a list"),
+            (("decisions", 1, "command"), DELETED, "lacks field(s): decisions[1].command"),
+            (("decisions", 2, "failure"), "oops", "'decisions[2].failure' is not None or 'timeout'"),
+            (("decisions", 2, "latency_ms"), True, "'decisions[2].latency_ms' is not an integer"),
+            (("decisions", 2, "failure"), ["timeout"], "'decisions[2].failure' is not None"),
+            (("decisions", 3, "player"), {"P2": 1}, "'decisions[3].player' is not 'P2'"),
         ],
     )
     def test_wrong_type_field_exit_2(self, tmp_path, capsys, path, value, named):
@@ -279,7 +306,10 @@ class TestReplay:
         target = data
         for parent in parents:
             target = target[parent]
-        target[key] = value
+        if value is DELETED:
+            del target[key]
+        else:
+            target[key] = value
         log.write_text(json.dumps(data))
         assert main(["replay", str(log)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -420,7 +450,7 @@ class TestReport:
         original.unlink()
         swapped = logs_dir / "match_0_0_idle_vs_rush.json"
         swapped.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
-        named = "'decisions[0].agent_id' is not 'idle', the log's p1"
+        named = "'decisions[0].agent_id' is not 'idle'"
         assert main(["replay", str(swapped)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
         out = tmp_path / "r"

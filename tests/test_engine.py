@@ -69,6 +69,14 @@ class TestNewMatch:
         with pytest.raises(ConfigError):
             new_match(MatchConfig(arena_width=0))
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"arena_width": 401}, {"start_offset": 0}, {"match_length_frames": 0}, {"best_of": 3}],
+    )
+    def test_an_invalid_config_cannot_be_built(self, change):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(MatchConfig(), **change)
+
 
 class TestMovement:
     def test_idle_step_decrements_timer_only(self):

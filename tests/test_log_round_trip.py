@@ -1,15 +1,20 @@
-"""Reading a match log and writing it again reproduces its bytes."""
+"""Reading a match log and writing it again reproduces its bytes, and a
+log that lmfa would not have written is refused."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmfa.agents.mock_server import MockAgentServer
-from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
-from lmfa.cli import EXIT_OK, main
-from lmfa.config import MatchConfig
+from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy, FailureKind
+from lmfa.cli import EXIT_CONFIG, EXIT_OK, main
+from lmfa.config import ConfigError, MatchConfig, load_config_file
 from lmfa.tourney.match import (
     MalformedLogError,
     log_from_dict,
@@ -72,3 +77,126 @@ def test_top_level_seed_must_equal_config_seed():
     assert data["seed"] == data["config"]["seed"] == 3
     with pytest.raises(MalformedLogError, match="'seed' is not config.seed, 3"):
         log_from_dict({**data, "seed": 4})
+
+
+def scripted_doc() -> dict:
+    """A fresh copy of one written scripted log: rush beats idle in 600 frames."""
+    rush = AgentSpec(id="rush", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.RUSHDOWN)
+    idle = AgentSpec(id="idle", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+    log = run_match(rush, idle, MatchConfig(seed=5, match_length_frames=600))
+    return json.loads(json.dumps(log_to_dict(log)))
+
+
+def written(path, doc):
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    return path
+
+
+def replay(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["replay", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+DELETED = object()
+FORGED_FRACTIONS = ["0.999", 0.999, 1, None, True, [], {}, DELETED]
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("config", "lmfa_config"), True, "'config.lmfa_config' is not 1"),
+        (("config", "lmfa_config"), 1.0, "'config.lmfa_config' is not 1"),
+        (("config", "arena_width"), DELETED, "lacks field(s): config.arena_width"),
+        (("button_counts", "P2", "Start"), DELETED, "lacks field(s): button_counts.P2.Start"),
+        (("button_counts", "P1", "Turbo"), 0, "unknown field(s): button_counts.P1.Turbo"),
+        (("surplus",), 1, "unknown field(s): surplus"),
+    ]
+    + [
+        (("result", "winner_health_fraction"), forged, "result.winner_health_fraction")
+        for forged in FORGED_FRACTIONS
+    ],
+)
+def test_a_field_the_writer_never_writes_is_refused(tmp_path, path, value, named):
+    doc = scripted_doc()
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    if value is DELETED:
+        del target[key]
+    else:
+        target[key] = value
+    code, out, err = replay(written(tmp_path / "match.json", doc))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: unreadable match log") and named in err
+
+
+def test_three_forgeries_together_are_refused_not_rewritten(tmp_path):
+    doc = scripted_doc()
+    doc["config"]["lmfa_config"] = True
+    del doc["config"]["arena_width"]
+    doc["result"]["winner_health_fraction"] = "0.999"
+    with pytest.raises(MalformedLogError):
+        read_log(written(tmp_path / "match.json", doc))
+
+
+def test_version_keys_are_the_integer_one(tmp_path):
+    for version, ok in ((1, True), (True, False), (1.0, False), ("1", False), (2, False)):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lmfa_config": version, "seed": 3}))
+        if ok:
+            assert load_config_file(path) == MatchConfig(seed=3)
+        else:
+            with pytest.raises(ConfigError, match="'lmfa_config' is not 1"):
+                load_config_file(path)
+
+
+# A JSON value of each kind; bool and int count as different kinds.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+)
+FAILURE_VALUES = tuple(f.value for f in FailureKind)
+
+
+@pytest.fixture(scope="module")
+def base_log(tmp_path_factory):
+    return scripted_doc(), tmp_path_factory.mktemp("edited") / "match.json"
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_one_edited_field_is_refused_never_replayed(base_log, data):
+    """Delete any one field, or give it a value of another kind; input_trace
+    and state_digests rows are left to replay, which finds them itself."""
+    base, path = base_log
+    doc = json.loads(json.dumps(base))
+    area = data.draw(st.sampled_from(["log", "config", "result", "button_counts", "side", "decision"]))
+    if area == "log":
+        target = doc
+    elif area == "side":
+        target = doc["button_counts"][data.draw(st.sampled_from(["P1", "P2"]))]
+    elif area == "decision":
+        target = data.draw(st.sampled_from(doc["decisions"]))
+    else:
+        target = doc[area]
+    key = data.draw(st.sampled_from(sorted(target)))
+    if data.draw(st.booleans()):
+        del target[key]
+    else:
+        old = target[key]
+        # a failure kind in place of null is a value that the writer writes
+        allowed = FAILURE_VALUES if key == "failure" else ()
+        target[key] = data.draw(
+            JSON_VALUES.filter(lambda v: type(v) is not type(old) and v not in allowed)
+        )
+    code, out, err = replay(written(path, doc))
+    assert (code, out) == (EXIT_CONFIG, ""), (area, key, err)
+    assert err.startswith("config error: unreadable match log"), err

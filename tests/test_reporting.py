@@ -213,7 +213,9 @@ class TestVerifyReplay:
 
     def test_edited_result_is_flagged_as_forgery(self):
         data = log_to_dict(self.make_log())
-        data["result"] = {**data["result"], "winner_health": 123}
+        data["result"] = {
+            **data["result"], "winner_health": 123, "winner_health_fraction": "0.123"
+        }
         verdict = verify_replay(log_from_dict(data))
         assert not verdict.ok
         assert verdict.kind == "result_forgery"
