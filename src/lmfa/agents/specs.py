@@ -83,7 +83,8 @@ class Decision:
     failure: Optional[FailureKind] = None
 
 
-# an agents-file entry; every key but id and kind may be left out
+# an agents-file entry; the table lets every key but id and kind be left
+# out, and AgentSpec then requires those its kind needs
 _ENTRY_KINDS = {
     "id": str,
     "kind": tuple(k.value for k in AgentKind),

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence, Type, Union
+from typing import Callable, Type, Union
 
 
 class ConfigError(ValueError):
@@ -25,42 +24,29 @@ def check_fields(doc, kinds: dict, error: Type[Exception], where: str) -> None:
     """Raise ``error`` unless ``doc`` is an object that holds exactly the
     keys of ``kinds``, each with a value of its kind. A kind is a type,
     matched exactly, so ``int`` refuses ``bool``; or a tuple of the allowed
-    values, matched by type as well as value, so ``True`` is not ``1``.
+    values, matched by type as well as value, so ``True`` is not ``1``; no
+    two of its values may be equal, as ``1`` and ``True`` are.
     ``where`` is the path of ``doc`` in its document, ending in a dot (empty
     for the whole document); messages name each field by its full path."""
     if type(doc) is not dict:
         raise error(f"field '{where[:-1]}' is not an object" if where else "not an object")
-    missing = [where + key for key in kinds if key not in doc]
-    if missing:
-        raise error(f"lacks field(s): {', '.join(missing)}")
-    unknown = [where + key for key in doc if key not in kinds]
-    if unknown:
-        raise error(f"unknown field(s): {', '.join(unknown)}")
-    for key, kind in kinds.items():
-        value = doc[key]
-        if type(kind) is tuple:
-            if not any(type(value) is type(v) and value == v for v in kind):
-                raise error(f"field '{where}{key}' is not {' or '.join(map(repr, kind))}")
-        elif type(value) is not kind:
-            raise error(f"field '{where}{key}' is not {_KIND_NAMES[kind]}")
-
-
-def fields_hold(docs: Sequence, kinds: dict) -> bool:
-    """Whether ``check_fields`` passes every one of ``docs``, tested one
-    field at a time across all of them, which is faster for long lists."""
+    # with as many keys as kinds, a key is unknown only if another is missing
     try:
-        if not set(map(len, docs)) <= {len(kinds)}:
-            return False
+        if len(doc) != len(kinds):
+            raise KeyError
         for key, kind in kinds.items():
-            column = list(map(itemgetter(key), docs))
+            value = doc[key]
             if type(kind) is tuple:
-                if not set(zip(map(type, column), column)) <= {(type(v), v) for v in kind}:
-                    return False
-            elif not set(map(type, column)) <= {kind}:
-                return False
-    except (KeyError, TypeError):  # a missing key, a non-object, an unhashable value
-        return False
-    return True
+                if value not in kind or type(kind[kind.index(value)]) is not type(value):
+                    raise error(f"field '{where}{key}' is not {' or '.join(map(repr, kind))}")
+            elif type(value) is not kind:
+                raise error(f"field '{where}{key}' is not {_KIND_NAMES[kind]}")
+    except KeyError:
+        missing = [where + key for key in kinds if key not in doc]
+        if missing:
+            raise error(f"lacks field(s): {', '.join(missing)}") from None
+        unknown = [where + key for key in doc if key not in kinds]
+        raise error(f"unknown field(s): {', '.join(unknown)}") from None
 
 
 @dataclass(frozen=True)

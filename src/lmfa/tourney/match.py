@@ -27,9 +27,7 @@ from lmfa.config import (
     ConfigError,
     MatchConfig,
     check_fields,
-    config_from_dict,
     config_to_dict,
-    fields_hold,
 )
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, encode_chord
 from lmfa.engine.core import new_match, step
@@ -351,7 +349,7 @@ def log_from_dict(data: dict) -> MatchLog:
     check_fields(data, _LOG_KINDS, MalformedLogError, "")
     check_fields(data["config"], CONFIG_KINDS, MalformedLogError, "config.")
     try:
-        config = config_from_dict(data["config"])
+        config = MatchConfig(**{k: v for k, v in data["config"].items() if k != "lmfa_config"})
     except ConfigError as exc:
         raise MalformedLogError(f"field 'config': {exc}") from None
     if data["seed"] != config.seed:
@@ -374,10 +372,8 @@ def log_from_dict(data: dict) -> MatchLog:
         {**_DECISION_KINDS, "player": (player,), "agent_id": (agent_id,)}
         for player, agent_id in (("P1", data["p1"]), ("P2", data["p2"]))
     ]
-    # one pass per field; only a log that fails it is checked entry by entry
-    if not (fields_hold(decisions[0::2], sides[0]) and fields_hold(decisions[1::2], sides[1])):
-        for i, entry in enumerate(decisions):
-            check_fields(entry, sides[i % 2], MalformedLogError, f"decisions[{i}].")
+    for i, entry in enumerate(decisions):
+        check_fields(entry, sides[i % 2], MalformedLogError, f"decisions[{i}].")
 
     return MatchLog(
         config=config,
