@@ -38,39 +38,7 @@ _BIT_OF_WORD = {word.lower(): TOKEN_BIT[tok] for word, tok in _WORDS.items()}
 
 
 class CommandError(ValueError):
-    """Base class for command parse failures; messages are stable."""
-
-
-class EmptyCommandError(CommandError):
-    def __init__(self) -> None:
-        super().__init__("empty command")
-
-
-class UnknownTokenError(CommandError):
-    def __init__(self, token: str, position: int) -> None:
-        self.token = token
-        self.position = position
-        super().__init__(f"unknown token {token!r} at position {position}")
-
-
-class TooManyStepsError(CommandError):
-    def __init__(self, count: int) -> None:
-        self.count = count
-        super().__init__(f"too many steps: {count} (max {MAX_STEPS})")
-
-
-class TooManyTokensError(CommandError):
-    def __init__(self, chord_index: int) -> None:
-        self.chord_index = chord_index
-        super().__init__(
-            f"too many tokens in chord {chord_index} (max {MAX_TOKENS_PER_CHORD})"
-        )
-
-
-class ConflictingDirectionsError(CommandError):
-    def __init__(self, chord_index: int) -> None:
-        self.chord_index = chord_index
-        super().__init__(f"conflicting directions in chord {chord_index}")
+    """A command text that does not parse; messages are stable."""
 
 
 @dataclass(frozen=True)
@@ -86,12 +54,10 @@ _VERTICAL = TOKEN_BIT[CommandToken.UP] | TOKEN_BIT[CommandToken.DOWN]
 
 def _check_chord(tokens: int, index: int) -> None:
     if tokens.bit_count() > MAX_TOKENS_PER_CHORD:
-        raise TooManyTokensError(index)
-    for pair in (_HORIZONTAL, _VERTICAL, _RELATIVE):
-        if tokens & pair == pair:
-            raise ConflictingDirectionsError(index)
-    if tokens & _RELATIVE and tokens & _HORIZONTAL:
-        raise ConflictingDirectionsError(index)
+        raise CommandError(f"too many tokens in chord {index} (max {MAX_TOKENS_PER_CHORD})")
+    mixed = tokens & _RELATIVE and tokens & _HORIZONTAL
+    if mixed or any(tokens & pair == pair for pair in (_HORIZONTAL, _VERTICAL, _RELATIVE)):
+        raise CommandError(f"conflicting directions in chord {index}")
 
 
 def _chord_text(tokens: int) -> str:
@@ -100,17 +66,17 @@ def _chord_text(tokens: int) -> str:
 
 @lru_cache(maxsize=256)
 def parse(raw: str) -> Command:
-    """Parse a command string; raises a typed CommandError on any defect.
+    """Parse a command string; raises CommandError on any defect.
 
     Memoised: bots repeat a few texts, and a ``Command`` is frozen, so
     callers may share one. A raised error is not kept, so bad text raises
     on every call.
     """
     if raw is None or not raw.strip():
-        raise EmptyCommandError()
+        raise CommandError("empty command")
     segments = raw.split(",")
     if len(segments) > MAX_STEPS:
-        raise TooManyStepsError(len(segments))
+        raise CommandError(f"too many steps: {len(segments)} (max {MAX_STEPS})")
     steps = []
     position = 0
     for index, segment in enumerate(segments):
@@ -121,7 +87,7 @@ def parse(raw: str) -> Command:
             position += 1
             bit = _BIT_OF_WORD.get(name)
             if bit is None:
-                raise UnknownTokenError(word.strip(), position)
+                raise CommandError(f"unknown token {word.strip()!r} at position {position}")
             tokens |= bit
         _check_chord(tokens, index)
         steps.append(tokens)
@@ -144,9 +110,7 @@ def resolve(cmd: Command, facing: Facing) -> Tuple[int, ...]:
 
 
 class NoCommandFoundError(CommandError):
-    def __init__(self, excerpt: str) -> None:
-        self.excerpt = excerpt
-        super().__init__(f"no command found in reply: {excerpt!r}")
+    """No line of a reply parses as a command."""
 
 
 _STRIP_CHARS = "`'\"*_ \t"
@@ -184,4 +148,4 @@ def extract_command(agent_reply: str) -> Command:
             except CommandError:
                 continue
     tail = (agent_reply or "").strip()[-80:]
-    raise NoCommandFoundError(tail)
+    raise NoCommandFoundError(f"no command found in reply: {tail!r}")

@@ -29,7 +29,10 @@ EXIT_SETUP = 3
 EXIT_DIVERGENCE = 4
 
 
-def _ensure_out_dir(path: str, force: bool) -> Path:
+def _check_out_dir(path: str, force: bool) -> Path:
+    """Refuse an output path that is a file, or a non-empty directory
+    without --force; the directory is made only once there is something to
+    write, so a refused command leaves none behind."""
     out = Path(path)
     if out.exists():
         if not out.is_dir():
@@ -38,8 +41,6 @@ def _ensure_out_dir(path: str, force: bool) -> Path:
             raise ConfigError(
                 f"output directory {out} is not empty (use --force to reuse)"
             )
-    else:
-        out.mkdir(parents=True)
     return out
 
 
@@ -61,8 +62,9 @@ def cmd_run_match(args: argparse.Namespace) -> int:
         raise AgentSetupError(
             f"run-match needs exactly 2 agents, found {len(agents)}"
         )
-    out = _ensure_out_dir(args.out, args.force)
+    out = _check_out_dir(args.out, args.force)
     log = run_match(agents[0], agents[1], config)
+    out.mkdir(parents=True, exist_ok=True)
     write_log(log, out / log_filename(0, 0, log.p1_id, log.p2_id))
     print(_outcome_line(log.result, log.p1_id, log.p2_id))
     return EXIT_OK
@@ -73,10 +75,11 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = with_seed(config, args.seed)
     agents = load_agents_file(args.agents)
-    out = _ensure_out_dir(args.out, args.force)
+    out = _check_out_dir(args.out, args.force)
     result, logs = run_round_robin(
         agents, config, matches_per_pair=args.matches_per_pair, parallel=args.parallel
     )
+    out.mkdir(parents=True, exist_ok=True)
     for log in logs:
         write_log(
             log,

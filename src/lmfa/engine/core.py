@@ -88,11 +88,7 @@ _FACING_RIGHT = Facing.RIGHT
 _FACING_LEFT = Facing.LEFT
 
 
-class EngineError(Exception):
-    pass
-
-
-class RoundOverError(EngineError):
+class RoundOverError(Exception):
     """Raised when stepping a round that has already ended."""
 
 

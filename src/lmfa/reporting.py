@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from lmfa.engine.buttons import decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
@@ -73,14 +73,7 @@ def win_rates_csv(rows: Sequence[AgentStanding]) -> str:
 # -- button heatmap -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatmapReport:
-    agents: Tuple[str, ...]
-    counts: Dict[str, Dict[str, int]]
-    normalized: Dict[str, Dict[str, float]]
-
-
-def build_heatmap(result: TournamentResult) -> HeatmapReport:
+def build_heatmap(result: TournamentResult) -> Dict[str, Dict[str, float]]:
     """Row-max normalize the per-agent held-frame button counts (a button
     held k frames counts k) that aggregation summed across matches."""
     normalized = {}
@@ -89,32 +82,19 @@ def build_heatmap(result: TournamentResult) -> HeatmapReport:
         normalized[agent] = {
             name: (n / peak if peak else 0.0) for name, n in row.items()
         }
-    return HeatmapReport(
-        agents=result.agents, counts=result.button_counts, normalized=normalized
-    )
+    return normalized
 
 
-def _heatmap_table(
+def heatmap_table(
     agents: Sequence[str], rows: Dict[str, Dict[str, float]], head: str, sep: str, fmt: str
 ) -> str:
+    """One row per agent, one column per button: the raw counts, or the
+    normalized rows, as CSV or as a plot-ready text grid."""
     names = BUTTON_NAMES.values()
     lines = [sep.join([head, *names])]
     for agent in agents:
         lines.append(sep.join([agent, *(format(rows[agent][n], fmt) for n in names)]))
     return "\n".join(lines) + "\n"
-
-
-def heatmap_csv(report: HeatmapReport) -> str:
-    return _heatmap_table(report.agents, report.counts, "agent", ",", "")
-
-
-def heatmap_norm_csv(report: HeatmapReport) -> str:
-    return _heatmap_table(report.agents, report.normalized, "agent", ",", ".4f")
-
-
-def heatmap_grid(report: HeatmapReport) -> str:
-    """Plot-ready text grid: one row per agent, one column per button."""
-    return _heatmap_table(report.agents, report.normalized, "# agent", " ", ".4f")
 
 
 # -- replay verification ---------------------------------------------------
@@ -123,14 +103,16 @@ def heatmap_grid(report: HeatmapReport) -> str:
 @dataclass(frozen=True)
 class ReplayVerdict:
     ok: bool
-    kind: str  # "match" | "state_divergence" | "result_forgery"
+    kind: str  # "match" | "state_divergence" | "result_forgery" | "decision_mismatch"
     first_divergent_frame: Optional[int] = None
     detail: str = ""
 
 
 def verify_replay(log: MatchLog) -> ReplayVerdict:
     """Re-run the engine over the logged inputs and compare digest chains,
-    then the result and the held-frame button counts.
+    then the result and the held-frame button counts, then the decision
+    ticks: one P1 and one P2 entry per tick, each with that tick's
+    ``decision_index`` and ``frame``.
 
     The chain covers both the injected inputs and the serialized state, so
     any single-bit mutation of the input trace diverges at exactly the
@@ -186,6 +168,22 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
         return ReplayVerdict(
             False, "result_forgery", None, "logged button_counts do not match replay"
         )
+    interval = log.config.decision_interval_frames
+    ticks = -(-len(log.input_trace) // interval)
+    expected = [(side, t, t * interval) for t in range(ticks) for side in ("P1", "P2")]
+    entries = [(d["player"], d["decision_index"], d["frame"]) for d in log.decisions]
+    if entries != expected:
+        first = next(
+            (i for i, (got, want) in enumerate(zip(entries, expected)) if got != want),
+            min(len(entries), len(expected)),
+        )
+        tick = first // 2
+        return ReplayVerdict(
+            False,
+            "decision_mismatch",
+            tick * interval,
+            f"decision entries do not match tick {tick} at frame {tick * interval}",
+        )
     return ReplayVerdict(True, "match")
 
 
@@ -195,7 +193,7 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
 def write_reports(result: TournamentResult, out_dir: Union[str, Path]) -> List[Path]:
     """Emit ``tournament.json``, the CSV reports and the plot grid into
     out_dir; ``lmfa tournament`` and ``lmfa report`` both write through here."""
-    heat = build_heatmap(result)
+    normalized = build_heatmap(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_tournament(result, out / "tournament.json")
@@ -203,9 +201,9 @@ def write_reports(result: TournamentResult, out_dir: Union[str, Path]) -> List[P
     for name, text in (
         ("matrix.csv", matrix_csv(result)),
         ("win_rates.csv", win_rates_csv(build_win_rates(result))),
-        ("heatmap.csv", heatmap_csv(heat)),
-        ("heatmap_norm.csv", heatmap_norm_csv(heat)),
-        ("heatmap_norm.dat", heatmap_grid(heat)),
+        ("heatmap.csv", heatmap_table(result.agents, result.button_counts, "agent", ",", "")),
+        ("heatmap_norm.csv", heatmap_table(result.agents, normalized, "agent", ",", ".4f")),
+        ("heatmap_norm.dat", heatmap_table(result.agents, normalized, "# agent", " ", ".4f")),
     ):
         path = out / name
         path.write_text(text)

@@ -39,14 +39,9 @@ from lmfa.engine.state import (
     Winner,
     trace_line,
 )
-from lmfa.observe.describe import ACTION_SLOTS, describe_state, encode_frame_base64
+from lmfa.observe.describe import ACTION_SLOTS, WireText, describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
-from lmfa.observe.window import (
-    FrameHistory,
-    WINDOW_SIZE,
-    WINDOW_SPACING,
-    sample_window_encoded,
-)
+from lmfa.observe.window import WINDOW_SPAN, sample_window_encoded, window_indices
 
 LOG_SCHEMA = "lmfa-log/1"
 
@@ -129,15 +124,13 @@ def run_match(
 
     specs = {Player.P1: p1, Player.P2: p2}
     needs_frames = any(s.kind is AgentKind.REMOTE for s in specs.values())
-    # every-4th-frame rendering suffices when ticks land on multiples of 4
-    render_every = 1 if interval % WINDOW_SPACING else WINDOW_SPACING
-    # a window reaches WINDOW_SPACING*(WINDOW_SIZE-1) frames back; older
-    # renders are never sampled again
-    history = (
-        FrameHistory(WINDOW_SPACING * (WINDOW_SIZE - 1) // render_every + 1)
+    # only frames that some decision tick's window samples are rendered
+    wanted = (
+        {f for t in range(0, config.match_length_frames, interval) for f in window_indices(t)}
         if needs_frames
-        else None
+        else set()
     )
+    rendered: Dict[int, WireText] = {}
     # two remote agents on different endpoints are queried side by side;
     # agents sharing an endpoint stay serial, so it sees P1's request first
     side_by_side = (
@@ -159,16 +152,17 @@ def run_match(
     with helper_pool as helper:  # joins the helper thread even if the loop raises
         while state.round_over is None:
             frame = state.frame
-            if history is not None and frame % render_every == 0:
+            if frame in wanted:
                 image = annotate(render(state), state)
-                history.append(frame, encode_frame_base64(image))
+                rendered[frame] = encode_frame_base64(image)
 
             if frame % interval == 0:
-                frames = (
-                    tuple(sample_window_encoded(history, frame))
-                    if history is not None
-                    else ()
-                )
+                frames = ()
+                if needs_frames:
+                    frames = tuple(sample_window_encoded(rendered, frame))
+                    # no later window reaches back before the next one's start
+                    start = frame + interval - WINDOW_SPAN
+                    rendered = {f: e for f, e in rendered.items() if f >= start}
                 # both observations come from the same pre-decision state, so
                 # neither decision can leak information to the other
                 obs1, obs2 = (

@@ -288,8 +288,8 @@ def test_criterion_09_heatmap_exactness(tmp_path):
     log = run_match(puncher, bot("idle", BotPolicy.IDLE), MatchConfig(seed=5, match_length_frames=600))
     data = log_to_dict(log)
 
-    heat = build_heatmap(result_from_logs([log_from_dict(data)]))
-    row = heat.normalized["puncher"]
+    result = result_from_logs([log_from_dict(data)])
+    row = build_heatmap(result)["puncher"]
     assert row["A"] == 1.0
     assert all(value == 0.0 for name, value in row.items() if name != "A")
 
@@ -298,6 +298,6 @@ def test_criterion_09_heatmap_exactness(tmp_path):
         for b in Button:
             if decode_chord(enc1) & BIT[b]:
                 recount[BUTTON_NAMES[b]] += 1
-    assert heat.counts["puncher"] == recount
+    assert result.button_counts["puncher"] == recount
     assert recount["A"] > 0
     print("\nACCEPTANCE 9 PASS heatmap exactness")

@@ -13,14 +13,9 @@ from lmfa.actions import (
     Command,
     CommandError,
     CommandToken,
-    ConflictingDirectionsError,
-    EmptyCommandError,
     HOLD_FRAMES,
     MAX_PLAN_FRAMES,
     NoCommandFoundError,
-    TooManyStepsError,
-    TooManyTokensError,
-    UnknownTokenError,
     extract_command,
     parse,
     resolve,
@@ -30,6 +25,14 @@ from lmfa.engine.state import Facing
 from test_chord_masks import token_sets
 
 T = CommandToken
+
+
+def parse_error(text: str) -> str:
+    """The message of the CommandError that parsing ``text`` raises."""
+    with pytest.raises(CommandError) as e:
+        parse(text)
+    assert type(e.value) is CommandError
+    return str(e.value)
 
 
 class TestParse:
@@ -62,33 +65,23 @@ class TestParse:
         assert parse("Crouch + B").normalized == "Down + B"
 
     def test_conflicting_directions_rejected(self):
-        with pytest.raises(ConflictingDirectionsError):
-            parse("Left + Right")
-        with pytest.raises(ConflictingDirectionsError):
-            parse("Up + Down")
-        with pytest.raises(ConflictingDirectionsError):
-            parse("Forward + Back")
-        with pytest.raises(ConflictingDirectionsError):
-            parse("Left + Forward")
+        for text in ("Left + Right", "Up + Down", "Forward + Back", "Left + Forward"):
+            assert parse_error(text) == "conflicting directions in chord 0"
+        assert parse_error("A, Back + Right") == "conflicting directions in chord 1"
 
     def test_empty_command_rejected(self):
-        with pytest.raises(EmptyCommandError):
-            parse("")
-        with pytest.raises(EmptyCommandError):
-            parse("   ")
+        assert parse_error("") == "empty command"
+        assert parse_error("   ") == "empty command"
 
     def test_unknown_token_reports_token(self):
-        with pytest.raises(UnknownTokenError) as e:
-            parse("Left + Punch")
-        assert e.value.token == "Punch"
+        assert parse_error("Left + Punch") == "unknown token 'Punch' at position 2"
+        assert parse_error("A, B + kick") == "unknown token 'kick' at position 3"
 
     def test_too_many_steps(self):
-        with pytest.raises(TooManyStepsError):
-            parse("A, A, A, A, A, A")
+        assert parse_error("A, A, A, A, A, A") == "too many steps: 6 (max 5)"
 
     def test_too_many_tokens_in_chord(self):
-        with pytest.raises(TooManyTokensError):
-            parse("Up + A + B + C")
+        assert parse_error("Up + A + B + C") == "too many tokens in chord 0 (max 3)"
 
     def test_empty_chord_segment_rejected(self):
         with pytest.raises(CommandError):
@@ -196,9 +189,13 @@ class TestExtractCommand:
         assert extract_command('My move is "Block".').normalized == "C"
 
     def test_pure_prose_raises(self):
-        with pytest.raises(NoCommandFoundError):
+        with pytest.raises(NoCommandFoundError) as e:
             extract_command("I ponder the situation and wait for an opening.")
+        assert str(e.value) == (
+            "no command found in reply: 'I ponder the situation and wait for an opening.'"
+        )
 
     def test_empty_reply_raises(self):
-        with pytest.raises(NoCommandFoundError):
+        with pytest.raises(NoCommandFoundError) as e:
             extract_command("")
+        assert str(e.value) == "no command found in reply: ''"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from outcome_fixture import fixture_logs
+from lmfa import cli as cli_module
 from lmfa.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, EXIT_SETUP, main
 from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
 
@@ -173,6 +174,37 @@ class TestTournament:
         assert "parallel must be >= 1" in capsys.readouterr().err
         assert not list(out.glob("match_*.json"))
 
+    @pytest.mark.parametrize(
+        "specs, flags",
+        [
+            (BOTS_4[:2], ["--parallel", "0"]),
+            (BOTS_4[:2], ["--matches-per-pair", "0"]),
+            (BOTS_4[:1], []),
+        ],
+        ids=["parallel-0", "matches-per-pair-0", "one-agent"],
+    )
+    def test_refused_tournament_creates_no_out_dir(self, tmp_path, specs, flags):
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(tmp_path, specs)
+        out = tmp_path / "t"
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv + flags) == EXIT_SETUP
+        assert not out.exists()
+
+    def test_nonempty_out_refused_before_any_match(self, tmp_path, monkeypatch):
+        def no_match(*args, **kwargs):
+            raise AssertionError("a match ran")
+
+        monkeypatch.setattr(cli_module, "run_round_robin", no_match)
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(tmp_path, BOTS_4[:2])
+        out = tmp_path / "t"
+        out.mkdir()
+        (out / "junk.txt").write_text("x")
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert tree_bytes(out) == {"junk.txt": b"x"}
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         agents = write_agents(tmp_path, BOTS_4)
@@ -185,8 +217,8 @@ class TestTournament:
 
 
 class TestReplay:
-    def run_one(self, tmp_path) -> Path:
-        cfg = write_config(tmp_path)
+    def run_one(self, tmp_path, **config) -> Path:
+        cfg = write_config(tmp_path, **config)
         agents = write_agents(tmp_path, BOTS_4[:1] + BOTS_4[3:])
         out = tmp_path / "m"
         assert main(["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]) == EXIT_OK
@@ -228,6 +260,32 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.out == "REPLAY=result_forgery\n"
         assert captured.err == "replay: logged button_counts do not match replay\n"
+
+    @pytest.mark.parametrize(
+        "tamper, frame",
+        [
+            (lambda entries: entries.pop(), 200),
+            (lambda entries: entries.__delitem__(slice(2, 4)), 40),
+            (lambda entries: entries.clear(), 0),
+            (lambda entries: entries[0].update(frame=999), 0),
+            (lambda entries: entries[0].update(decision_index=7), 0),
+            (lambda entries: entries.extend(entries[-2:]), 240),
+        ],
+        ids=["last-entry", "tick-1", "empty", "frame", "decision-index", "extra-tick"],
+    )
+    def test_decision_ticks_checked(self, tmp_path, capsys, tamper, frame):
+        path = self.run_one(tmp_path, match_length_frames=240)
+        data = json.loads(path.read_text())
+        assert len(data["decisions"]) == 12  # one P1 and one P2 entry per 40-frame tick
+        tamper(data["decisions"])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == f"REPLAY=divergence FRAME={frame}\n"
+        assert captured.err == (
+            f"replay: decision entries do not match tick {frame // 40} at frame {frame}\n"
+        )
 
     def test_seed_other_than_config_seed_exit_2(self, tmp_path, capsys):
         path = self.run_one(tmp_path)

@@ -12,12 +12,7 @@ import dataclasses
 
 import pytest
 
-from lmfa.actions import (
-    EmptyCommandError,
-    TooManyStepsError,
-    UnknownTokenError,
-    parse,
-)
+from lmfa.actions import CommandError, parse
 from lmfa.agents.mock_server import MockAgentServer
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
@@ -90,15 +85,16 @@ def test_repeated_parse_returns_equal_commands():
 
 
 @pytest.mark.parametrize(
-    "text, error",
+    "text, message",
     [
-        ("Kick", UnknownTokenError),
-        ("   ", EmptyCommandError),
-        ("A, A, A, A, A, A", TooManyStepsError),
+        ("Kick", "unknown token 'Kick' at position 1"),
+        ("   ", "empty command"),
+        ("A, A, A, A, A, A", "too many steps: 6 (max 5)"),
     ],
 )
-def test_invalid_text_raises_on_every_call(text, error):
+def test_invalid_text_raises_on_every_call(text, message):
     for _ in range(3):
-        with pytest.raises(error):
+        with pytest.raises(CommandError) as e:
             parse(text)
+        assert str(e.value) == message
         parse("A")

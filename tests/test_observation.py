@@ -39,7 +39,7 @@ from lmfa.observe.raster import (
     ppm_bytes,
     render,
 )
-from lmfa.observe.window import FrameHistory, sample_window_encoded, window_indices
+from lmfa.observe.window import sample_window_encoded, window_indices
 from lmfa.tourney.match import run_match
 
 
@@ -211,36 +211,36 @@ class TestWindow:
 
     def test_sample_window_returns_stored_frames(self):
         s = new_match(MatchConfig())
-        hist = FrameHistory(capacity=64)
-        for f in range(0, 101, 4):
-            img = render(dataclasses.replace(s, frame=f))
-            hist.append(f, encode_frame_base64(img))
-        frames = sample_window_encoded(hist, 100)
-        assert len(frames) == 10
+        rendered = {
+            f: encode_frame_base64(render(dataclasses.replace(s, frame=f)))
+            for f in range(0, 101, 4)
+        }
+        frames = sample_window_encoded(rendered, 100)
+        assert frames == [rendered[f] for f in range(64, 101, 4)]
 
     def test_sampled_frame_shares_its_row_pieces(self):
         s = new_match(MatchConfig())
-        hist = FrameHistory(capacity=64)
-        encoded = {}
-        for f in range(0, 37, 4):
-            encoded[f] = encode_frame_base64(render(dataclasses.replace(s, frame=f)))
-            hist.append(f, encoded[f])
-        frames = sample_window_encoded(hist, 36)
+        encoded = {
+            f: encode_frame_base64(render(dataclasses.replace(s, frame=f)))
+            for f in range(0, 37, 4)
+        }
+        frames = sample_window_encoded(encoded, 36)
         for f, frame in zip(range(0, 37, 4), frames):
+            assert frame is encoded[f]
             assert frame.pieces is encoded[f].pieces
         # identical adjacent rows still share one piece
         assert frames[0].pieces[1] is frames[0].pieces[2]
 
     def test_sample_window_missing_frame_raises(self):
-        hist = FrameHistory(capacity=64)
         with pytest.raises(LookupError):
-            sample_window_encoded(hist, 40)
+            sample_window_encoded({}, 40)
+        # one frame short of the window
+        with pytest.raises(LookupError):
+            sample_window_encoded({f: "" for f in range(8, 41, 4)}, 40)
 
-    def test_history_capacity_bounded(self):
-        hist = FrameHistory(capacity=64)
-        for f in range(0, 400, 4):
-            hist.append(f, "")
-        assert len(hist) == 64
+    def test_sample_window_ignores_frames_outside_it(self):
+        rendered = {f: str(f) for f in range(0, 400, 2)}
+        assert sample_window_encoded(rendered, 398) == [str(f) for f in range(362, 399, 4)]
 
 
 class TestEncoding:

@@ -19,7 +19,7 @@ from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
 from lmfa.reporting import (
     build_heatmap,
     build_win_rates,
-    heatmap_csv,
+    heatmap_table,
     matrix_csv,
     verify_replay,
     win_rates_csv,
@@ -139,10 +139,10 @@ class TestHeatmap:
         puncher = bot("puncher", BotPolicy.FIXED_SCRIPT, script_path=str(script))
         log = run_match(puncher, bot("idle", BotPolicy.IDLE), MatchConfig(seed=3, match_length_frames=400))
         heat = build_heatmap(result_from_logs([log_from_dict(log_to_dict(log))]))
-        row = heat.normalized["puncher"]
+        row = heat["puncher"]
         assert row["A"] == 1.0
         assert all(v == 0.0 for k, v in row.items() if k != "A")
-        idle_row = heat.normalized["idle"]
+        idle_row = heat["idle"]
         assert idle_row["C"] == 1.0
         assert all(v == 0.0 for k, v in idle_row.items() if k != "C")
 
@@ -159,7 +159,7 @@ class TestHeatmap:
                 )
             ),
         ]
-        heat = build_heatmap(result_from_logs(records(logs)))
+        result = result_from_logs(records(logs))
         # independent fold over the raw traces
         recount = {aid: {n: 0 for n in BUTTON_NAMES.values()} for aid in ("r1", "z1")}
         for log in logs:
@@ -169,16 +169,17 @@ class TestHeatmap:
                     for b in Button:
                         if decode_chord(row[idx]) & BIT[b]:
                             recount[aid][BUTTON_NAMES[b]] += 1
-        assert heat.counts == recount
+        assert result.button_counts == recount
 
     def test_all_zero_row_stays_zero(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
         heat = build_heatmap(result_from_logs(records(logs)))
-        assert all(v == 0.0 for v in heat.normalized["a"].values())
+        assert all(v == 0.0 for v in heat["a"].values())
 
     def test_csv_shape(self, tmp_path):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
-        text = heatmap_csv(build_heatmap(result_from_logs(records(logs))))
+        result = result_from_logs(records(logs))
+        text = heatmap_table(result.agents, result.button_counts, "agent", ",", "")
         header = text.splitlines()[0]
         assert header == "agent,Up,Down,Left,Right,A,B,C,Start"
 

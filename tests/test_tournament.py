@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -24,7 +25,8 @@ from lmfa.config import MatchConfig, with_seed
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
 from lmfa.engine.state import EndReason, Winner
 from lmfa.observe.describe import describe_state
-from lmfa.observe.window import FrameHistory
+from lmfa.observe.raster import annotate, ppm_bytes, render
+from lmfa.observe.window import window_indices
 from lmfa.tourney import match as match_module
 from lmfa.tourney import roundrobin as roundrobin_module
 from lmfa.tourney.match import (
@@ -392,28 +394,40 @@ class TestRemoteIntegration:
         }
         assert masked_log() == first
 
-    @pytest.mark.parametrize("interval, capacity", [(40, 10), (30, 37)])
-    def test_history_sized_to_window(self, monkeypatch, interval, capacity):
-        histories = []
+    @pytest.mark.parametrize("interval, renders", [(40, 51), (30, 69), (7, 230)])
+    def test_only_window_frames_are_rendered(self, monkeypatch, interval, renders):
+        rendered_states = []
+        ticks = []
 
-        def recording_history(size):
-            histories.append(FrameHistory(size))
-            return histories[-1]
+        def counting_render(state):
+            rendered_states.append(state)
+            return render(state)
 
-        monkeypatch.setattr(match_module, "FrameHistory", recording_history)
+        def checked_sample(rendered, now):
+            ticks.append(now)
+            assert min(rendered) >= now - 36, (now, sorted(rendered))
+            return sample_window(rendered, now)
+
+        sample_window = match_module.sample_window_encoded
+        monkeypatch.setattr(match_module, "render", counting_render)
+        monkeypatch.setattr(match_module, "sample_window_encoded", checked_sample)
         cfg = MatchConfig(seed=4, match_length_frames=240, decision_interval_frames=interval)
-        with MockAgentServer(replies=["A"]) as sized, MockAgentServer(replies=["A"]) as wide:
-            remote = AgentSpec(id="remote-h", kind=AgentKind.REMOTE, endpoint=sized.url)
-            run_match(remote, IDLE, cfg)
-            # the same match with a 64-entry history sends the same bytes
-            monkeypatch.setattr(match_module, "FrameHistory", lambda size: FrameHistory(64))
-            run_match(dataclasses.replace(remote, endpoint=wide.url), IDLE, cfg)
-        (history,) = histories
-        assert history.capacity == capacity and len(history) <= capacity
-        counts = [len(r["json"]["frames_b64"]) for r in sized.requests]
+        with MockAgentServer(replies=["A", "Forward + B", "Down"]) as server:
+            remote = AgentSpec(id="remote-h", kind=AgentKind.REMOTE, endpoint=server.url)
+            log = run_match(remote, IDLE, cfg)
+        assert len(rendered_states) == renders
+        assert ticks == list(range(0, 240, interval))
+        counts = [len(r["json"]["frames_b64"]) for r in server.requests]
         first_full = -(-36 // interval)  # first tick at frame >= 36
         assert counts[first_full:] and set(counts[first_full:]) == {10}
-        assert [r["body"] for r in sized.requests] == [r["body"] for r in wide.requests]
+        # each request carries its window's frames, drawn from the replayed states
+        states = {s.frame: s for s in rendered_states}
+        for now, request in zip(ticks, server.requests):
+            assert request["json"]["frames_b64"] == [
+                base64.b64encode(ppm_bytes(annotate(render(states[f]), states[f]))).decode()
+                for f in window_indices(now)
+            ]
+        assert len(log.decisions) == 2 * len(ticks)
 
     def test_reply_too_deep_to_decode_loses_no_match(self):
         # 60,000 bytes of nesting stay under the reply cap, but json.loads
