@@ -38,7 +38,8 @@ class FailureKind(enum.Enum):
 
 WIRE_FORMATS = ("lmfa", "chat")
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+# ids name report rows and columns and log files, so no comma, space or slash
+AGENT_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ class AgentSpec:
     wire_format: str = "lmfa"
 
     def __post_init__(self) -> None:
-        if not self.id or not _ID_RE.match(self.id):
-            raise AgentSetupError(f"agent id {self.id!r} must match [A-Za-z0-9_.-]+")
+        if not AGENT_ID.fullmatch(self.id):
+            raise AgentSetupError(f"agent id {self.id!r} must match {AGENT_ID.pattern}")
         if self.timeout_ms < 1:
             raise AgentSetupError(f"agent {self.id}: timeout_ms must be >= 1")
         if self.max_retries < 0:

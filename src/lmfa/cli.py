@@ -21,7 +21,12 @@ from lmfa.config import ConfigError, load_config_file, with_seed
 from lmfa.engine.state import RoundOutcome, Winner
 from lmfa.reporting import verify_replay, write_reports
 from lmfa.tourney.match import MatchLog, log_filename, read_log, run_match, write_log
-from lmfa.tourney.roundrobin import ReportIntegrityError, result_from_logs, run_round_robin
+from lmfa.tourney.roundrobin import (
+    ReportIntegrityError,
+    pair_schedule,
+    result_from_logs,
+    run_round_robin,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,17 +35,17 @@ EXIT_DIVERGENCE = 4
 
 
 def _check_out_dir(path: str, force: bool) -> Path:
-    """Refuse an output path that is a file, or a non-empty directory
-    without --force; the directory is made only once there is something to
-    write, so a refused command leaves none behind."""
+    """Refuse an output path that is, or lies under, something other than a
+    directory, or a non-empty directory without --force; the directory is
+    made only once there is something to write, so a refused command leaves
+    none behind."""
     out = Path(path)
-    if out.exists():
-        if not out.is_dir():
-            raise ConfigError(f"output path {out} is not a directory")
-        if any(out.iterdir()) and not force:
-            raise ConfigError(
-                f"output directory {out} is not empty (use --force to reuse)"
-            )
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        under = "" if nearest == out else f" is under {nearest}, which"
+        raise ConfigError(f"output path {out}{under} is not a directory")
+    if nearest == out and not force and any(out.iterdir()):
+        raise ConfigError(f"output directory {out} is not empty (use --force to reuse)")
     return out
 
 
@@ -76,17 +81,22 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         config = with_seed(config, args.seed)
     agents = load_agents_file(args.agents)
     out = _check_out_dir(args.out, args.force)
-    result, logs = run_round_robin(
+    # a report over the directory reads every match log in it, so --force
+    # may overwrite only the logs of this run's schedule
+    schedule = pair_schedule([a.id for a in agents], args.matches_per_pair)
+    names = [log_filename(e["pair_index"], e["repeat_index"], e["p1"], e["p2"]) for e in schedule]
+    foreign = sorted(p.name for p in out.glob("match_*.json") if p.name not in names)
+    if foreign:
+        raise ConfigError(f"output directory {out} holds other match logs: {', '.join(foreign)}")
+    logs = run_round_robin(
         agents, config, matches_per_pair=args.matches_per_pair, parallel=args.parallel
     )
     out.mkdir(parents=True, exist_ok=True)
-    for log in logs:
-        write_log(
-            log,
-            out / log_filename(log.pair_index, log.repeat_index, log.p1_id, log.p2_id),
-        )
-    write_reports(result, out)
-    print(f"MATCHES={len(logs)} AGENTS={len(result.agents)} OUT={out}")
+    for name, log in zip(names, logs):  # the logs come in schedule order
+        write_log(log, out / name)
+    doc = result_from_logs(logs)
+    write_reports(doc, out)
+    print(f"MATCHES={len(logs)} AGENTS={len(doc['agents'])} OUT={out}")
     return EXIT_OK
 
 
@@ -120,13 +130,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = sorted(logs_dir.glob("match_*.json"))
     if not paths:
         raise ConfigError(f"no match logs in {logs_dir}")
+    # report writes into the log directory by default, so a non-empty
+    # --out is normal
+    out = _check_out_dir(args.out or args.logs, force=True)
     logs = [_read_log(path) for path in paths]
     # result_from_logs refuses logs that are not one round-robin schedule
     # before any file is opened, so a refused report leaves the output
     # directory as it was.
-    result = result_from_logs(logs)
-    out = Path(args.out) if args.out else logs_dir
-    write_reports(result, out)
+    write_reports(result_from_logs(logs), out)
     print(f"REPORTS={out}")
     return EXIT_OK
 

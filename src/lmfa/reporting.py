@@ -1,9 +1,11 @@
 """Tournament artifacts: matchup matrix, win rates, button heatmap, replay.
 
-All reports are deterministic functions of their inputs; regenerating
-from archived logs is byte-identical. File formats:
+The tournament document that aggregation returns (``tournament.json``)
+is the one tournament record: every other report is derived from it
+alone. All reports are deterministic functions of their inputs;
+regenerating from archived logs is byte-identical. File formats:
 
-  tournament.json   cells, standings and button counts as one JSON object
+  tournament.json   the document: agents, matrix cells, standings, button counts
   matrix.csv        square matrix, row perspective: ``W:0.758`` / ``L`` / ``D``
   win_rates.csv     agent,win_rate,wins,draws,losses
   heatmap.csv       raw button counts per agent
@@ -13,6 +15,7 @@ from archived logs is byte-identical. File formats:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -21,16 +24,15 @@ from lmfa.engine.buttons import decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import trace_line
 from lmfa.tourney.match import BUTTON_NAMES, MatchLog, chain_digest, count_buttons, initial_digest
-from lmfa.tourney.roundrobin import AgentStanding, TournamentResult, write_tournament
 
 
 # -- matchup matrix ----------------------------------------------------
 
 
-def matrix_csv(result: TournamentResult) -> str:
+def matrix_csv(doc: dict) -> str:
     """Square matrix mirrored across the diagonal, row perspective."""
-    ids = result.agents
-    cells = {(c.row, c.col): c for c in result.cells}
+    ids = doc["agents"]
+    cells = {(c["row"], c["col"]): c for c in doc["matrix"]}
     lines = ["," + ",".join(ids)]
     for row in ids:
         out = [row]
@@ -41,10 +43,10 @@ def matrix_csv(result: TournamentResult) -> str:
             cell, side = cells.get((row, col)), "row"
             if cell is None:
                 cell, side = cells[(col, row)], "col"
-            if cell.winner == "draw":
+            if cell["winner"] == "draw":
                 out.append("D")
-            elif cell.winner == side:
-                out.append(f"W:{cell.winner_health_fraction:.3f}")
+            elif cell["winner"] == side:
+                out.append(f"W:{cell['winner_health_fraction']}")
             else:
                 out.append("L")
         lines.append(",".join(out))
@@ -54,30 +56,30 @@ def matrix_csv(result: TournamentResult) -> str:
 # -- win rates ----------------------------------------------------------
 
 
-def build_win_rates(result: TournamentResult) -> List[AgentStanding]:
+def build_win_rates(doc: dict) -> List[dict]:
     """Standings sorted by descending win rate; ties break by total winner
     health retained, then agent id."""
     return sorted(
-        result.standings,
-        key=lambda s: (-s.win_rate, -s.winner_health_sum, s.agent),
+        doc["standings"],
+        key=lambda s: (-s["win_rate"], -s["winner_health_sum"], s["agent"]),
     )
 
 
-def win_rates_csv(rows: Sequence[AgentStanding]) -> str:
+def win_rates_csv(rows: Sequence[dict]) -> str:
     lines = ["agent,win_rate,wins,draws,losses"]
     for r in rows:
-        lines.append(f"{r.agent},{r.win_rate},{r.wins},{r.draws},{r.losses}")
+        lines.append(f"{r['agent']},{r['win_rate']},{r['wins']},{r['draws']},{r['losses']}")
     return "\n".join(lines) + "\n"
 
 
 # -- button heatmap -------------------------------------------------------
 
 
-def build_heatmap(result: TournamentResult) -> Dict[str, Dict[str, float]]:
+def build_heatmap(doc: dict) -> Dict[str, Dict[str, float]]:
     """Row-max normalize the per-agent held-frame button counts (a button
     held k frames counts k) that aggregation summed across matches."""
     normalized = {}
-    for agent, row in result.button_counts.items():
+    for agent, row in doc["button_counts"].items():
         peak = max(row.values())
         normalized[agent] = {
             name: (n / peak if peak else 0.0) for name, n in row.items()
@@ -190,22 +192,19 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
 # -- report emission ---------------------------------------------------
 
 
-def write_reports(result: TournamentResult, out_dir: Union[str, Path]) -> List[Path]:
+def write_reports(doc: dict, out_dir: Union[str, Path]) -> None:
     """Emit ``tournament.json``, the CSV reports and the plot grid into
     out_dir; ``lmfa tournament`` and ``lmfa report`` both write through here."""
-    normalized = build_heatmap(result)
+    agents, counts = doc["agents"], doc["button_counts"]
+    normalized = build_heatmap(doc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_tournament(result, out / "tournament.json")
-    written = [out / "tournament.json"]
     for name, text in (
-        ("matrix.csv", matrix_csv(result)),
-        ("win_rates.csv", win_rates_csv(build_win_rates(result))),
-        ("heatmap.csv", heatmap_table(result.agents, result.button_counts, "agent", ",", "")),
-        ("heatmap_norm.csv", heatmap_table(result.agents, normalized, "agent", ",", ".4f")),
-        ("heatmap_norm.dat", heatmap_table(result.agents, normalized, "# agent", " ", ".4f")),
+        ("tournament.json", json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"),
+        ("matrix.csv", matrix_csv(doc)),
+        ("win_rates.csv", win_rates_csv(build_win_rates(doc))),
+        ("heatmap.csv", heatmap_table(agents, counts, "agent", ",", "")),
+        ("heatmap_norm.csv", heatmap_table(agents, normalized, "agent", ",", ".4f")),
+        ("heatmap_norm.dat", heatmap_table(agents, normalized, "# agent", " ", ".4f")),
     ):
-        path = out / name
-        path.write_text(text)
-        written.append(path)
-    return written
+        (out / name).write_text(text)

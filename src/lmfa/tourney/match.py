@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from lmfa.actions import resolve
 from lmfa.agents.gateway import act
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
-from lmfa.agents.specs import AgentKind, AgentSpec, FailureKind
+from lmfa.agents.specs import AGENT_ID, AgentKind, AgentSpec, FailureKind
 from lmfa.config import (
     CONFIG_KINDS,
     ConfigError,
@@ -327,10 +327,11 @@ def log_from_dict(data: dict) -> MatchLog:
 
     The seed is stored once more at the top level, and must equal
     ``config.seed``. ``result`` must read as ``outcome_to_dict`` writes it,
-    its ``winner_health_fraction`` included. The agent ids are outside the
-    digest chain, so every decision must name its side's agent, P1's and
-    P2's entries in turn: a log whose ``p1`` and ``p2`` were swapped is
-    malformed, not a replayable win for the other side.
+    its ``winner_health_fraction`` included. ``p1`` and ``p2`` must be ids
+    that an agents file accepts, since they name report rows and columns.
+    The agent ids are outside the digest chain, so every decision must name
+    its side's agent, P1's and P2's entries in turn: a log whose ``p1`` and
+    ``p2`` were swapped is malformed, not a replayable win for the other side.
 
     The rows of ``input_trace`` and ``state_digests`` stay unchecked:
     replay reports a bad one as a divergence at its frame.
@@ -348,6 +349,9 @@ def log_from_dict(data: dict) -> MatchLog:
         raise MalformedLogError(f"field 'config': {exc}") from None
     if data["seed"] != config.seed:
         raise MalformedLogError(f"field 'seed' is not config.seed, {config.seed}")
+    for side in ("p1", "p2"):
+        if not AGENT_ID.fullmatch(data[side]):
+            raise MalformedLogError(f"field '{side}' does not match {AGENT_ID.pattern}")
 
     result = data["result"]
     kinds = _DRAW_KINDS if result.get("winner") == Winner.DRAW.value else _RESULT_KINDS

@@ -6,7 +6,9 @@ index so neither agent systematically starts as P1. Per-match seeds are
 ``config.seed + pair_index * 1000 + repeat_index``. Aggregation walks the
 schedule once, whatever order the logs come in, so parallel execution
 cannot change any report byte, and it refuses logs that are not exactly
-one schedule.
+one schedule. It folds the logs straight into the ``tournament.json``
+document (``lmfa-tournament/1``), the one tournament record: every report
+is derived from that document and nothing else.
 
 With ``parallel > 1``, only matches with a remote agent go to a thread
 pool, because only they wait on I/O; a scripted match is pure computation
@@ -16,55 +18,17 @@ while the pool works.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
-from lmfa.engine.state import Player, RoundOutcome, Winner
+from lmfa.engine.state import HEALTH_MAX, Player, Winner
 from lmfa.tourney.match import BUTTON_NAMES, MatchLog, run_match
 
 
 class ReportIntegrityError(ValueError):
     """Logs that are not one round-robin tournament; nothing is reported."""
-
-
-@dataclass(frozen=True)
-class PairCell:
-    """Aggregated result for one unordered pair (row earlier in agent order)."""
-
-    row: str
-    col: str
-    row_wins: int
-    col_wins: int
-    draws: int
-    winner: str  # "row" | "col" | "draw"
-    winner_health: Optional[int]  # internal 0-1000 scale; None for draws
-
-    # the same 3-decimal rounding as one match's outcome
-    winner_health_fraction = RoundOutcome.winner_health_fraction
-
-
-@dataclass(frozen=True)
-class AgentStanding:
-    agent: str
-    matches: int
-    wins: int
-    draws: int
-    losses: int
-    win_rate: float
-    winner_health_sum: int  # tiebreak: total health retained in wins
-
-
-@dataclass(frozen=True)
-class TournamentResult:
-    agents: Tuple[str, ...]
-    cells: Tuple[PairCell, ...]
-    standings: Tuple[AgentStanding, ...]  # in agents order, not ranked
-    button_counts: Dict[str, Dict[str, int]]
 
 
 def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> List[dict]:
@@ -100,7 +64,8 @@ def _wins_for(log: MatchLog, agent_id: str) -> bool:
     return log.agent_id(Player.P1 if winner is Winner.P1 else Player.P2) == agent_id
 
 
-def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> PairCell:
+def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> dict:
+    """The matrix cell of one unordered pair, row earlier in agent order."""
     row_wins = sum(_wins_for(log, row) for log in logs)
     col_wins = sum(_wins_for(log, col) for log in logs)
     draws = len(logs) - row_wins - col_wins
@@ -116,17 +81,22 @@ def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> PairCell:
         if log.result.winner_health is not None
         and _wins_for(log, row if winner == "row" else col)
     ]
-    # multi-match cells keep the integer mean of the winner's healths
-    winner_health = sum(healths) // len(healths) if winner != "draw" and healths else None
-    return PairCell(row, col, row_wins, col_wins, draws, winner, winner_health)
+    # multi-match cells keep the integer mean of the winner's healths,
+    # written to 3 decimals as one match's outcome is
+    fraction = None
+    if winner != "draw" and healths:
+        fraction = f"{sum(healths) // len(healths) / HEALTH_MAX:.3f}"
+    return dict(row=row, col=col, row_wins=row_wins, col_wins=col_wins, draws=draws,
+                winner=winner, winner_health_fraction=fraction)
 
 
 def _where(log: MatchLog) -> str:
     return f"log {log.p1_id} vs {log.p2_id} (pair {log.pair_index}, repeat {log.repeat_index})"
 
 
-def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> TournamentResult:
-    """Fold the logs of one round-robin over ``ids`` in schedule order.
+def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
+    """Fold the logs of one round-robin over ``ids`` in schedule order into
+    the tournament document; standings stay in ``ids`` order, not ranked.
 
     Raises ReportIntegrityError unless the logs are exactly
     ``pair_schedule(ids, k)``, k being one more than the largest repeat
@@ -150,9 +120,13 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> TournamentResult:
             )
         by_key[log.pair_index, log.repeat_index] = log
     repeats = 1 + max((log.repeat_index for log in logs), default=0)
-    stats = {aid: {"wins": 0, "draws": 0, "losses": 0, "matches": 0, "hsum": 0} for aid in ids}
+    # winner_health_sum, the ranking tiebreak, is the health retained in wins
+    standings = {
+        aid: dict(agent=aid, matches=0, wins=0, draws=0, losses=0, winner_health_sum=0)
+        for aid in ids
+    }
     counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
-    cells: List[PairCell] = []
+    cells: List[dict] = []
     pair_logs: List[MatchLog] = []
     missing = []
     base_seed: Optional[int] = None
@@ -176,13 +150,13 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> TournamentResult:
             pair_logs.append(log)
             for player in (Player.P1, Player.P2):
                 aid = log.agent_id(player)
-                s = stats[aid]
+                s = standings[aid]
                 s["matches"] += 1
                 if log.result.winner is Winner.DRAW:
                     s["draws"] += 1
                 elif _wins_for(log, aid):
                     s["wins"] += 1
-                    s["hsum"] += log.result.winner_health or 0
+                    s["winner_health_sum"] += log.result.winner_health or 0
                 else:
                     s["losses"] += 1
                 for button, n in log.button_counts[player.value].items():
@@ -196,45 +170,28 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> TournamentResult:
     if missing:
         raise ReportIntegrityError(f"no log for {'; '.join(missing)}")
 
-    standings = tuple(
-        AgentStanding(
-            agent=aid,
-            matches=s["matches"],
-            wins=s["wins"],
-            draws=s["draws"],
-            losses=s["losses"],
-            win_rate=(s["wins"] + 0.5 * s["draws"]) / s["matches"] if s["matches"] else 0.0,
-            winner_health_sum=s["hsum"],
-        )
-        for aid, s in stats.items()
-    )
-    return TournamentResult(
-        agents=tuple(ids),
-        cells=tuple(cells),
-        standings=standings,
-        button_counts=counts,
-    )
+    for s in standings.values():
+        s["win_rate"] = (s["wins"] + 0.5 * s["draws"]) / s["matches"] if s["matches"] else 0.0
+    return {
+        "schema": "lmfa-tournament/1",
+        "agents": ids,
+        "matrix": cells,
+        "standings": list(standings.values()),
+        "button_counts": counts,
+    }
 
 
-def reconstruct_agent_order(logs: Sequence[MatchLog]) -> List[str]:
-    """Recover the original agent ordering from archived logs.
+def result_from_logs(logs: Sequence[MatchLog]) -> dict:
+    """The tournament document of archived logs (no re-simulation).
 
     Pair 0 repeat 0 is never flipped and each later pair of the first row
     introduces one new agent, so first appearance over logs in schedule
     order is the schedule's agent order; ``aggregate`` refuses any log set
     for which it is not.
     """
-    order: List[str] = []
-    for log in sorted(logs, key=lambda l: (l.pair_index, l.repeat_index)):
-        for aid in (log.p1_id, log.p2_id):
-            if aid not in order:
-                order.append(aid)
-    return order
-
-
-def result_from_logs(logs: Sequence[MatchLog]) -> TournamentResult:
-    """Rebuild the aggregate result from logs alone (no re-simulation)."""
-    return aggregate(reconstruct_agent_order(logs), logs)
+    ordered = sorted(logs, key=lambda l: (l.pair_index, l.repeat_index))
+    ids = dict.fromkeys(aid for log in ordered for aid in (log.p1_id, log.p2_id))
+    return aggregate(list(ids), logs)
 
 
 def run_round_robin(
@@ -242,7 +199,9 @@ def run_round_robin(
     config: MatchConfig,
     matches_per_pair: int = 1,
     parallel: int = 1,
-) -> Tuple[TournamentResult, List[MatchLog]]:
+) -> List[MatchLog]:
+    """Play every match of ``pair_schedule`` over ``agents``; the logs come
+    in schedule order."""
     if len(agents) < 2:
         raise AgentSetupError("a tournament needs at least 2 agents")
     require_unique_ids(agents)
@@ -272,50 +231,4 @@ def run_round_robin(
             logs = [log if f is None else f.result() for f, log in zip(pending, played)]
     else:
         logs = [play(entry) for entry in schedule]
-
-    return aggregate([a.id for a in agents], logs), logs
-
-
-# -- serialization ----------------------------------------------------
-
-
-def result_to_dict(result: TournamentResult) -> dict:
-    return {
-        "schema": "lmfa-tournament/1",
-        "agents": list(result.agents),
-        "matrix": [
-            {
-                "row": c.row,
-                "col": c.col,
-                "row_wins": c.row_wins,
-                "col_wins": c.col_wins,
-                "draws": c.draws,
-                "winner": c.winner,
-                "winner_health_fraction": (
-                    None
-                    if c.winner_health_fraction is None
-                    else f"{c.winner_health_fraction:.3f}"
-                ),
-            }
-            for c in result.cells
-        ],
-        "standings": [
-            {
-                "agent": s.agent,
-                "matches": s.matches,
-                "wins": s.wins,
-                "draws": s.draws,
-                "losses": s.losses,
-                "win_rate": s.win_rate,
-                "winner_health_sum": s.winner_health_sum,
-            }
-            for s in result.standings
-        ],
-        "button_counts": result.button_counts,
-    }
-
-
-def write_tournament(result: TournamentResult, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(result_to_dict(result), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    return logs

@@ -298,6 +298,6 @@ def test_criterion_09_heatmap_exactness(tmp_path):
         for b in Button:
             if decode_chord(enc1) & BIT[b]:
                 recount[BUTTON_NAMES[b]] += 1
-    assert result.button_counts["puncher"] == recount
+    assert result["button_counts"]["puncher"] == recount
     assert recount["A"] > 0
     print("\nACCEPTANCE 9 PASS heatmap exactness")

@@ -464,9 +464,10 @@ class TestAgentsFile:
         with pytest.raises(AgentSetupError):
             load_agents_file(path)
 
-    def test_bad_id_rejected(self):
-        with pytest.raises(AgentSetupError):
-            AgentSpec(id="has space", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+    @pytest.mark.parametrize("bad", ["has space", "", "id,le", "trailing\n"])
+    def test_bad_id_rejected(self, bad):
+        with pytest.raises(AgentSetupError, match="must match"):
+            AgentSpec(id=bad, kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
 
     @pytest.mark.parametrize(
         "doc, named",

@@ -11,6 +11,8 @@ from outcome_fixture import fixture_logs
 from lmfa import cli as cli_module
 from lmfa.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, EXIT_SETUP, main
 from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
+from lmfa.tourney.match import read_log
+from lmfa.tourney.roundrobin import result_from_logs
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -56,6 +58,10 @@ def tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def no_match(*args, **kwargs):
+    raise AssertionError("a match ran")
 
 
 class TestRunMatch:
@@ -192,9 +198,6 @@ class TestTournament:
         assert not out.exists()
 
     def test_nonempty_out_refused_before_any_match(self, tmp_path, monkeypatch):
-        def no_match(*args, **kwargs):
-            raise AssertionError("a match ran")
-
         monkeypatch.setattr(cli_module, "run_round_robin", no_match)
         cfg = write_config(tmp_path, match_length_frames=240)
         agents = write_agents(tmp_path, BOTS_4[:2])
@@ -204,6 +207,54 @@ class TestTournament:
         argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert tree_bytes(out) == {"junk.txt": b"x"}
+
+    @pytest.mark.parametrize(
+        "specs, flags, foreign",
+        [
+            (BOTS_4[:2], ["--matches-per-pair", "2"], "match_1_0_rand_vs_rush.json"),
+            (BOTS_4[:3], [], "match_0_1_zone_vs_rush.json"),
+        ],
+        ids=["fewer-agents", "fewer-repeats"],
+    )
+    def test_force_refuses_another_runs_logs(
+        self, tmp_path, capsys, monkeypatch, specs, flags, foreign
+    ):
+        cfg = write_config(tmp_path, match_length_frames=240)
+        out = tmp_path / "t"
+        argv = ["tournament", "--config", str(cfg), "--out", str(out)]
+        first = write_agents(tmp_path, BOTS_4[:3])
+        assert main(argv + ["--agents", str(first), "--matches-per-pair", "2"]) == EXIT_OK
+        before = tree_bytes(out)
+        (tmp_path / "second").mkdir()
+        second = write_agents(tmp_path / "second", specs)
+        monkeypatch.setattr(cli_module, "run_round_robin", no_match)
+        capsys.readouterr()
+        assert main(argv + ["--agents", str(second), "--force"] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory {out} holds other match logs")
+        assert foreign in err
+        assert tree_bytes(out) == before
+
+    def test_force_reruns_the_same_tournament_in_place(self, tmp_path):
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(tmp_path, BOTS_4[:3])
+        out = tmp_path / "t"
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        before = tree_bytes(out)
+        assert main(argv + ["--force"]) == EXIT_OK
+        assert tree_bytes(out) == before
+
+    def test_tournament_json_is_the_aggregate_of_its_logs(self, tmp_path):
+        cfg = write_config(tmp_path, match_length_frames=600)
+        agents = write_agents(tmp_path, BOTS_4)
+        out = tmp_path / "t"
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        logs = [read_log(path) for path in sorted(out.glob("match_*.json"))]
+        doc = json.loads((out / "tournament.json").read_text())
+        assert doc == result_from_logs(logs)
+        assert doc["agents"] == ["rush", "zone", "rand", "idle"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -478,6 +529,7 @@ class TestReport:
             (("result", "winner_health"), "900", "'result.winner_health'"),
             (("button_counts", "P1"), [], "'button_counts.P1'"),
             (("p1",), 7, "'p1' is not a string"),
+            (("p2",), "intern vl", "'p2' does not match [A-Za-z0-9_.-]+"),
         ],
     )
     def test_wrong_type_field_exit_2(self, tmp_path, capsys, path, value, named):
@@ -492,6 +544,31 @@ class TestReport:
         err = capsys.readouterr().err
         assert "match_4_0_" in err and named in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("side", ["P1", "P2"])
+    def test_agent_id_outside_agents_file_rule_exit_2(self, tmp_path, capsys, side):
+        # the id is renamed in its decisions as well, so only the id rule
+        # stands between it and the columns of win_rates.csv and matrix.csv
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(tmp_path, rush_and_idle())
+        logs_dir = tmp_path / "m"
+        argv = ["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(logs_dir)]
+        assert main(argv) == EXIT_OK
+        (path,) = logs_dir.glob("match_*.json")
+        data = json.loads(path.read_text())
+        data[side.lower()] = "id,le"
+        for entry in data["decisions"]:
+            if entry["player"] == side:
+                entry["agent_id"] = "id,le"
+        path.write_text(json.dumps(data))
+        before = tree_bytes(tmp_path)
+        named = f"field '{side.lower()}' does not match [A-Za-z0-9_.-]+"
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert main(["report", str(logs_dir)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
 
     def test_swapped_agent_ids_exit_2(self, tmp_path, capsys):
         # Agent ids are outside the digest chain, so this log still replays
@@ -641,3 +718,26 @@ class TestReport:
         assert sorted(p.name for p in reports.iterdir()) == sorted(names)
         for name in names:
             assert (reports / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class TestOutPathUnderFile:
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["report", "run-match", "tournament"])
+    def test_exit_2_before_any_match(self, tmp_path, capsys, monkeypatch, command, below):
+        monkeypatch.setattr(cli_module, "run_match", no_match)
+        monkeypatch.setattr(cli_module, "run_round_robin", no_match)
+        logs_dir = write_logs(tmp_path / "logs", fixture_logs())
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(tmp_path, BOTS_4[:2])
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        if command == "report":
+            argv = ["report", str(logs_dir)]
+        else:
+            argv = [command, "--config", str(cfg), "--agents", str(agents)]
+        before = tree_bytes(tmp_path)
+        assert main(argv + ["--out", str(afile / below)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        under = f" is under {afile}, which" if below else ""
+        assert err == f"config error: output path {afile / below}{under} is not a directory\n"
+        assert tree_bytes(tmp_path) == before

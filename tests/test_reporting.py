@@ -31,7 +31,7 @@ from lmfa.tourney.match import (
     log_to_dict,
     run_match,
 )
-from lmfa.tourney.roundrobin import ReportIntegrityError, TournamentResult, result_from_logs
+from lmfa.tourney.roundrobin import ReportIntegrityError, result_from_logs
 
 
 def bot(name: str, policy: BotPolicy, **kw) -> AgentSpec:
@@ -45,12 +45,12 @@ def records(logs):
 class TestMatrix:
     def test_fixture_known_cells(self):
         result = result_from_logs(records(fixture_logs()))
-        cells = {(c.row, c.col): c for c in result.cells}
-        assert result.agents == AGENTS
+        cells = {(c["row"], c["col"]): c for c in result["matrix"]}
+        assert result["agents"] == list(AGENTS)
         for (row, col), health in KNOWN_CELLS.items():
             cell = cells[(row, col)]
-            assert cell.winner == "row"
-            assert cell.winner_health_fraction == pytest.approx(health, abs=5e-4)
+            assert cell["winner"] == "row"
+            assert cell["winner_health_fraction"] == f"{health:.3f}"
 
     def test_fixture_csv_carries_three_decimals(self):
         result = result_from_logs(records(fixture_logs()))
@@ -67,7 +67,8 @@ class TestMatrix:
 
     def test_empty_tournament_empty_report(self):
         text = matrix_csv(
-            TournamentResult(agents=(), cells=(), standings=(), button_counts={})
+            {"schema": "lmfa-tournament/1", "agents": [], "matrix": [], "standings": [],
+             "button_counts": {}}
         )
         assert text == ",\n"  # no agent columns, no rows
 
@@ -91,8 +92,8 @@ class TestWinRates:
     def test_fixture_win_rate_vector(self):
         result = result_from_logs(records(fixture_logs()))
         rows = build_win_rates(result)
-        assert [r.agent for r in rows] == list(AGENTS)
-        assert [r.win_rate for r in rows] == EXPECTED_WIN_RATES
+        assert [r["agent"] for r in rows] == list(AGENTS)
+        assert [r["win_rate"] for r in rows] == EXPECTED_WIN_RATES
 
     def test_fixture_csv_second_column(self):
         result = result_from_logs(records(fixture_logs()))
@@ -103,7 +104,7 @@ class TestWinRates:
     def test_single_match(self):
         logs = [fixture_log(0, "a", "b", "a", 0.4)]
         rows = build_win_rates(result_from_logs(records(logs)))
-        assert [(r.agent, r.win_rate) for r in rows] == [("a", 1.0), ("b", 0.0)]
+        assert [(r["agent"], r["win_rate"]) for r in rows] == [("a", 1.0), ("b", 0.0)]
 
     def test_all_draws_all_half(self):
         logs = []
@@ -119,7 +120,7 @@ class TestWinRates:
                 logs.append(log)
                 pair += 1
         rows = build_win_rates(result_from_logs(records(logs)))
-        assert [r.win_rate for r in rows] == [0.5, 0.5, 0.5]
+        assert [r["win_rate"] for r in rows] == [0.5, 0.5, 0.5]
 
     def test_ties_break_by_health_then_id(self):
         logs = [
@@ -129,7 +130,7 @@ class TestWinRates:
         ]
         rows = build_win_rates(result_from_logs(records(logs)))
         # everyone 1-1; higher retained health first
-        assert [r.agent for r in rows] == ["cc", "bb", "aa"]
+        assert [r["agent"] for r in rows] == ["cc", "bb", "aa"]
 
 
 class TestHeatmap:
@@ -169,7 +170,7 @@ class TestHeatmap:
                     for b in Button:
                         if decode_chord(row[idx]) & BIT[b]:
                             recount[aid][BUTTON_NAMES[b]] += 1
-        assert result.button_counts == recount
+        assert result["button_counts"] == recount
 
     def test_all_zero_row_stays_zero(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
@@ -179,7 +180,7 @@ class TestHeatmap:
     def test_csv_shape(self, tmp_path):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
         result = result_from_logs(records(logs))
-        text = heatmap_table(result.agents, result.button_counts, "agent", ",", "")
+        text = heatmap_table(result["agents"], result["button_counts"], "agent", ",", "")
         header = text.splitlines()[0]
         assert header == "agent,Up,Down,Left,Right,A,B,C,Start"
 

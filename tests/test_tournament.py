@@ -39,7 +39,6 @@ from lmfa.tourney.match import (
 from lmfa.tourney.roundrobin import (
     pair_schedule,
     result_from_logs,
-    result_to_dict,
     run_round_robin,
 )
 
@@ -194,29 +193,29 @@ class TestSchedule:
 
 class TestRoundRobin:
     def test_four_bots_full_run(self):
-        result, logs = run_round_robin(
+        logs = run_round_robin(
             [RUSH, ZONE, RAND, IDLE], with_seed(MatchConfig(match_length_frames=1200), 42)
         )
         assert len(logs) == 6
-        assert len(result.cells) == 6
-        assert {c.winner for c in result.cells} <= {"row", "col", "draw"}
-        total_credit = sum(s.wins + 0.5 * s.draws for s in result.standings)
+        result = result_from_logs(logs)
+        assert result["agents"] == ["rush", "zone", "rand", "idle"]
+        assert len(result["matrix"]) == 6
+        assert {c["winner"] for c in result["matrix"]} <= {"row", "col", "draw"}
+        total_credit = sum(s["wins"] + 0.5 * s["draws"] for s in result["standings"])
         assert total_credit == len(logs)
 
     def test_two_runs_identical(self):
         cfg = MatchConfig(match_length_frames=900)
-        r1, logs1 = run_round_robin([RUSH, ZONE, RAND], with_seed(cfg, 7))
-        r2, logs2 = run_round_robin([RUSH, ZONE, RAND], with_seed(cfg, 7))
-        assert result_to_dict(r1) == result_to_dict(r2)
+        logs1 = run_round_robin([RUSH, ZONE, RAND], with_seed(cfg, 7))
+        logs2 = run_round_robin([RUSH, ZONE, RAND], with_seed(cfg, 7))
+        assert result_from_logs(logs1) == result_from_logs(logs2)
         assert [log_to_dict(a) for a in logs1] == [log_to_dict(b) for b in logs2]
 
     def test_parallel_equals_serial(self):
         cfg = MatchConfig(match_length_frames=900)
-        serial, logs_s = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3))
-        para, logs_p = run_round_robin(
-            [RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3), parallel=4
-        )
-        assert result_to_dict(serial) == result_to_dict(para)
+        logs_s = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3))
+        logs_p = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3), parallel=4)
+        assert result_from_logs(logs_s) == result_from_logs(logs_p)
         assert [log_to_dict(a) for a in logs_s] == [log_to_dict(b) for b in logs_p]
 
     def test_scripted_matches_stay_on_the_calling_thread(self, monkeypatch):
@@ -228,13 +227,13 @@ class TestRoundRobin:
 
         monkeypatch.setattr(roundrobin_module, "run_match", recording)
         cfg = MatchConfig(match_length_frames=300)
-        _, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3), parallel=4)
+        logs = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 3), parallel=4)
         assert len(logs) == 6
         assert threads == [threading.get_ident()] * 6
 
     def test_seeds_follow_pair_and_repeat_indices(self):
         cfg = MatchConfig(match_length_frames=600)
-        _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), bot("idle3", BotPolicy.IDLE)], with_seed(cfg, 100), matches_per_pair=2)
+        logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), bot("idle3", BotPolicy.IDLE)], with_seed(cfg, 100), matches_per_pair=2)
         seeds = {(l.pair_index, l.repeat_index): l.config.seed for l in logs}
         assert seeds[(0, 0)] == 100
         assert seeds[(0, 1)] == 101
@@ -251,9 +250,10 @@ class TestRoundRobin:
 
     def test_result_reconstruction_from_logs(self):
         cfg = MatchConfig(match_length_frames=900)
-        result, logs = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 13))
+        logs = run_round_robin([RUSH, ZONE, RAND, IDLE], with_seed(cfg, 13))
         rebuilt = result_from_logs([log_from_dict(log_to_dict(l)) for l in logs])
-        assert result_to_dict(rebuilt) == result_to_dict(result)
+        assert rebuilt == result_from_logs(logs)
+        assert rebuilt["agents"] == ["rush", "zone", "rand", "idle"]
 
 
 class TestRemoteIntegration:
@@ -296,7 +296,7 @@ class TestRemoteIntegration:
         cfg = MatchConfig(match_length_frames=120, decision_interval_frames=40)
         remote = AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:1/")
         idle2 = bot("idle2", BotPolicy.IDLE)
-        _, logs = run_round_robin([IDLE, idle2, remote], with_seed(cfg, 2))
+        logs = run_round_robin([IDLE, idle2, remote], with_seed(cfg, 2))
         assert len(logs) == 3
         assert all(log.result is not None for log in logs)
         remote_decisions = [
@@ -341,7 +341,7 @@ class TestRemoteIntegration:
             r1 = AgentSpec(id="r1", kind=AgentKind.REMOTE, endpoint=s1.url)
             r2 = AgentSpec(id="r2", kind=AgentKind.REMOTE, endpoint=s2.url, wire_format="chat")
             agents = [RUSH, r1, IDLE, r2]
-            serial, logs_s = run_round_robin(agents, with_seed(cfg, 5))
+            logs_s = run_round_robin(agents, with_seed(cfg, 5))
 
             # the first two remote entries must meet at the barrier: run one
             # after the other, the first would break it after its timeout
@@ -357,11 +357,11 @@ class TestRemoteIntegration:
                 return run_match(p1, p2, config, pair_index, repeat_index)
 
             monkeypatch.setattr(roundrobin_module, "run_match", meeting)
-            para, logs_p = run_round_robin(agents, with_seed(cfg, 5), parallel=2)
+            logs_p = run_round_robin(agents, with_seed(cfg, 5), parallel=2)
         assert len(remote) == 5
         here = threading.get_ident()
         assert {key for key, ident in threads.items() if ident == here} == {(1, 0)}
-        assert result_to_dict(para) == result_to_dict(serial)
+        assert result_from_logs(logs_p) == result_from_logs(logs_s)
         assert masked(logs_p) == masked(logs_s)
 
     def test_shared_endpoint_stays_serial(self):
@@ -436,7 +436,7 @@ class TestRemoteIntegration:
         cfg = MatchConfig(seed=4, match_length_frames=120, decision_interval_frames=40)
         with MockAgentServer(raw_body=nested) as server:
             remote = AgentSpec(id="remote-d", kind=AgentKind.REMOTE, endpoint=server.url)
-            _, logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), remote], cfg)
+            logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), remote], cfg)
         assert len(logs) == 3
         remote_decisions = [
             r for log in logs for r in log.decisions if r["agent_id"] == "remote-d"
