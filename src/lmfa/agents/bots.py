@@ -58,9 +58,13 @@ def _load_script(path: str) -> Tuple[str, ...]:
     p = Path(path)
     if not p.is_file():
         raise AgentSetupError(f"bot script not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AgentSetupError(f"bot script {p} is not UTF-8 text: {exc}") from None
     lines = [
         line.strip()
-        for line in p.read_text().splitlines()
+        for line in text.splitlines()
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not lines:

@@ -10,26 +10,27 @@ Wire protocol (JSON POST, HTTP 200 only):
 An optional adapter reshapes the request into the common chat-completions
 form (system message plus one user message with interleaved image parts)
 for endpoints that only speak that dialect. The env var LMFA_AUTH_HEADER
-("Header-Name: value") is attached verbatim when set.
+("Header-Name: value") is attached verbatim; any other set value is an
+AgentSetupError.
 
-The body is exactly ``json.dumps(request).encode()`` for the request of
-``build_wire_request(...)`` with each frame replaced by its text,
-``str(frame)``. Rendered frames are WireText, base64 held as row pieces;
-``encode_wire_request`` splices those pieces in as pre-encoded bytes and
-joins each body once, so a frame's text is never built.
+The body is exactly ``json.dumps(request, default=str).encode()`` for the
+request of ``build_wire_request(...)``, whose frames are the WireText of
+``encode_frame_base64``: ``encode_wire_request`` splices their base64 row
+pieces in and joins each body once, so a frame's text is never built.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import requests
 from urllib3.exceptions import HTTPError, ReadTimeoutError
 
-from lmfa.agents.specs import AgentSpec, FailureKind
+from lmfa.agents.specs import AgentSetupError, AgentSpec, FailureKind
 from lmfa.observe.describe import Observation, WireText
 
 PROTOCOL = "lmfa/1"
@@ -37,12 +38,7 @@ REPLY_FORMAT = "single_command_last_line"
 AUTH_ENV_VAR = "LMFA_AUTH_HEADER"
 FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
 MAX_REPLY_BYTES = 64 * 1024  # a longer response body is a parse failure
-
-
-def _frame_url(b64: Union[WireText, str]) -> Union[WireText, str]:
-    if isinstance(b64, WireText):
-        return b64.prefixed(FRAME_URL_PREFIX)
-    return FRAME_URL_PREFIX + b64
+HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
 
 
 def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) -> dict:
@@ -52,7 +48,7 @@ def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) ->
             content.append(
                 {
                     "type": "image_url",
-                    "image_url": {"url": _frame_url(b64)},
+                    "image_url": {"url": b64.prefixed(FRAME_URL_PREFIX)},
                 }
             )
         return {
@@ -116,12 +112,16 @@ def extract_reply_text(spec: AgentSpec, body: dict) -> str:
 
 
 def request_headers() -> dict:
+    """Raises AgentSetupError if LMFA_AUTH_HEADER is set but not ``Name: value``."""
     headers = {"Content-Type": "application/json"}
     raw = os.environ.get(AUTH_ENV_VAR, "")
     if raw:
         name, _, value = raw.partition(":")
-        if name.strip() and value.strip():
-            headers[name.strip()] = value.strip()
+        value = value.strip(" \t")
+        if not HEADER_NAME.fullmatch(name) or not value or set(value) & set("\r\n\0"):
+            # the message leaves out the value: it is a credential
+            raise AgentSetupError(f"{AUTH_ENV_VAR} must be 'Name: value'")
+        headers[name] = value
     return headers
 
 

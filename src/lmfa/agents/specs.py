@@ -111,15 +111,24 @@ def _spec_from_dict(raw: dict, where: str) -> AgentSpec:
 
 
 def _specs_from_dict(data: dict) -> List[AgentSpec]:
+    from lmfa.agents.bots import _load_script  # bots imports this module
     check_fields(data, {"lmfa_agents": (1,), "agents": list}, AgentSetupError, "")
     specs = [_spec_from_dict(raw, f"agents[{i}].") for i, raw in enumerate(data["agents"])]
     require_unique_ids(specs)
+    for spec in specs:
+        if spec.bot_policy is BotPolicy.FIXED_SCRIPT:
+            _load_script(spec.script_path)
     return specs
 
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
-    """Read the versioned agents file: {"lmfa_agents": 1, "agents": [...]}."""
-    return load_document(path, "agents", _specs_from_dict, AgentSetupError)
+    """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]}; its
+    fixed_script files, and LMFA_AUTH_HEADER if an agent is remote, are checked too."""
+    from lmfa.agents.remote import request_headers  # remote imports this module
+    specs = load_document(path, "agents", _specs_from_dict, AgentSetupError)
+    if any(spec.kind is AgentKind.REMOTE for spec in specs):
+        request_headers()
+    return specs
 
 
 def require_unique_ids(specs: List[AgentSpec]) -> None:

@@ -36,11 +36,11 @@ EXIT_DIVERGENCE = 4
 
 def _check_out_dir(path: str, force: bool) -> Path:
     """Refuse an output path that is, or lies under, something other than a
-    directory, or a non-empty directory without --force; the directory is
-    made only once there is something to write, so a refused command leaves
-    none behind."""
+    directory (a dangling symlink too), or a non-empty directory without
+    --force; the directory is made only once there is something to write,
+    so a refused command leaves none behind."""
     out = Path(path)
-    nearest = next(p for p in (out, *out.parents) if p.exists())
+    nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
     if not nearest.is_dir():
         under = "" if nearest == out else f" is under {nearest}, which"
         raise ConfigError(f"output path {out}{under} is not a directory")

@@ -11,7 +11,8 @@ Template v1, exactly five lines, self-perspective resolved per player:
 Missing action slots render as "-", oldest first, newest last. Parsing the
 text recovers the structured features exactly (the tests hold the parser
 and check the round trip); prompt stability across agents depends on this
-template staying fixed.
+template staying fixed. A frame is sent as base64 of ``PPM_HEADER`` plus
+its rendered pixels (``encode_frame_base64``), the one frame container.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple, Union
+from typing import Tuple
 
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
-from lmfa.observe.raster import FrameImage, ppm_header
+from lmfa.observe.raster import HEIGHT, WIDTH
 
 ACTION_SLOTS = 5
+
+# binary portable pixmap (P6) header; 15 bytes, a multiple of 3
+PPM_HEADER = b"P6\n%d %d\n255\n" % (WIDTH, HEIGHT)
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,8 @@ class Observation:
     for_player: Player
     frame: int
     decision_index: int
-    # base64 of the canonical images, oldest first: WireText when rendered
-    # by a match, plain str when a caller supplies its own
-    frames: Tuple[Union[WireText, str], ...]
+    # encode_frame_base64 of the annotated frames, oldest first
+    frames: Tuple[WireText, ...]
     features: ObservationFeatures
 
     @cached_property
@@ -93,23 +96,17 @@ class WireText:
         return WireText(prefix.encode("ascii"), *self.pieces)
 
 
-def encode_frame_base64(image: FrameImage) -> WireText:
-    """Base64 of ``ppm_bytes(image)``, encoded one pixel row at a time.
+def encode_frame_base64(pixels: bytes) -> WireText:
+    """Base64 of ``PPM_HEADER + pixels``, encoded one pixel row at a time.
 
     Base64 turns each 3 input bytes into 4 characters independently, so
-    ``b64(a + b) == b64(a) + b64(b)`` when ``len(a)`` is a multiple of 3.
-    The split relies on that: a row is ``width * 3`` bytes, and the header
-    must be a multiple of 3 bytes too (15 at 320x224); at a size where it
-    is not, the frame is encoded whole. Rendered frames repeat rows in
-    long runs (sky, floor, HUD), and each run is encoded once and shares
-    one piece.
+    ``b64(a + b) == b64(a) + b64(b)`` when ``len(a)`` is a multiple of 3,
+    as the header and each ``WIDTH * 3``-byte row are. Rendered frames
+    repeat rows in long runs (sky, floor, HUD), and each run is encoded
+    once and shares one piece.
     """
-    header = ppm_header(image.width, image.height)
-    row_bytes = image.width * 3
-    if len(header) % 3:
-        return WireText(base64.b64encode(header + image.pixels))
-    pixels = image.pixels
-    pieces = [base64.b64encode(header)]
+    row_bytes = WIDTH * 3
+    pieces = [base64.b64encode(PPM_HEADER)]
     row = piece = None
     for start in range(0, len(pixels), row_bytes):
         nxt = pixels[start : start + row_bytes]
@@ -148,7 +145,7 @@ def build_state_text(features: ObservationFeatures) -> str:
 def describe_state(
     state: GameState,
     for_player: Player,
-    frames: Tuple[Union[WireText, str], ...] = (),
+    frames: Tuple[WireText, ...] = (),
     decision_index: int = 0,
     last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ()),
 ) -> Observation:

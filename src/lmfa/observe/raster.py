@@ -1,7 +1,8 @@
 """Flat-color deterministic rasterizer for 320x224 RGB frames.
 
-Rendering is a pure function of the game state: identical states yield
-identical byte buffers. Horizontal geometry is computed by exact rational
+A frame is the row-major RGB ``bytes`` that ``render`` and ``annotate``
+return. Rendering is a pure function of the game state: identical states
+yield identical bytes. Horizontal geometry is computed by exact rational
 overlap between game-space intervals and pixel columns, which makes the
 scene pixel-exact under mirroring (render(mirror(s)) equals the
 horizontally flipped render(s) everywhere except glyph regions - the
@@ -11,7 +12,6 @@ timer digits and, after annotation, the player marker boxes).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -86,35 +86,6 @@ _FONT3X5 = {
     "9": ("111", "101", "111", "001", "111"),
     "P": ("111", "101", "111", "100", "100"),
 }
-
-
-class AnnotationError(RuntimeError):
-    """Raised when marker overlay is applied twice to the same frame."""
-
-
-@dataclass(frozen=True)
-class FrameImage:
-    width: int
-    height: int
-    pixels: bytes  # row-major RGB
-    annotated: bool = False
-
-    def to_array(self) -> np.ndarray:
-        return (
-            np.frombuffer(self.pixels, dtype=np.uint8)
-            .reshape(self.height, self.width, 3)
-            .copy()
-        )
-
-
-def ppm_header(width: int, height: int) -> bytes:
-    """The P6 header that precedes the pixels in ``ppm_bytes``."""
-    return f"P6\n{width} {height}\n255\n".encode("ascii")
-
-
-def ppm_bytes(image: FrameImage) -> bytes:
-    """Canonical lossless container: binary portable pixmap (P6)."""
-    return ppm_header(image.width, image.height) + image.pixels
 
 
 def x_span(lo: int, hi: int, arena_width: int) -> Tuple[int, int]:
@@ -199,7 +170,7 @@ def _background() -> np.ndarray:
 _BACKGROUND = _background()
 
 
-def render(state: GameState) -> FrameImage:
+def render(state: GameState) -> bytes:
     """Rasterize the scene onto a copy of the prebuilt background: health-bar
     fills, timer digits, projectiles, fighters."""
     arr = _BACKGROUND.copy()
@@ -236,7 +207,7 @@ def render(state: GameState) -> FrameImage:
     for fs in fighters:
         _draw_stripe(arr, fs, state.arena_width)
 
-    return FrameImage(WIDTH, HEIGHT, arr.tobytes())
+    return arr.tobytes()
 
 
 def marker_rect(fs: FighterState, arena_width: int) -> Tuple[int, int, int, int]:
@@ -249,14 +220,12 @@ def marker_rect(fs: FighterState, arena_width: int) -> Tuple[int, int, int, int]
     return x0, y0, x0 + MARKER_W, y0 + MARKER_H
 
 
-def annotate(image: FrameImage, state: GameState) -> FrameImage:
+def annotate(pixels: bytes, state: GameState) -> bytes:
     """Overlay P1/P2 marker boxes above the fighters' screen positions."""
-    if image.annotated:
-        raise AnnotationError("frame already carries marker overlay")
-    arr = image.to_array()
+    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(HEIGHT, WIDTH, 3).copy()
     for fs, label in ((state.p1, "1"), (state.p2, "2")):
         x0, y0, x1, y1 = marker_rect(fs, state.arena_width)
         arr[y0:y1, x0:x1] = COLOR_MARKER_BG
         _draw_glyph(arr, "P", x0 + 2, y0 + 1, 2, COLOR_MARKER_FG)
         _draw_glyph(arr, label, x0 + 10, y0 + 1, 2, COLOR_MARKER_FG)
-    return FrameImage(image.width, image.height, arr.tobytes(), annotated=True)
+    return arr.tobytes()

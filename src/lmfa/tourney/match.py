@@ -153,8 +153,7 @@ def run_match(
         while state.round_over is None:
             frame = state.frame
             if frame in wanted:
-                image = annotate(render(state), state)
-                rendered[frame] = encode_frame_base64(image)
+                rendered[frame] = encode_frame_base64(annotate(render(state), state))
 
             if frame % interval == 0:
                 frames = ()

@@ -19,6 +19,7 @@ from lmfa.agents.remote import (
     MAX_REPLY_BYTES,
     build_wire_request,
     encode_wire_request,
+    request_headers,
 )
 from lmfa.agents.specs import (
     AgentKind,
@@ -32,7 +33,7 @@ from lmfa.config import MatchConfig
 from lmfa.engine.buttons import Button, chord
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import Player
-from lmfa.observe.describe import describe_state, encode_frame_base64
+from lmfa.observe.describe import WireText, describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
 
 
@@ -303,6 +304,14 @@ class TestRemoteGateway:
             act(remote_spec(server.url), obs_for(s), "sys")
             assert server.requests[0]["headers"].get("X-Api-Key") == "sesame"
 
+    @pytest.mark.parametrize(
+        "raw", ["X-Api-Key secret", ": secret", " X-Api-Key: v", "X-Api-Key: ", "K: a\nb", "K: v\r"]
+    )
+    def test_malformed_auth_header_is_setup_error(self, monkeypatch, raw):
+        monkeypatch.setenv(AUTH_ENV_VAR, raw)
+        with pytest.raises(AgentSetupError, match=AUTH_ENV_VAR):
+            request_headers()
+
     def test_chat_wire_format(self):
         with MockAgentServer(replies=["Down, Forward, A"], wire_format="chat") as server:
             s = new_match(MatchConfig())
@@ -324,28 +333,27 @@ class TestRemoteGateway:
 class TestWireRequest:
     def test_lmfa_shape(self):
         s = new_match(MatchConfig())
-        obs = describe_state(s, Player.P1, frames=("AAAA", "BBBB"))
+        frames = (WireText(b"AAAA"), WireText(b"BBBB"))
+        obs = describe_state(s, Player.P1, frames=frames)
         req = build_wire_request(remote_spec("http://x/"), obs, "sys")
         assert req == {
             "protocol": "lmfa/1",
             "system_prompt": "sys",
-            "frames_b64": ["AAAA", "BBBB"],
+            "frames_b64": list(frames),
             "state_text": obs.state_text,
             "reply_format": "single_command_last_line",
         }
 
     def test_chat_shape_interleaves_images(self):
         s = new_match(MatchConfig())
-        obs = describe_state(s, Player.P1, frames=("AAAA",))
+        obs = describe_state(s, Player.P1, frames=(WireText(b"AAAA"),))
         spec = AgentSpec(
             id="c", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format="chat"
         )
         req = build_wire_request(spec, obs, "sys")
         user = req["messages"][1]["content"]
         assert user[0] == {"type": "text", "text": obs.state_text}
-        assert user[1]["image_url"]["url"].startswith(
-            "data:image/x-portable-pixmap;base64,"
-        )
+        assert str(user[1]["image_url"]["url"]) == "data:image/x-portable-pixmap;base64,AAAA"
 
 
 MODEL_NAME = 'mödel "x" \\ ✓'
@@ -362,13 +370,13 @@ def rendered_frames(count: int) -> tuple:
 
 
 class TestWireBody:
-    """The posted body is json.dumps(build_wire_request(...)).encode()."""
+    """The posted body is json.dumps(build_wire_request(...), default=str).encode()."""
 
     @pytest.mark.parametrize("wire_format", ["lmfa", "chat"])
     @pytest.mark.parametrize(
         "frames",
-        [rendered_frames(3), (), ("AAAA", 'B"\\é\n')],
-        ids=["rendered", "none", "plain-str"],
+        [rendered_frames(3), ()],
+        ids=["rendered", "none"],
     )
     def test_posted_bytes_equal_json_dumps(self, wire_format, frames):
         obs = describe_state(new_match(MatchConfig()), Player.P2, frames=frames)
@@ -381,10 +389,10 @@ class TestWireBody:
                 wire_format=wire_format,
             )
             decision = act(spec, obs, SYSTEM_PROMPT)
-        as_text = dataclasses.replace(obs, frames=tuple(str(f) for f in frames))
-        expected = json.dumps(build_wire_request(spec, as_text, SYSTEM_PROMPT)).encode()
+        request = build_wire_request(spec, obs, SYSTEM_PROMPT)
+        expected = json.dumps(request, default=str).encode()
         assert decision.failure is None
-        assert encode_wire_request(build_wire_request(spec, obs, SYSTEM_PROMPT)) == expected
+        assert encode_wire_request(request) == expected
         assert [r["body"] for r in server.requests] == [expected]
 
     def test_chat_url_shares_frame_pieces(self):

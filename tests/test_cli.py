@@ -721,7 +721,9 @@ class TestReport:
 
 
 class TestOutPathUnderFile:
-    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "below", ["", "sub", None], ids=["file", "under-file", "dangling-symlink"]
+    )
     @pytest.mark.parametrize("command", ["report", "run-match", "tournament"])
     def test_exit_2_before_any_match(self, tmp_path, capsys, monkeypatch, command, below):
         monkeypatch.setattr(cli_module, "run_match", no_match)
@@ -730,7 +732,11 @@ class TestOutPathUnderFile:
         cfg = write_config(tmp_path, match_length_frames=240)
         agents = write_agents(tmp_path, BOTS_4[:2])
         afile = tmp_path / "afile"
-        afile.write_text("x")
+        if below is None:  # afile is a symlink to a path that does not exist
+            afile.symlink_to(tmp_path / "nowhere" / "x")
+            below = ""
+        else:
+            afile.write_text("x")
         if command == "report":
             argv = ["report", str(logs_dir)]
         else:
@@ -741,3 +747,43 @@ class TestOutPathUnderFile:
         under = f" is under {afile}, which" if below else ""
         assert err == f"config error: output path {afile / below}{under} is not a directory\n"
         assert tree_bytes(tmp_path) == before
+        assert not (tmp_path / "nowhere").exists()
+
+
+class TestAgentsFileRefusedBeforeAnyMatch:
+    """An agents file whose agents cannot play exits 3 before any match
+    runs and leaves no output directory."""
+
+    @staticmethod
+    def refused(tmp_path, monkeypatch, command, specs) -> None:
+        monkeypatch.setattr(cli_module, "run_match", no_match)
+        monkeypatch.setattr(cli_module, "run_round_robin", no_match)
+        cfg = write_config(tmp_path, match_length_frames=240)
+        agents = write_agents(tmp_path, specs)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv) == EXIT_SETUP
+        assert not out.exists()
+
+    @pytest.mark.parametrize("script", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_unreadable_fixed_script(self, tmp_path, capsys, monkeypatch, command, script):
+        path = tmp_path / script
+        if script == "directory":
+            path.mkdir()
+        elif script == "not-utf8":
+            path.write_bytes(b"A\n\xff\xfe B\n")
+        bot = {"id": "s", "kind": "scripted", "policy": "fixed_script", "script_path": str(path)}
+        self.refused(tmp_path, monkeypatch, command, [BOTS_4[3], bot])
+        err = capsys.readouterr().err
+        assert err.startswith(f"setup error: agents file {tmp_path / 'agents.json'}: bot script")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("raw", ["X-Api-Key secret", ": secret", "X-Api-Key: a\nb"])
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_malformed_auth_header(self, tmp_path, capsys, monkeypatch, command, raw):
+        monkeypatch.setenv("LMFA_AUTH_HEADER", raw)
+        remote = {"id": "r", "kind": "remote", "endpoint": "http://127.0.0.1:9/"}
+        self.refused(tmp_path, monkeypatch, command, [remote, BOTS_4[3]])
+        err = capsys.readouterr().err
+        assert err == "setup error: LMFA_AUTH_HEADER must be 'Name: value'\n"

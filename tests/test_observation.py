@@ -18,13 +18,13 @@ from lmfa.engine.core import jump_height, mirror, new_match, step
 from lmfa.engine.state import EndReason, Jumping, KnockedDown, Player
 from lmfa.observe.describe import (
     ACTION_SLOTS,
+    PPM_HEADER,
     ObservationFeatures,
     describe_state,
     encode_frame_base64,
 )
 from lmfa.observe import raster
 from lmfa.observe.raster import (
-    AnnotationError,
     BAR_BOTTOM,
     BAR_MARGIN,
     BAR_TOP,
@@ -32,11 +32,9 @@ from lmfa.observe.raster import (
     HEIGHT,
     TIMER_RECT,
     WIDTH,
-    FrameImage,
     annotate,
     fighter_center_px,
     marker_rect,
-    ppm_bytes,
     render,
 )
 from lmfa.observe.window import sample_window_encoded, window_indices
@@ -50,6 +48,10 @@ def encode_payload_base64(payload: bytes) -> str:
 
 def decode_frame_base64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"), validate=True)
+
+
+def as_array(pixels: bytes) -> np.ndarray:
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(HEIGHT, WIDTH, 3)
 
 
 _LINE_RE = {
@@ -116,17 +118,16 @@ def random_state(seed: int):
 class TestRender:
     def test_pure_function_of_state(self):
         s = random_state(11)
-        assert render(s).pixels == render(s).pixels
+        assert render(s) == render(s)
 
     def test_canvas_dimensions(self):
-        img = render(new_match(MatchConfig()))
-        assert (img.width, img.height) == (320, 224)
-        assert len(img.pixels) == 320 * 224 * 3
+        assert (WIDTH, HEIGHT) == (320, 224)
+        assert len(render(new_match(MatchConfig()))) == 320 * 224 * 3
 
     def test_health_bar_fill_is_exact(self):
         s = new_match(MatchConfig())
         s = dataclasses.replace(s, p1=dataclasses.replace(s.p1, health=500))
-        arr = render(s).to_array()
+        arr = as_array(render(s))
         fill_color = arr[BAR_TOP, BAR_MARGIN]
         row = arr[BAR_TOP, BAR_MARGIN : BAR_MARGIN + BAR_WIDTH]
         filled = int(np.all(row == fill_color, axis=1).sum())
@@ -137,8 +138,8 @@ class TestRender:
         x0, y0, x1, y1 = TIMER_RECT
         for seed in range(8):
             s = random_state(100 + seed)
-            ours = render(mirror(s)).to_array()
-            flipped = np.flip(render(s).to_array(), axis=1)
+            ours = as_array(render(mirror(s)))
+            flipped = np.flip(as_array(render(s)), axis=1)
             mask = np.ones((HEIGHT, WIDTH), dtype=bool)
             mask[y0:y1, x0:x1] = False
             mask[y0:y1, WIDTH - x1 : WIDTH - x0] = False
@@ -148,18 +149,10 @@ class TestRender:
 class TestAnnotate:
     def test_marker_centered_over_fighter(self):
         s = new_match(MatchConfig())
-        img = annotate(render(s), s)
-        assert img.annotated
         for fs in (s.p1, s.p2):
             x0, _, x1, _ = marker_rect(fs, s.arena_width)
             marker_cx = (x0 + x1) // 2
             assert abs(marker_cx - fighter_center_px(fs.x, s.arena_width)) <= 2
-
-    def test_double_annotation_rejected(self):
-        s = new_match(MatchConfig())
-        img = annotate(render(s), s)
-        with pytest.raises(AnnotationError):
-            annotate(img, s)
 
     def test_markers_clear_health_bars_across_position_sweep(self):
         """Sweep a coarse grid of legal fighter positions.
@@ -177,7 +170,7 @@ class TestAnnotate:
 
     def test_annotation_actually_draws(self):
         s = new_match(MatchConfig())
-        assert annotate(render(s), s).pixels != render(s).pixels
+        assert annotate(render(s), s) != render(s)
 
 
 def draw_glyph_by_bits(arr, glyph, x, y, scale, color):
@@ -253,7 +246,7 @@ class TestEncoding:
     def test_round_trip_exact(self):
         s = random_state(5)
         img = render(s)
-        assert decode_frame_base64(str(encode_frame_base64(img))) == ppm_bytes(img)
+        assert decode_frame_base64(str(encode_frame_base64(img))) == PPM_HEADER + img
 
     def test_no_line_wrapping(self):
         s = random_state(6)
@@ -266,8 +259,7 @@ class TestEncoding:
         assert len(frame.prefixed("ab")) == len(str(frame.prefixed("ab"))) == 286_742
 
     def test_ppm_header(self):
-        img = render(new_match(MatchConfig()))
-        assert ppm_bytes(img).startswith(b"P6\n320 224\n255\n")
+        assert PPM_HEADER == b"P6\n320 224\n255\n"
 
 
 @pytest.fixture(scope="module")
@@ -290,9 +282,9 @@ class TestRowRunEncoding:
     of the whole PPM buffer is the reference it must equal."""
 
     @staticmethod
-    def assert_matches_reference(img):
-        expected = base64.b64encode(ppm_bytes(img))
-        encoded = encode_frame_base64(img)
+    def assert_matches_reference(pixels):
+        expected = base64.b64encode(PPM_HEADER + pixels)
+        encoded = encode_frame_base64(pixels)
         assert bytes(str(encoded), "ascii") == expected
         assert b"".join(encoded.pieces) == expected
         return encoded
@@ -311,20 +303,14 @@ class TestRowRunEncoding:
         pixels = random.Random(3).randbytes(WIDTH * HEIGHT * 3)
         row = WIDTH * 3
         assert len({pixels[i : i + row] for i in range(0, len(pixels), row)}) == HEIGHT
-        encoded = self.assert_matches_reference(FrameImage(WIDTH, HEIGHT, pixels))
+        encoded = self.assert_matches_reference(pixels)
         assert len({id(p) for p in encoded.pieces}) == 1 + HEIGHT
 
     def test_uniform_image_shares_one_row_piece(self):
-        img = FrameImage(WIDTH, HEIGHT, bytes((7, 8, 9)) * (WIDTH * HEIGHT))
+        img = bytes((7, 8, 9)) * (WIDTH * HEIGHT)
         encoded = self.assert_matches_reference(img)
         assert len(encoded.pieces) == 1 + HEIGHT
         assert len({id(p) for p in encoded.pieces[1:]}) == 1
-
-    def test_header_off_three_byte_boundary_encoded_whole(self):
-        # "P6\n10 10\n255\n" is 13 bytes, so rows would not start on a
-        # base64 group boundary
-        img = FrameImage(10, 10, random.Random(4).randbytes(10 * 10 * 3))
-        assert len(self.assert_matches_reference(img).pieces) == 1
 
 
 class TestDescribeState:

@@ -24,8 +24,8 @@ from lmfa.agents.specs import (
 from lmfa.config import MatchConfig, with_seed
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
 from lmfa.engine.state import EndReason, Winner
-from lmfa.observe.describe import describe_state
-from lmfa.observe.raster import annotate, ppm_bytes, render
+from lmfa.observe.describe import PPM_HEADER, describe_state
+from lmfa.observe.raster import annotate, render
 from lmfa.observe.window import window_indices
 from lmfa.tourney import match as match_module
 from lmfa.tourney import roundrobin as roundrobin_module
@@ -424,7 +424,7 @@ class TestRemoteIntegration:
         states = {s.frame: s for s in rendered_states}
         for now, request in zip(ticks, server.requests):
             assert request["json"]["frames_b64"] == [
-                base64.b64encode(ppm_bytes(annotate(render(states[f]), states[f]))).decode()
+                base64.b64encode(PPM_HEADER + annotate(render(states[f]), states[f])).decode()
                 for f in window_indices(now)
             ]
         assert len(log.decisions) == 2 * len(ticks)
