@@ -13,6 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Tuple
 
+from lmfa.actions import CommandError, parse
 from lmfa.agents.specs import AgentSetupError, AgentSpec, BotPolicy
 from lmfa.observe.describe import Observation
 
@@ -62,11 +63,14 @@ def _load_script(path: str) -> Tuple[str, ...]:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise AgentSetupError(f"bot script {p} is not UTF-8 text: {exc}") from None
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = []
+    for number, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if line and not line.startswith("#"):
+            try:
+                parse(line)
+            except CommandError as exc:
+                raise AgentSetupError(f"bot script {p} line {number}: {exc}") from None
+            lines.append(line)
     if not lines:
         raise AgentSetupError(f"bot script {p} contains no commands")
     return tuple(lines)

@@ -11,8 +11,9 @@ Template v1, exactly five lines, self-perspective resolved per player:
 Missing action slots render as "-", oldest first, newest last. Parsing the
 text recovers the structured features exactly (the tests hold the parser
 and check the round trip); prompt stability across agents depends on this
-template staying fixed. A frame is sent as base64 of ``PPM_HEADER`` plus
-its rendered pixels (``encode_frame_base64``), the one frame container.
+template staying fixed. A frame, ``render``'s tuple of pixel rows, is sent
+as base64 of ``PPM_HEADER`` plus those rows (``encode_frame_base64``),
+the one frame container.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class WireText:
     guarantees that no piece holds a quote, a backslash or a control byte.
     Base64 frames are WireText, and so are their prefixed forms. A frame's
     pieces are one header piece and then one piece per pixel row, and
-    identical adjacent rows share one ``bytes`` object
+    equal adjacent rows share one ``bytes`` object
     (``encode_frame_base64``). ``len`` is the character count and ``str``
     the joined text. A WireText is not a ``str``: ``json.dumps`` refuses it.
     """
@@ -96,20 +97,18 @@ class WireText:
         return WireText(prefix.encode("ascii"), *self.pieces)
 
 
-def encode_frame_base64(pixels: bytes) -> WireText:
-    """Base64 of ``PPM_HEADER + pixels``, encoded one pixel row at a time.
+def encode_frame_base64(rows: Tuple[bytes, ...]) -> WireText:
+    """Base64 of ``PPM_HEADER`` plus the frame's rows, one row at a time.
 
     Base64 turns each 3 input bytes into 4 characters independently, so
     ``b64(a + b) == b64(a) + b64(b)`` when ``len(a)`` is a multiple of 3,
-    as the header and each ``WIDTH * 3``-byte row are. Rendered frames
-    repeat rows in long runs (sky, floor, HUD), and each run is encoded
-    once and shares one piece.
+    as the header and each ``WIDTH * 3``-byte row are. A run of equal rows
+    (sky, floor, HUD) is encoded once and shares one piece; rows that
+    ``render`` shares compare equal by identity alone.
     """
-    row_bytes = WIDTH * 3
     pieces = [base64.b64encode(PPM_HEADER)]
     row = piece = None
-    for start in range(0, len(pixels), row_bytes):
-        nxt = pixels[start : start + row_bytes]
+    for nxt in rows:
         if nxt != row:
             row, piece = nxt, base64.b64encode(nxt)
         pieces.append(piece)

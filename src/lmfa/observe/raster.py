@@ -1,20 +1,19 @@
 """Flat-color deterministic rasterizer for 320x224 RGB frames.
 
-A frame is the row-major RGB ``bytes`` that ``render`` and ``annotate``
-return. Rendering is a pure function of the game state: identical states
-yield identical bytes. Horizontal geometry is computed by exact rational
-overlap between game-space intervals and pixel columns, which makes the
-scene pixel-exact under mirroring (render(mirror(s)) equals the
-horizontally flipped render(s) everywhere except glyph regions - the
-timer digits and, after annotation, the player marker boxes).
-"""
+A frame is the tuple of ``HEIGHT`` rows, each ``WIDTH * 3`` RGB bytes,
+that ``render`` and ``annotate`` return. A row that nothing paints is the
+background's own object, and a fill builds one new row per run of rows
+sharing one object. Rendering is a pure function of the game state.
+Horizontal geometry is computed by exact rational overlap between
+game-space intervals and pixel columns, which makes the scene
+pixel-exact under mirroring (render(mirror(s)) equals the horizontally
+flipped render(s) everywhere except glyph regions - the timer digits
+and, after annotation, the player marker boxes)."""
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Tuple
-
-import numpy as np
+import re
+from typing import Dict, List, Tuple
 
 from lmfa.engine.state import (
     Blocking,
@@ -26,7 +25,6 @@ from lmfa.engine.state import (
     Jumping,
     KnockedDown,
     MoveActive,
-    Phase,
     Walking,
 )
 
@@ -86,6 +84,13 @@ _FONT3X5 = {
     "9": ("111", "101", "111", "001", "111"),
     "P": ("111", "101", "111", "100", "100"),
 }
+# (font row, first column, end column) of each run of lit bits, per glyph
+_GLYPH_RUNS = {
+    glyph: tuple(
+        (gy, m.start(), m.end()) for gy, bits in enumerate(rows) for m in re.finditer("1+", bits)
+    )
+    for glyph, rows in _FONT3X5.items()
+}
 
 
 def x_span(lo: int, hi: int, arena_width: int) -> Tuple[int, int]:
@@ -106,95 +111,86 @@ def fighter_center_px(x: int, arena_width: int) -> int:
     return (c0 + c1) // 2
 
 
-def _phase_color(phase: Phase) -> Tuple[int, int, int]:
-    return PHASE_COLORS[type(phase)]
+def _fill(rows: List[bytes], x0: int, y0: int, x1: int, y1: int, color) -> None:
+    """Paint columns [x0, x1) of rows [y0, y1) in place. The caller clips
+    the rectangle to the canvas. A row whose source is the row above's
+    source reuses that row's result, so a run of shared rows stays shared."""
+    if x1 <= x0:
+        return
+    a, b, run = 3 * x0, 3 * x1, bytes(color) * (x1 - x0)
+    src = out = None
+    for y in range(y0, y1):
+        if rows[y] is not src:
+            src = rows[y]
+            out = src[:a] + run + src[b:]
+        rows[y] = out
 
 
-@functools.cache
-def _glyph_mask(glyph: str, scale: int) -> np.ndarray:
-    """The lit pixels of ``glyph`` at ``scale``: each font bit becomes a
-    scale x scale block. Read-only, since every caller shares it."""
-    bits = np.array([[b == "1" for b in row] for row in _FONT3X5[glyph]])
-    mask = bits.repeat(scale, axis=0).repeat(scale, axis=1)
-    mask.flags.writeable = False
-    return mask
+def _draw_glyph(rows: List[bytes], glyph: str, x: int, y: int, scale: int, color) -> None:
+    """Each lit font bit becomes a scale x scale block, one fill per run."""
+    for gy, c0, c1 in _GLYPH_RUNS[glyph]:
+        top = y + gy * scale
+        _fill(rows, x + c0 * scale, top, x + c1 * scale, top + scale, color)
 
 
-def _draw_glyph(arr: np.ndarray, glyph: str, x: int, y: int, scale: int, color) -> None:
-    mask = _glyph_mask(glyph, scale)
-    arr[y : y + mask.shape[0], x : x + mask.shape[1]][mask] = color
-
-
-def _draw_body(arr: np.ndarray, fs: FighterState, arena_width: int) -> None:
+def _draw_body(rows: List[bytes], fs: FighterState, arena_width: int) -> None:
     down = isinstance(fs.phase, KnockedDown)
     half = DOWN_HALF_WIDTH if down else FIGHTER_HALF_WIDTH
     height = DOWN_HEIGHT if down else FIGHTER_HEIGHT
     feet = GROUND_ROW - fs.y
     top = max(HUD_ROWS, feet - height)
     c0, c1 = x_span(fs.x - half, fs.x + half, arena_width)
-    if c1 <= c0 or feet <= top:
-        return
-    arr[top:feet, c0:c1] = _phase_color(fs.phase)
+    _fill(rows, c0, top, c1, feet, PHASE_COLORS[type(fs.phase)])
 
 
-def _draw_stripe(arr: np.ndarray, fs: FighterState, arena_width: int) -> None:
+def _draw_stripe(rows: List[bytes], fs: FighterState, arena_width: int) -> None:
     if isinstance(fs.phase, KnockedDown):
         return
-    half = FIGHTER_HALF_WIDTH
     feet = GROUND_ROW - fs.y
     top = max(HUD_ROWS, feet - FIGHTER_HEIGHT)
-    if fs.facing.sign > 0:
-        s0, s1 = x_span(fs.x + half - STRIPE_WIDTH, fs.x + half, arena_width)
-    else:
-        s0, s1 = x_span(fs.x - half, fs.x - half + STRIPE_WIDTH, arena_width)
-    if s1 > s0 and feet > top:
-        arr[top:feet, s0:s1] = COLOR_STRIPE
+    # the STRIPE_WIDTH units of the body behind its front edge
+    front = fs.x + fs.facing.sign * FIGHTER_HALF_WIDTH
+    s0, s1 = x_span(*sorted((front, front - fs.facing.sign * STRIPE_WIDTH)), arena_width)
+    _fill(rows, s0, top, s1, feet, COLOR_STRIPE)
 
 
-def _background() -> np.ndarray:
-    """The pixels every frame shares: sky, HUD band, floor, ground line and
+def _background() -> Tuple[bytes, ...]:
+    """The rows every frame shares: sky, HUD band, floor, ground line and
     both health-bar backs (p1 anchored left, p2 mirrored)."""
-    arr = np.empty((HEIGHT, WIDTH, 3), dtype=np.uint8)
-    arr[:] = COLOR_SKY
-    arr[:HUD_ROWS] = COLOR_HUD
-    arr[GROUND_ROW:] = COLOR_FLOOR
-    arr[GROUND_ROW : GROUND_ROW + 3] = COLOR_GROUND_LINE
-    arr[BAR_TOP:BAR_BOTTOM, BAR_MARGIN : BAR_MARGIN + BAR_WIDTH] = COLOR_BAR_BACK
-    arr[BAR_TOP:BAR_BOTTOM, WIDTH - BAR_MARGIN - BAR_WIDTH : WIDTH - BAR_MARGIN] = (
-        COLOR_BAR_BACK
-    )
-    arr.flags.writeable = False  # render copies it; nothing may paint on it
-    return arr
+    rows = [bytes(COLOR_SKY) * WIDTH] * HEIGHT
+    _fill(rows, 0, 0, WIDTH, HUD_ROWS, COLOR_HUD)
+    _fill(rows, 0, GROUND_ROW, WIDTH, HEIGHT, COLOR_FLOOR)
+    _fill(rows, 0, GROUND_ROW, WIDTH, GROUND_ROW + 3, COLOR_GROUND_LINE)
+    for x0 in (BAR_MARGIN, WIDTH - BAR_MARGIN - BAR_WIDTH):
+        _fill(rows, x0, BAR_TOP, x0 + BAR_WIDTH, BAR_BOTTOM, COLOR_BAR_BACK)
+    return tuple(rows)
 
 
 _BACKGROUND = _background()
 
 
-def render(state: GameState) -> bytes:
-    """Rasterize the scene onto a copy of the prebuilt background: health-bar
+def render(state: GameState) -> Tuple[bytes, ...]:
+    """Rasterize the scene onto the prebuilt background's rows: health-bar
     fills, timer digits, projectiles, fighters."""
-    arr = _BACKGROUND.copy()
+    rows = list(_BACKGROUND)
 
     # health bars fill from the outer ends: p1 rightward, p2 leftward
     fill1 = BAR_WIDTH * state.p1.health // HEALTH_MAX
     fill2 = BAR_WIDTH * state.p2.health // HEALTH_MAX
-    if fill1:
-        arr[BAR_TOP:BAR_BOTTOM, BAR_MARGIN : BAR_MARGIN + fill1] = COLOR_BAR_FILL
-    if fill2:
-        arr[BAR_TOP:BAR_BOTTOM, WIDTH - BAR_MARGIN - fill2 : WIDTH - BAR_MARGIN] = (
-            COLOR_BAR_FILL
-        )
+    _fill(rows, BAR_MARGIN, BAR_TOP, BAR_MARGIN + fill1, BAR_BOTTOM, COLOR_BAR_FILL)
+    right = WIDTH - BAR_MARGIN
+    _fill(rows, right - fill2, BAR_TOP, right, BAR_BOTTOM, COLOR_BAR_FILL)
 
     # timer, two digits, seconds remaining (capped at 99 for display)
     seconds = min(99, state.timer_seconds)
-    _draw_glyph(arr, str(seconds // 10), 146, 2, 4, COLOR_TIMER)
-    _draw_glyph(arr, str(seconds % 10), 162, 2, 4, COLOR_TIMER)
+    _draw_glyph(rows, str(seconds // 10), 146, 2, 4, COLOR_TIMER)
+    _draw_glyph(rows, str(seconds % 10), 162, 2, 4, COLOR_TIMER)
 
     for proj in state.projectiles:
         c0, c1 = x_span(
             proj.x - PROJECTILE_HALF_WIDTH, proj.x + PROJECTILE_HALF_WIDTH, state.arena_width
         )
-        arr[GROUND_ROW - 20 : GROUND_ROW - 8, c0:c1] = COLOR_PROJECTILE
+        _fill(rows, c0, GROUND_ROW - 20, c1, GROUND_ROW - 8, COLOR_PROJECTILE)
 
     # Bodies first (ordered by phase type, a mirror-invariant key: equal
     # phases share a color, so ties cannot show), then all facing stripes;
@@ -203,11 +199,11 @@ def render(state: GameState) -> bytes:
         (state.p1, state.p2), key=lambda fs: type(fs.phase).__name__
     )
     for fs in fighters:
-        _draw_body(arr, fs, state.arena_width)
+        _draw_body(rows, fs, state.arena_width)
     for fs in fighters:
-        _draw_stripe(arr, fs, state.arena_width)
+        _draw_stripe(rows, fs, state.arena_width)
 
-    return arr.tobytes()
+    return tuple(rows)
 
 
 def marker_rect(fs: FighterState, arena_width: int) -> Tuple[int, int, int, int]:
@@ -220,12 +216,12 @@ def marker_rect(fs: FighterState, arena_width: int) -> Tuple[int, int, int, int]
     return x0, y0, x0 + MARKER_W, y0 + MARKER_H
 
 
-def annotate(pixels: bytes, state: GameState) -> bytes:
+def annotate(pixels: Tuple[bytes, ...], state: GameState) -> Tuple[bytes, ...]:
     """Overlay P1/P2 marker boxes above the fighters' screen positions."""
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(HEIGHT, WIDTH, 3).copy()
+    rows = list(pixels)
     for fs, label in ((state.p1, "1"), (state.p2, "2")):
         x0, y0, x1, y1 = marker_rect(fs, state.arena_width)
-        arr[y0:y1, x0:x1] = COLOR_MARKER_BG
-        _draw_glyph(arr, "P", x0 + 2, y0 + 1, 2, COLOR_MARKER_FG)
-        _draw_glyph(arr, label, x0 + 10, y0 + 1, 2, COLOR_MARKER_FG)
-    return arr.tobytes()
+        _fill(rows, x0, y0, x1, y1, COLOR_MARKER_BG)
+        _draw_glyph(rows, "P", x0 + 2, y0 + 1, 2, COLOR_MARKER_FG)
+        _draw_glyph(rows, label, x0 + 10, y0 + 1, 2, COLOR_MARKER_FG)
+    return tuple(rows)

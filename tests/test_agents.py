@@ -106,6 +106,13 @@ class TestBots:
         got = [decide(spec, obs_for(s, decision_index=i)) for i in range(4)]
         assert got == ["A", "B", "Forward, Forward, C", "A"]
 
+    def test_unparsable_script_line_is_setup_error(self, tmp_path):
+        script = tmp_path / "moves.txt"
+        script.write_text("A\nForward + Back\n")
+        spec = bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
+        with pytest.raises(AgentSetupError, match="line 2: conflicting directions in chord 0"):
+            decide(spec, obs_for(new_match(MatchConfig())))
+
     def test_missing_script_is_setup_error(self):
         spec = bot(BotPolicy.FIXED_SCRIPT, script_path="/nonexistent/script.txt")
         s = new_match(MatchConfig())

@@ -779,6 +779,18 @@ class TestAgentsFileRefusedBeforeAnyMatch:
         assert err.startswith(f"setup error: agents file {tmp_path / 'agents.json'}: bot script")
         assert str(path) in err
 
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_unparsable_fixed_script_line(self, tmp_path, capsys, monkeypatch, command):
+        path = tmp_path / "script.txt"
+        path.write_text("# opener\nA\n\nFly + Z\nB\n")
+        bot = {"id": "s", "kind": "scripted", "policy": "fixed_script", "script_path": str(path)}
+        self.refused(tmp_path, monkeypatch, command, [BOTS_4[3], bot])
+        err = capsys.readouterr().err
+        assert err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: "
+            f"bot script {path} line 4: unknown token 'Fly' at position 1\n"
+        )
+
     @pytest.mark.parametrize("raw", ["X-Api-Key secret", ": secret", "X-Api-Key: a\nb"])
     @pytest.mark.parametrize("command", ["run-match", "tournament"])
     def test_malformed_auth_header(self, tmp_path, capsys, monkeypatch, command, raw):

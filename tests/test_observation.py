@@ -8,7 +8,6 @@ import random
 import re
 from typing import Tuple
 
-import numpy as np
 import pytest
 
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
@@ -50,8 +49,9 @@ def decode_frame_base64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"), validate=True)
 
 
-def as_array(pixels: bytes) -> np.ndarray:
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(HEIGHT, WIDTH, 3)
+def as_pixels(rows) -> list:
+    """A frame's rows as lists of 3-byte pixels."""
+    return [[row[x : x + 3] for x in range(0, WIDTH * 3, 3)] for row in rows]
 
 
 _LINE_RE = {
@@ -122,15 +122,15 @@ class TestRender:
 
     def test_canvas_dimensions(self):
         assert (WIDTH, HEIGHT) == (320, 224)
-        assert len(render(new_match(MatchConfig()))) == 320 * 224 * 3
+        rows = render(new_match(MatchConfig()))
+        assert len(rows) == HEIGHT
+        assert {len(row) for row in rows} == {WIDTH * 3}
 
     def test_health_bar_fill_is_exact(self):
         s = new_match(MatchConfig())
         s = dataclasses.replace(s, p1=dataclasses.replace(s.p1, health=500))
-        arr = as_array(render(s))
-        fill_color = arr[BAR_TOP, BAR_MARGIN]
-        row = arr[BAR_TOP, BAR_MARGIN : BAR_MARGIN + BAR_WIDTH]
-        filled = int(np.all(row == fill_color, axis=1).sum())
+        bar = as_pixels(render(s))[BAR_TOP][BAR_MARGIN : BAR_MARGIN + BAR_WIDTH]
+        filled = sum(pixel == bar[0] for pixel in bar)
         assert filled == BAR_WIDTH // 2
 
     def test_mirror_state_renders_flipped_scene(self):
@@ -138,12 +138,12 @@ class TestRender:
         x0, y0, x1, y1 = TIMER_RECT
         for seed in range(8):
             s = random_state(100 + seed)
-            ours = as_array(render(mirror(s)))
-            flipped = np.flip(as_array(render(s)), axis=1)
-            mask = np.ones((HEIGHT, WIDTH), dtype=bool)
-            mask[y0:y1, x0:x1] = False
-            mask[y0:y1, WIDTH - x1 : WIDTH - x0] = False
-            assert np.array_equal(ours[mask], flipped[mask]), f"seed {seed}"
+            ours = as_pixels(render(mirror(s)))
+            flipped = [row[::-1] for row in as_pixels(render(s))]
+            for y in range(y0, y1):
+                for x in (*range(x0, x1), *range(WIDTH - x1, WIDTH - x0)):
+                    ours[y][x] = flipped[y][x] = None
+            assert ours == flipped, f"seed {seed}"
 
 
 class TestAnnotate:
@@ -173,23 +173,25 @@ class TestAnnotate:
         assert annotate(render(s), s) != render(s)
 
 
-def draw_glyph_by_bits(arr, glyph, x, y, scale, color):
+def draw_glyph_by_bits(rows, glyph, x, y, scale, color):
     """Reference: one scale x scale block per lit bit of the font."""
     for gy, row in enumerate(raster._FONT3X5[glyph]):
         for gx, bit in enumerate(row):
             if bit == "1":
                 top, left = y + gy * scale, x + gx * scale
-                arr[top : top + scale, left : left + scale] = color
+                for r in rows[top : top + scale]:
+                    r[3 * left : 3 * (left + scale)] = bytes(color) * scale
 
 
 @pytest.mark.parametrize("scale", [1, 2, 4])
 def test_glyph_mask_paints_the_font_bits(scale):
+    """The glyph's runs paint exactly its font bits."""
     for glyph in raster._FONT3X5:
-        want = np.zeros((30, 20, 3), dtype=np.uint8)
-        got = want.copy()
+        want = [bytearray(20 * 3) for _ in range(30)]
         draw_glyph_by_bits(want, glyph, 3, 5, scale, (250, 1, 7))
+        got = [bytes(20 * 3)] * 30
         raster._draw_glyph(got, glyph, 3, 5, scale, (250, 1, 7))
-        assert np.array_equal(got, want), glyph
+        assert got == want, glyph
 
 
 class TestWindow:
@@ -245,8 +247,8 @@ class TestEncoding:
 
     def test_round_trip_exact(self):
         s = random_state(5)
-        img = render(s)
-        assert decode_frame_base64(str(encode_frame_base64(img))) == PPM_HEADER + img
+        rows = render(s)
+        assert decode_frame_base64(str(encode_frame_base64(rows))) == PPM_HEADER + b"".join(rows)
 
     def test_no_line_wrapping(self):
         s = random_state(6)
@@ -282,9 +284,9 @@ class TestRowRunEncoding:
     of the whole PPM buffer is the reference it must equal."""
 
     @staticmethod
-    def assert_matches_reference(pixels):
-        expected = base64.b64encode(PPM_HEADER + pixels)
-        encoded = encode_frame_base64(pixels)
+    def assert_matches_reference(rows):
+        expected = base64.b64encode(PPM_HEADER + b"".join(rows))
+        encoded = encode_frame_base64(rows)
         assert bytes(str(encoded), "ascii") == expected
         assert b"".join(encoded.pieces) == expected
         return encoded
@@ -302,13 +304,17 @@ class TestRowRunEncoding:
     def test_random_pixels_no_repeated_rows(self):
         pixels = random.Random(3).randbytes(WIDTH * HEIGHT * 3)
         row = WIDTH * 3
-        assert len({pixels[i : i + row] for i in range(0, len(pixels), row)}) == HEIGHT
-        encoded = self.assert_matches_reference(pixels)
+        rows = tuple(pixels[i : i + row] for i in range(0, len(pixels), row))
+        assert len(set(rows)) == HEIGHT
+        encoded = self.assert_matches_reference(rows)
         assert len({id(p) for p in encoded.pieces}) == 1 + HEIGHT
 
     def test_uniform_image_shares_one_row_piece(self):
         img = bytes((7, 8, 9)) * (WIDTH * HEIGHT)
-        encoded = self.assert_matches_reference(img)
+        row = WIDTH * 3
+        rows = tuple(img[i : i + row] for i in range(0, len(img), row))
+        assert len({id(r) for r in rows}) == HEIGHT  # equal rows, not shared
+        encoded = self.assert_matches_reference(rows)
         assert len(encoded.pieces) == 1 + HEIGHT
         assert len({id(p) for p in encoded.pieces[1:]}) == 1
 

@@ -423,9 +423,9 @@ class TestRemoteIntegration:
         # each request carries its window's frames, drawn from the replayed states
         states = {s.frame: s for s in rendered_states}
         for now, request in zip(ticks, server.requests):
+            frames = [annotate(render(states[f]), states[f]) for f in window_indices(now)]
             assert request["json"]["frames_b64"] == [
-                base64.b64encode(PPM_HEADER + annotate(render(states[f]), states[f])).decode()
-                for f in window_indices(now)
+                base64.b64encode(PPM_HEADER + b"".join(rows)).decode() for rows in frames
             ]
         assert len(log.decisions) == 2 * len(ticks)
 
