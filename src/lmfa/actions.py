@@ -26,7 +26,7 @@ from lmfa.engine.moves import CHORDS, TOKEN_BIT, CommandToken
 from lmfa.engine.state import Facing
 
 MAX_STEPS = 5
-MAX_TOKENS_PER_CHORD = 3
+MAX_CHORD_SIZE = 3  # tokens per chord
 HOLD_FRAMES = 3
 GAP_FRAMES = 2
 MAX_PLAN_FRAMES = 120
@@ -53,8 +53,8 @@ _VERTICAL = TOKEN_BIT[CommandToken.UP] | TOKEN_BIT[CommandToken.DOWN]
 
 
 def _check_chord(tokens: int, index: int) -> None:
-    if tokens.bit_count() > MAX_TOKENS_PER_CHORD:
-        raise CommandError(f"too many tokens in chord {index} (max {MAX_TOKENS_PER_CHORD})")
+    if tokens.bit_count() > MAX_CHORD_SIZE:
+        raise CommandError(f"too many tokens in chord {index} (max {MAX_CHORD_SIZE})")
     mixed = tokens & _RELATIVE and tokens & _HORIZONTAL
     if mixed or any(tokens & pair == pair for pair in (_HORIZONTAL, _VERTICAL, _RELATIVE)):
         raise CommandError(f"conflicting directions in chord {index}")

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from lmfa.agents.specs import AgentSetupError, load_agents_file
 from lmfa.config import ConfigError, load_config_file, with_seed
-from lmfa.engine.state import RoundOutcome, Winner
 from lmfa.reporting import verify_replay, write_reports
 from lmfa.tourney.match import MatchLog, log_filename, read_log, run_match, write_log
 from lmfa.tourney.roundrobin import (
@@ -49,12 +48,12 @@ def _check_out_dir(path: str, force: bool) -> Path:
     return out
 
 
-def _outcome_line(result: RoundOutcome, p1_id: str, p2_id: str) -> str:
-    if result.winner is Winner.DRAW:
+def _outcome_line(log: MatchLog) -> str:
+    result = log.result
+    if result.winner is None:
         name, health = "DRAW", "NA"
     else:
-        name = p1_id if result.winner is Winner.P1 else p2_id
-        health = f"{result.winner_health_fraction:.3f}"
+        name, health = log.agent_id(result.winner), f"{result.winner_health_fraction:.3f}"
     return f"WINNER={name} HEALTH={health} REASON={result.end_reason.value}"
 
 
@@ -71,7 +70,7 @@ def cmd_run_match(args: argparse.Namespace) -> int:
     log = run_match(agents[0], agents[1], config)
     out.mkdir(parents=True, exist_ok=True)
     write_log(log, out / log_filename(0, 0, log.p1_id, log.p2_id))
-    print(_outcome_line(log.result, log.p1_id, log.p2_id))
+    print(_outcome_line(log))
     return EXIT_OK
 
 

@@ -64,7 +64,6 @@ from lmfa.engine.state import (
     Projectile,
     RoundOutcome,
     WALKING,
-    Winner,
     mirror_fighter,
     mirror_outcome,
 )
@@ -382,17 +381,17 @@ def _check_round_end(
     p1: FighterState, p2: FighterState, timer: int, frame: int
 ) -> Optional[RoundOutcome]:
     if p1.health == 0 and p2.health == 0:
-        return RoundOutcome(Winner.DRAW, None, EndReason.DOUBLE_KO, frame)
+        return RoundOutcome(None, None, EndReason.DOUBLE_KO, frame)
     if p2.health == 0:
-        return RoundOutcome(Winner.P1, p1.health, EndReason.KNOCKOUT, frame)
+        return RoundOutcome(Player.P1, p1.health, EndReason.KNOCKOUT, frame)
     if p1.health == 0:
-        return RoundOutcome(Winner.P2, p2.health, EndReason.KNOCKOUT, frame)
+        return RoundOutcome(Player.P2, p2.health, EndReason.KNOCKOUT, frame)
     if timer <= 0:
         if p1.health > p2.health:
-            return RoundOutcome(Winner.P1, p1.health, EndReason.TIMEOUT, frame)
+            return RoundOutcome(Player.P1, p1.health, EndReason.TIMEOUT, frame)
         if p2.health > p1.health:
-            return RoundOutcome(Winner.P2, p2.health, EndReason.TIMEOUT, frame)
-        return RoundOutcome(Winner.DRAW, None, EndReason.TIMEOUT, frame)
+            return RoundOutcome(Player.P2, p2.health, EndReason.TIMEOUT, frame)
+        return RoundOutcome(None, None, EndReason.TIMEOUT, frame)
     return None
 
 

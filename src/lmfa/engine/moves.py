@@ -7,10 +7,10 @@ stands for the i-th ``CommandToken``, the way a chord mask's bit i stands
 for the i-th ``Button``.
 
 The facing rule (Forward presses Right when facing right) is one
-token-to-button table per facing. Both lookups derive from it:
-``CHORDS`` turns a token mask into the chord mask ``resolve`` feeds the
-engine, and ``TOKENS`` turns a held chord mask into the token mask the
-trigger matcher compares.
+token-to-button table per facing, and it runs one way: ``CHORDS`` turns
+a token mask into the chord mask it presses. ``resolve`` compiles
+commands with it, and at import it compiles every trigger step into
+``TRIGGERS``, so the matcher compares a fighter's chord masks directly.
 
 Trigger semantics:
   * A chord trigger fires when every trigger button is held this frame and
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple
 
-from lmfa.engine.buttons import BIT, Button, chord
+from lmfa.engine.buttons import Button, chord
 from lmfa.engine.state import PressEvent
 
 
@@ -134,9 +134,7 @@ _BUTTON_OF: Dict[int, Dict[CommandToken, Button]] = {
 }
 
 # CHORDS[sign][tokens] is the chord mask a token mask presses; resolve
-# compiles commands with it. TOKENS[sign][chord] is the token mask a chord
-# mask reads as; the trigger matcher compares with it. A held Left or Right
-# reads as Back or Forward, the facing-relative form triggers are written in.
+# compiles commands with it.
 CHORDS: Dict[int, Tuple[int, ...]] = {
     sign: tuple(
         chord(*(button_of[t] for t, bit in TOKEN_BIT.items() if tokens & bit))
@@ -144,17 +142,11 @@ CHORDS: Dict[int, Tuple[int, ...]] = {
     )
     for sign, button_of in _BUTTON_OF.items()
 }
-TOKENS: Dict[int, Tuple[int, ...]] = {
-    sign: tuple(
-        sum(
-            bit
-            for t, bit in TOKEN_BIT.items()
-            if t not in (CommandToken.LEFT, CommandToken.RIGHT)
-            and mask & BIT[button_of[t]]
-        )
-        for mask in range(256)
-    )
-    for sign, button_of in _BUTTON_OF.items()
+# TRIGGERS[sign] is the move table in priority order, each move with its
+# trigger steps as the chord masks they press for that facing.
+TRIGGERS: Dict[int, Tuple[Tuple[MoveDef, Tuple[int, ...]], ...]] = {
+    sign: tuple((move, tuple(chords[step] for step in move.trigger)) for move in MOVE_TABLE)
+    for sign, chords in CHORDS.items()
 }
 
 
@@ -162,16 +154,14 @@ def match_trigger(
     steps: Tuple[int, ...],
     presses: Sequence[PressEvent],
     now: int,
-    tokens: Tuple[int, ...],
     held: int,
     fresh: int,
 ) -> bool:
-    """True when a trigger, given as token-mask steps, completes this frame.
+    """True when a trigger, given as chord-mask steps, completes this frame.
 
-    ``held`` and ``fresh`` are token masks of this frame's input;
-    ``tokens`` is the facing's chord-to-token table. ``presses`` is the
-    fighter's fresh-press history of chord masks, ascending by frame and
-    including the current frame's event if any.
+    ``held`` and ``fresh`` are this frame's normalized chord masks.
+    ``presses`` is the fighter's fresh-press history of chord masks,
+    ascending by frame and including the current frame's event if any.
     """
     last = steps[-1]
     if held & last != last or not fresh & last:
@@ -185,7 +175,7 @@ def match_trigger(
                 continue
             if t - frame > GAP_WINDOW_FRAMES:
                 break
-            if tokens[pressed] & step == step:
+            if pressed & step == step:
                 matched = frame
                 break
         if matched is None:
@@ -210,12 +200,9 @@ def first_triggered_move(
     """
     if not fresh:
         return None
-    tokens = TOKENS[facing_sign]
-    held_tokens = tokens[held]
-    fresh_tokens = tokens[fresh]
-    for move in MOVE_TABLE:
+    for move, steps in TRIGGERS[facing_sign]:
         if move.kind is MoveKind.PROJECTILE and not fireball_available:
             continue
-        if match_trigger(move.trigger, presses, now, tokens, held_tokens, fresh_tokens):
+        if match_trigger(steps, presses, now, held, fresh):
             return move
     return None

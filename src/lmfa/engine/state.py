@@ -51,12 +51,6 @@ class Facing(enum.Enum):
         return Facing.LEFT if self is Facing.RIGHT else Facing.RIGHT
 
 
-class Winner(enum.Enum):
-    P1 = "P1"
-    P2 = "P2"
-    DRAW = "Draw"
-
-
 class EndReason(enum.Enum):
     KNOCKOUT = "knockout"
     TIMEOUT = "timeout"
@@ -152,8 +146,11 @@ class Projectile:
 
 @dataclass(frozen=True, slots=True)
 class RoundOutcome:
-    winner: Winner
-    winner_health: Optional[int]  # None on draws
+    """How a round ended. ``winner`` and ``winner_health`` are None on a
+    draw; a log writes a draw's winner as ``"Draw"``."""
+
+    winner: Optional[Player]
+    winner_health: Optional[int]
     end_reason: EndReason
     frames_elapsed: int
 
@@ -251,9 +248,6 @@ def mirror_fighter(fs: FighterState, width: int) -> FighterState:
 
 
 def mirror_outcome(outcome: Optional[RoundOutcome]) -> Optional[RoundOutcome]:
-    if outcome is None:
-        return None
-    winner = {Winner.P1: Winner.P2, Winner.P2: Winner.P1, Winner.DRAW: Winner.DRAW}[
-        outcome.winner
-    ]
-    return replace(outcome, winner=winner)
+    if outcome is None or outcome.winner is None:
+        return outcome
+    return replace(outcome, winner=outcome.winner.other)

@@ -36,7 +36,6 @@ from lmfa.engine.state import (
     GameState,
     Player,
     RoundOutcome,
-    Winner,
     trace_line,
 )
 from lmfa.observe.describe import ACTION_SLOTS, WireText, describe_state, encode_frame_base64
@@ -46,16 +45,7 @@ from lmfa.observe.window import WINDOW_SPAN, sample_window_encoded, window_indic
 LOG_SCHEMA = "lmfa-log/1"
 
 # Report column names, in Button order.
-BUTTON_NAMES = {
-    Button.UP: "Up",
-    Button.DOWN: "Down",
-    Button.LEFT: "Left",
-    Button.RIGHT: "Right",
-    Button.A: "A",
-    Button.B: "B",
-    Button.C: "C",
-    Button.START: "Start",
-}
+BUTTON_NAMES = {b: b.name.title() for b in Button}
 
 
 @dataclass(frozen=True)
@@ -231,10 +221,13 @@ def run_match(
 # -- serialization ----------------------------------------------------
 
 
+DRAW = "Draw"  # a drawn round's winner, as the log spells it
+
+
 def outcome_to_dict(result: RoundOutcome) -> dict:
     fraction = result.winner_health_fraction
     return {
-        "winner": result.winner.value,
+        "winner": DRAW if result.winner is None else result.winner.value,
         "winner_health": result.winner_health,
         "winner_health_fraction": None if fraction is None else f"{fraction:.3f}",
         "end_reason": result.end_reason.value,
@@ -244,7 +237,7 @@ def outcome_to_dict(result: RoundOutcome) -> dict:
 
 def outcome_from_dict(data: dict) -> RoundOutcome:
     return RoundOutcome(
-        winner=Winner(data["winner"]),
+        winner=None if data["winner"] == DRAW else Player(data["winner"]),
         winner_health=data["winner_health"],
         end_reason=EndReason(data["end_reason"]),
         frames_elapsed=data["frames_elapsed"],
@@ -271,13 +264,10 @@ def log_to_dict(log: MatchLog) -> dict:
     }
 
 
-class UnsupportedSchemaError(ValueError):
-    pass
-
-
 class MalformedLogError(ValueError):
-    """A log of the supported schema is not as ``write_log`` writes it: a
-    field is missing, unknown, of the wrong kind, or at odds with another."""
+    """A log is not as ``write_log`` writes it: its schema is not
+    ``LOG_SCHEMA``, or a field is missing, unknown, of the wrong kind, or at
+    odds with another."""
 
 
 _LOG_KINDS = {
@@ -297,7 +287,7 @@ _LOG_KINDS = {
 }
 # a won round; a drawn one is checked against _DRAW_KINDS
 _RESULT_KINDS = {
-    "winner": tuple(w.value for w in Winner),
+    "winner": (*(p.value for p in Player), DRAW),
     "winner_health": int,
     "winner_health_fraction": str,
     "end_reason": tuple(r.value for r in EndReason),
@@ -337,7 +327,7 @@ def log_from_dict(data: dict) -> MatchLog:
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != LOG_SCHEMA:
-        raise UnsupportedSchemaError(
+        raise MalformedLogError(
             f"unsupported log schema {schema!r} (want {LOG_SCHEMA})"
         )
     check_fields(data, _LOG_KINDS, MalformedLogError, "")
@@ -353,7 +343,7 @@ def log_from_dict(data: dict) -> MatchLog:
             raise MalformedLogError(f"field '{side}' does not match {AGENT_ID.pattern}")
 
     result = data["result"]
-    kinds = _DRAW_KINDS if result.get("winner") == Winner.DRAW.value else _RESULT_KINDS
+    kinds = _DRAW_KINDS if result.get("winner") == DRAW else _RESULT_KINDS
     check_fields(result, kinds, MalformedLogError, "result.")
     outcome = outcome_from_dict(result)
     written = {key: (value,) for key, value in outcome_to_dict(outcome).items()}

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
-from lmfa.engine.state import HEALTH_MAX, Player, Winner
+from lmfa.engine.state import HEALTH_MAX, Player
 from lmfa.tourney.match import BUTTON_NAMES, MatchLog, run_match
 
 
@@ -59,9 +59,7 @@ def match_seed(base_seed: int, pair_index: int, repeat_index: int) -> int:
 
 def _wins_for(log: MatchLog, agent_id: str) -> bool:
     winner = log.result.winner
-    if winner is Winner.DRAW:
-        return False
-    return log.agent_id(Player.P1 if winner is Winner.P1 else Player.P2) == agent_id
+    return winner is not None and log.agent_id(winner) == agent_id
 
 
 def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> dict:
@@ -88,6 +86,9 @@ def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> dict:
         fraction = f"{sum(healths) // len(healths) / HEALTH_MAX:.3f}"
     return dict(row=row, col=col, row_wins=row_wins, col_wins=col_wins, draws=draws,
                 winner=winner, winner_health_fraction=fraction)
+
+
+_MISSING_SHOWN = 5  # schedule entries a "no log for" message names
 
 
 def _where(log: MatchLog) -> str:
@@ -120,6 +121,13 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
             )
         by_key[log.pair_index, log.repeat_index] = log
     repeats = 1 + max((log.repeat_index for log in logs), default=0)
+    # k repeats of every pair take at least k logs; refusing here keeps a
+    # forged repeat index from sizing the schedule
+    if logs and repeats > len(logs):
+        raise ReportIntegrityError(
+            f"repeat index {repeats - 1} needs {repeats} logs per pair, more than"
+            f" the {len(logs)} logs given"
+        )
     # winner_health_sum, the ranking tiebreak, is the health retained in wins
     standings = {
         aid: dict(agent=aid, matches=0, wins=0, draws=0, losses=0, winner_health_sum=0)
@@ -134,7 +142,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
         key = (entry["pair_index"], entry["repeat_index"])
         log = by_key.pop(key, None)
         if log is None:
-            missing.append(f"pair {key[0]} {(entry['row'], entry['col'])} repeat {key[1]}")
+            missing.append(entry)
         elif (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
             raise ReportIntegrityError(
                 f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
@@ -152,7 +160,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
                 aid = log.agent_id(player)
                 s = standings[aid]
                 s["matches"] += 1
-                if log.result.winner is Winner.DRAW:
+                if log.result.winner is None:
                     s["draws"] += 1
                 elif _wins_for(log, aid):
                     s["wins"] += 1
@@ -168,7 +176,13 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     if outside is not None:
         raise ReportIntegrityError(f"{_where(outside)} is outside the round-robin schedule")
     if missing:
-        raise ReportIntegrityError(f"no log for {'; '.join(missing)}")
+        named = [
+            f"pair {e['pair_index']} {(e['row'], e['col'])} repeat {e['repeat_index']}"
+            for e in missing[:_MISSING_SHOWN]
+        ]
+        if len(missing) > _MISSING_SHOWN:
+            named.append(f"and {len(missing) - _MISSING_SHOWN} more")
+        raise ReportIntegrityError(f"no log for {'; '.join(named)}")
 
     for s in standings.values():
         s["win_rate"] = (s["wins"] + 0.5 * s["draws"]) / s["matches"] if s["matches"] else 0.0

@@ -27,7 +27,7 @@ from lmfa.cli import EXIT_OK, main
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, MIRROR, Button, decode_chord, encode_chord
 from lmfa.engine.core import mirror, mirror_outcome, new_match, step
-from lmfa.engine.state import EndReason, Player, Winner, trace_line
+from lmfa.engine.state import EndReason, Player, trace_line
 from lmfa.observe.describe import describe_state
 from lmfa.observe.window import window_indices
 from lmfa.reporting import build_heatmap, verify_replay
@@ -131,7 +131,7 @@ def test_criterion_03_rushdown_beats_idle_exactly():
     The engine run confirms the knockout.
     """
     log = run_match(bot("rush", BotPolicy.RUSHDOWN), bot("idle", BotPolicy.IDLE), MatchConfig(seed=1))
-    assert log.result.winner is Winner.P1
+    assert log.result.winner is Player.P1
     assert log.result.end_reason is EndReason.KNOCKOUT
     assert log.result.winner_health == 1000
     assert log.result.winner_health_fraction == 1.000

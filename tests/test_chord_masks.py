@@ -3,9 +3,10 @@
 The engine, the command compiler and the logs take chords as 8-bit masks
 and token sets as 9-bit masks only. The set functions below define
 normalize, mirror, encode, decode and both facing-relative translations
-(chord to tokens for trigger matching, tokens to chord for ``resolve``)
-independently of the bit arithmetic, so the tables are checked against a
-second definition rather than against themselves.
+(tokens to chord for ``resolve``, chord to tokens for judging the
+compiled move triggers) independently of the bit arithmetic, so the
+tables are checked against a second definition rather than against
+themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from lmfa.engine.buttons import (
 )
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import trace_line
-from lmfa.engine.moves import CHORDS, TOKENS, CommandToken
+from lmfa.engine.moves import CHORDS, MOVE_TABLE, TRIGGERS, CommandToken
 from lmfa.reporting import verify_replay
 from lmfa.tourney.match import (
     chain_digest,
@@ -174,26 +175,28 @@ def test_tables_agree_with_set_functions():
         assert decode_chord_set(ENCODE[mask]) == c
 
 
-def test_token_table_agrees_with_chord_tokens():
+def test_compiled_triggers_agree_with_chord_tokens():
     for facing_sign in (1, -1):
-        for mask in range(256):
-            expected = token_mask(chord_tokens(CHORD_OF[mask], facing_sign))
-            assert TOKENS[facing_sign][mask] == expected
+        assert [move for move, _ in TRIGGERS[facing_sign]] == list(MOVE_TABLE)
+        for move, steps in TRIGGERS[facing_sign]:
+            assert len(steps) == len(move.trigger)
+            for step, tokens in zip(steps, move.trigger):
+                wanted = TOKEN_SET_OF[tokens]
+                for mask in range(256):
+                    read = chord_tokens(CHORD_OF[mask], facing_sign)
+                    # the matcher's two tests: all of the step held, some of it pressed
+                    assert (mask & step == step) == (wanted <= read), (move.id, mask)
+                    assert bool(mask & step) == bool(wanted & read), (move.id, mask)
 
 
 def test_chord_table_agrees_with_token_buttons():
     assert len(set(TOKEN_SET_OF)) == 512
-    absolute = token_mask({CommandToken.LEFT, CommandToken.RIGHT})
     for facing_sign in (1, -1):
         assert len(CHORDS[facing_sign]) == 512
         for tokens in range(512):
             assert token_mask(TOKEN_SET_OF[tokens]) == tokens
             expected = token_buttons(TOKEN_SET_OF[tokens], facing_sign)
-            chord_mask = CHORDS[facing_sign][tokens]
-            assert CHORD_OF[chord_mask] == expected
-            # the matcher reads back the facing-relative tokens resolve pressed
-            if not tokens & absolute:
-                assert TOKENS[facing_sign][chord_mask] == tokens
+            assert CHORD_OF[CHORDS[facing_sign][tokens]] == expected
 
 
 def test_non_canonical_chord_strings_still_replay():

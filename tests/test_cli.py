@@ -65,14 +65,23 @@ def no_match(*args, **kwargs):
 
 
 class TestRunMatch:
-    def test_outcome_line_and_log(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "specs, line",
+        [
+            ([BOTS_4[0], BOTS_4[3]], "WINNER=rush HEALTH=1.000 REASON=knockout"),
+            ([BOTS_4[3], BOTS_4[0]], "WINNER=rush HEALTH=1.000 REASON=knockout"),
+            ([BOTS_4[3], {**BOTS_4[3], "id": "idle2"}], "WINNER=DRAW HEALTH=NA REASON=timeout"),
+        ],
+        ids=["p1_wins", "p2_wins", "draw"],
+    )
+    def test_outcome_line_and_log(self, tmp_path, capsys, specs, line):
         cfg = write_config(tmp_path)
-        agents = write_agents(tmp_path, BOTS_4[:1] + BOTS_4[3:])
+        agents = write_agents(tmp_path, specs)
         out = tmp_path / "out"
         code = main(["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(out)])
         assert code == EXIT_OK
-        assert "WINNER=rush HEALTH=1.000 REASON=knockout" in capsys.readouterr().out
-        assert (out / "match_0_0_rush_vs_idle.json").is_file()
+        assert line in capsys.readouterr().out
+        assert (out / f"match_0_0_{specs[0]['id']}_vs_{specs[1]['id']}.json").is_file()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         agents = write_agents(tmp_path, BOTS_4[:2])

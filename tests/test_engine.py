@@ -22,7 +22,6 @@ from lmfa.engine.state import (
     MoveActive,
     Phase,
     Player,
-    Winner,
 )
 
 R = Button.RIGHT
@@ -355,7 +354,7 @@ class TestOutcome:
         s = run(s, [(chord(A), EMPTY_CHORD)] + [(EMPTY_CHORD, EMPTY_CHORD)] * 4)
         res = s.round_over
         assert res is not None
-        assert res.winner is Winner.P1
+        assert res.winner is Player.P1
         assert res.end_reason is EndReason.KNOCKOUT
         assert res.winner_health_fraction == 0.250
 
@@ -363,7 +362,7 @@ class TestOutcome:
         s = make_state(length=10)
         s = run(s, [(EMPTY_CHORD, EMPTY_CHORD)] * 10)
         res = s.round_over
-        assert res.winner is Winner.DRAW
+        assert res.winner is None
         assert res.end_reason is EndReason.TIMEOUT
         assert res.winner_health_fraction is None
 
@@ -371,14 +370,14 @@ class TestOutcome:
         s = make_state(h1=1000, h2=400, length=5)
         s = run(s, [(EMPTY_CHORD, EMPTY_CHORD)] * 5)
         res = s.round_over
-        assert res.winner is Winner.P1 and res.end_reason is EndReason.TIMEOUT
+        assert res.winner is Player.P1 and res.end_reason is EndReason.TIMEOUT
         assert res.winner_health_fraction == 1.000
 
     def test_double_ko_is_draw(self):
         s = make_state(x1=185, x2=215, h1=60, h2=60)
         s = run(s, [(chord(A), chord(A))] + [(EMPTY_CHORD, EMPTY_CHORD)] * 4)
         res = s.round_over
-        assert res.winner is Winner.DRAW
+        assert res.winner is None
         assert res.end_reason is EndReason.DOUBLE_KO
 
     def test_step_after_round_over_raises(self):

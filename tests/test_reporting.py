@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -26,12 +27,12 @@ from lmfa.reporting import (
 )
 from lmfa.tourney.match import (
     BUTTON_NAMES,
-    UnsupportedSchemaError,
+    MalformedLogError,
     log_from_dict,
     log_to_dict,
     run_match,
 )
-from lmfa.tourney.roundrobin import ReportIntegrityError, result_from_logs
+from lmfa.tourney.roundrobin import ReportIntegrityError, aggregate, result_from_logs
 
 
 def bot(name: str, policy: BotPolicy, **kw) -> AgentSpec:
@@ -77,6 +78,27 @@ class TestMatrix:
         # reconstruction still sees all six agents through other pairs
         with pytest.raises(ReportIntegrityError):
             matrix_csv(result_from_logs(records(logs)))
+
+    def test_forged_repeat_index_is_refused_at_once(self):
+        log = fixture_log(0, "a", "b", "a", 0.5)
+        # a copy filed as repeat 10**6, its seed following the schedule rule
+        forged = {**log, "repeat_index": 10**6, "seed": 10**6,
+                  "config": {**log["config"], "seed": 10**6}}
+        start = time.perf_counter()
+        with pytest.raises(ReportIntegrityError) as refused:
+            result_from_logs(records([log, forged]))
+        assert time.perf_counter() - start < 0.5
+        assert len(str(refused.value)) < 1024
+        assert "repeat index 1000000" in str(refused.value)
+
+    def test_missing_entries_are_named_up_to_five(self):
+        ids = ["a", "b", "c", "d", "e", "f", "g", "h"]  # 28 pairs, 27 missing
+        with pytest.raises(ReportIntegrityError) as refused:
+            aggregate(ids, records([fixture_log(0, "a", "b", "a", 0.5)]))
+        message = str(refused.value)
+        assert message.startswith("no log for pair 1 ('a', 'c') repeat 0; ")
+        assert message.count("; pair ") == 4
+        assert message.endswith("; and 22 more")
 
     def test_draw_cell_renders_as_d(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
@@ -264,5 +286,5 @@ class TestVerifyReplay:
     def test_schema_version_checked(self):
         data = log_to_dict(self.make_log())
         data["schema"] = "lmfa-log/2"
-        with pytest.raises(UnsupportedSchemaError):
+        with pytest.raises(MalformedLogError, match="unsupported log schema"):
             verify_replay(log_from_dict(data))

@@ -23,13 +23,12 @@ from lmfa.engine.state import (
     Player,
     Projectile,
     RoundOutcome,
-    Winner,
 )
 
 _FIGHTER_A = FighterState(900, 120, 4, Facing.LEFT, Hitstun(5), 3, ((10, 1),))
 _FIGHTER_B = FighterState(700, 260, 0, Facing.RIGHT, KnockedDown(2), 0, ())
 _PROJECTILE = Projectile(Player.P2, 200, 30, -4)
-_OUTCOME = RoundOutcome(Winner.P1, 500, EndReason.KNOCKOUT, 1234)
+_OUTCOME = RoundOutcome(Player.P1, 500, EndReason.KNOCKOUT, 1234)
 
 # Two argument tuples per class, differing in every field.
 SAMPLES = {
@@ -46,8 +45,8 @@ SAMPLES = {
     ),
     "Projectile": ((Player.P2, 200, 30, -4), (Player.P1, 90, 12, 4)),
     "RoundOutcome": (
-        (Winner.P1, 500, EndReason.KNOCKOUT, 1234),
-        (Winner.DRAW, None, EndReason.TIMEOUT, 5940),
+        (Player.P1, 500, EndReason.KNOCKOUT, 1234),
+        (None, None, EndReason.TIMEOUT, 5940),
     ),
     "GameState": (
         (12, 5000, 400, _FIGHTER_A, _FIGHTER_B, (_PROJECTILE,), _OUTCOME),

@@ -23,7 +23,7 @@ from lmfa.agents.specs import (
 )
 from lmfa.config import MatchConfig, with_seed
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
-from lmfa.engine.state import EndReason, Winner
+from lmfa.engine.state import EndReason, Player
 from lmfa.observe.describe import PPM_HEADER, describe_state
 from lmfa.observe.raster import annotate, render
 from lmfa.observe.window import window_indices
@@ -31,7 +31,7 @@ from lmfa.tourney import match as match_module
 from lmfa.tourney import roundrobin as roundrobin_module
 from lmfa.tourney.match import (
     BUTTON_NAMES,
-    UnsupportedSchemaError,
+    MalformedLogError,
     log_from_dict,
     log_to_dict,
     run_match,
@@ -57,13 +57,13 @@ class TestRunMatch:
     def test_rushdown_beats_idle_with_full_health(self):
         # idle never attacks, so the winner's health stays exactly 1000
         log = run_match(RUSH, IDLE, MatchConfig(seed=1))
-        assert log.result.winner is Winner.P1
+        assert log.result.winner is Player.P1
         assert log.result.end_reason is EndReason.KNOCKOUT
         assert log.result.winner_health_fraction == 1.000
 
     def test_idle_mirror_is_timeout_draw(self):
         log = run_match(IDLE, bot("idle2", BotPolicy.IDLE), MatchConfig(seed=1, match_length_frames=600))
-        assert log.result.winner is Winner.DRAW
+        assert log.result.winner is None
         assert log.result.end_reason is EndReason.TIMEOUT
 
     def test_decision_tick_count(self):
@@ -109,7 +109,7 @@ class TestRunMatch:
             assert value == original, field.name
 
     def test_wrong_schema_rejected(self):
-        with pytest.raises(UnsupportedSchemaError):
+        with pytest.raises(MalformedLogError, match="unsupported log schema"):
             log_from_dict({"schema": "lmfa-log/9"})
 
     def test_plans_truncate_at_next_tick(self):
