@@ -17,6 +17,12 @@ The body is exactly ``json.dumps(request, default=str).encode()`` for the
 request of ``build_wire_request(...)``, whose frames are the WireText of
 ``encode_frame_base64``: ``encode_wire_request`` splices their base64 row
 pieces in and joins each body once, so a frame's text is never built.
+
+``requests`` is imported only when an agent is remote: ``load_transport``
+binds it on first use, which ``load_agents_file`` does for an agents file
+that names a remote agent, so scripted tournaments, ``lmfa replay`` and
+``lmfa report`` never load it. A missing package is an AgentSetupError
+(exit 3) before any match.
 """
 
 from __future__ import annotations
@@ -27,9 +33,6 @@ import re
 import time
 from typing import List, Optional, Tuple
 
-import requests
-from urllib3.exceptions import HTTPError, ReadTimeoutError
-
 from lmfa.agents.specs import AgentSetupError, AgentSpec, FailureKind
 from lmfa.observe.describe import Observation, WireText
 
@@ -39,6 +42,24 @@ AUTH_ENV_VAR = "LMFA_AUTH_HEADER"
 FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
 MAX_REPLY_BYTES = 64 * 1024  # a longer response body is a parse failure
 HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
+
+requests = None  # the transport module, bound by load_transport
+
+
+def load_transport():
+    """The ``requests`` module, imported on the first call; a module already
+    bound to ``requests`` here is returned as it is. Raises AgentSetupError
+    if the package is not installed."""
+    global requests
+    if requests is None:
+        try:
+            import requests as module
+        except ImportError as exc:
+            raise AgentSetupError(
+                f"remote agents need the requests package, which cannot be imported: {exc}"
+            ) from exc
+        requests = module
+    return requests
 
 
 def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) -> dict:
@@ -152,6 +173,9 @@ def query_remote(
     MAX_REPLY_BYTES or one nested too deep for ``json.loads``, are parse
     failures and are never retried.
     """
+    load_transport()
+    from urllib3.exceptions import HTTPError, ReadTimeoutError
+
     body = encode_wire_request(build_wire_request(spec, obs, system_prompt))
     headers = request_headers()
     deadline = time.monotonic() + spec.timeout_ms / 1000

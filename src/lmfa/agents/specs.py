@@ -123,11 +123,16 @@ def _specs_from_dict(data: dict) -> List[AgentSpec]:
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
     """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]}; its
-    fixed_script files, and LMFA_AUTH_HEADER if an agent is remote, are checked too."""
-    from lmfa.agents.remote import request_headers  # remote imports this module
+    fixed_script files, and LMFA_AUTH_HEADER if an agent is remote, are checked too.
+
+    Only a file that names a remote agent imports ``requests``, here and so
+    before any match; without the package that is an AgentSetupError (exit 3).
+    Scripted tournaments, ``lmfa replay`` and ``lmfa report`` never need it."""
+    from lmfa.agents.remote import load_transport, request_headers  # remote imports this module
     specs = load_document(path, "agents", _specs_from_dict, AgentSetupError)
     if any(spec.kind is AgentKind.REMOTE for spec in specs):
         request_headers()
+        load_transport()
     return specs
 
 

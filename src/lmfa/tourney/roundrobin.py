@@ -19,7 +19,8 @@ while the pool works.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
@@ -33,24 +34,24 @@ class ReportIntegrityError(ValueError):
 
 def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> List[dict]:
     """Flat schedule: one entry per match, deterministic order."""
-    schedule = []
+    return list(_schedule_entries(ids, matches_per_pair))
+
+
+def _schedule_entries(ids: Sequence[str], matches_per_pair: int) -> Iterator[dict]:
     pair_index = 0
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
             for k in range(matches_per_pair):
                 flip = (pair_index + k) % 2 == 1
-                schedule.append(
-                    {
-                        "pair_index": pair_index,
-                        "repeat_index": k,
-                        "row": ids[i],
-                        "col": ids[j],
-                        "p1": ids[j] if flip else ids[i],
-                        "p2": ids[i] if flip else ids[j],
-                    }
-                )
+                yield {
+                    "pair_index": pair_index,
+                    "repeat_index": k,
+                    "row": ids[i],
+                    "col": ids[j],
+                    "p1": ids[j] if flip else ids[i],
+                    "p2": ids[i] if flip else ids[j],
+                }
             pair_index += 1
-    return schedule
 
 
 def match_seed(base_seed: int, pair_index: int, repeat_index: int) -> int:
@@ -128,6 +129,23 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
             f"repeat index {repeats - 1} needs {repeats} logs per pair, more than"
             f" the {len(logs)} logs given"
         )
+    # and k repeats of n agents' n(n-1)/2 pairs take that many times k; with
+    # fewer logs some entry is missing, and only the entries the message
+    # names are laid out, so made-up agent ids cannot size the schedule
+    pairs = len(ids) * (len(ids) - 1) // 2
+    if pairs * repeats > len(logs):
+        found = sum(0 <= pair < pairs and repeat >= 0 for pair, repeat in by_key)
+        missing = (
+            e for e in _schedule_entries(ids, repeats)
+            if (e["pair_index"], e["repeat_index"]) not in by_key
+        )
+        named = [
+            f"pair {e['pair_index']} {(e['row'], e['col'])} repeat {e['repeat_index']}"
+            for e in islice(missing, _MISSING_SHOWN)
+        ]
+        if pairs * repeats - found > _MISSING_SHOWN:
+            named.append(f"and {pairs * repeats - found - _MISSING_SHOWN} more")
+        raise ReportIntegrityError(f"no log for {'; '.join(named)}")
     # winner_health_sum, the ranking tiebreak, is the health retained in wins
     standings = {
         aid: dict(agent=aid, matches=0, wins=0, draws=0, losses=0, winner_health_sum=0)
@@ -136,13 +154,12 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
     cells: List[dict] = []
     pair_logs: List[MatchLog] = []
-    missing = []
     base_seed: Optional[int] = None
-    for entry in pair_schedule(ids, repeats):
+    for entry in _schedule_entries(ids, repeats):
         key = (entry["pair_index"], entry["repeat_index"])
         log = by_key.pop(key, None)
         if log is None:
-            missing.append(entry)
+            pass  # with no fewer logs than entries, one then lies outside: refused below
         elif (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
             raise ReportIntegrityError(
                 f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
@@ -175,14 +192,6 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     outside = next(iter(by_key.values()), None)
     if outside is not None:
         raise ReportIntegrityError(f"{_where(outside)} is outside the round-robin schedule")
-    if missing:
-        named = [
-            f"pair {e['pair_index']} {(e['row'], e['col'])} repeat {e['repeat_index']}"
-            for e in missing[:_MISSING_SHOWN]
-        ]
-        if len(missing) > _MISSING_SHOWN:
-            named.append(f"and {len(missing) - _MISSING_SHOWN} more")
-        raise ReportIntegrityError(f"no log for {'; '.join(named)}")
 
     for s in standings.values():
         s["win_rate"] = (s["wins"] + 0.5 * s["draws"]) / s["matches"] if s["matches"] else 0.0

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from lmfa.actions import VOCABULARY, parse
-from lmfa.agents import gateway
+from lmfa.agents import gateway, remote
 from lmfa.agents.bots import RANDOM_COMMAND_POOL, decide
 from lmfa.agents.gateway import act
 from lmfa.agents.mock_server import MockAgentServer
@@ -335,6 +335,28 @@ class TestRemoteGateway:
             body = server.requests[0]["json"]
             assert body["model"] == "chat-model"
             assert body["messages"][0]["role"] == "system"
+
+    def test_posts_go_through_the_module_global(self, monkeypatch):
+        # a tracer swaps lmfa.agents.remote.requests for a proxy, so
+        # query_remote must look the module up there at every POST
+        requests = remote.load_transport()
+        posts = []
+
+        class RecordingRequests:
+            def __getattr__(self, name):
+                return getattr(requests, name)
+
+            def post(self, url, **kwargs):
+                posts.append((url, kwargs))
+                return requests.post(url, **kwargs)
+
+        monkeypatch.setattr(remote, "requests", RecordingRequests())
+        with MockAgentServer(replies=["A"]) as server:
+            url = server.url
+            d = act(remote_spec(url), obs_for(new_match(MatchConfig())), "sys")
+        assert d.failure is None
+        assert [posted for posted, _ in posts] == [url]
+        assert [kwargs["data"] for _, kwargs in posts] == [r["body"] for r in server.requests]
 
 
 class TestWireRequest:

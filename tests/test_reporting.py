@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -99,6 +100,30 @@ class TestMatrix:
         assert message.startswith("no log for pair 1 ('a', 'c') repeat 0; ")
         assert message.count("; pair ") == 4
         assert message.endswith("; and 22 more")
+
+    def test_forged_agent_ids_do_not_size_the_schedule(self):
+        # 60 logs naming 120 fresh agents make 7,140 pairs; a copy of the
+        # first filed as repeat 59 asks for 60 repeats of each, so 428,400
+        # entries against 61 logs
+        logs = [fixture_log(i, f"r{i}", f"c{i}", f"r{i}", 0.5) for i in range(60)]
+        forged = {**logs[0], "repeat_index": 59, "seed": 59,
+                  "config": {**logs[0]["config"], "seed": 59}}
+        logs = records(logs + [forged])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ReportIntegrityError) as refused:
+                result_from_logs(logs)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 10 * 2**20
+        message = str(refused.value)
+        assert message.startswith("no log for pair 0 ('r0', 'c0') repeat 1; ")
+        assert message.count("; pair ") == 4
+        assert message.endswith(f"; and {7140 * 60 - 61 - 5} more")
 
     def test_draw_cell_renders_as_d(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]

@@ -1,6 +1,11 @@
-"""lmfa runs without numpy: in a fresh interpreter where ``import numpy``
-fails, the CLI imports and a remote match against the mock endpoint plays
-with no failed decision."""
+"""lmfa runs without numpy, and without requests unless an agent is remote.
+
+In a fresh interpreter where ``import numpy`` fails, the CLI imports and a
+remote match against the mock endpoint plays with no failed decision.
+``import lmfa.cli`` loads neither requests nor urllib3; where ``import
+requests`` fails, a scripted tournament, its replays and its report give the
+same bytes as with it, and an agents file naming a remote agent exits 3
+before any match."""
 
 from __future__ import annotations
 
@@ -9,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,3 +58,95 @@ def test_remote_match_plays_without_numpy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result == {"served": 8, "decisions": 8, "failures": [], "frames": 1 + 10 + 10 + 10}
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+
+
+def test_cli_import_loads_no_transport():
+    proc = run_fresh(
+        "import json, sys; import lmfa.cli; "
+        "print(json.dumps(sorted({'requests', 'urllib3'} & set(sys.modules))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# argv: "blocked" or "available", then a directory holding config.json and
+# agents.json; the last stdout line is the exit codes and the transport
+# modules loaded
+SCRIPTED = """
+import json, sys
+from pathlib import Path
+if sys.argv[1] == "blocked":
+    sys.modules["requests"] = None  # any import of requests now raises ImportError
+from lmfa.cli import main
+
+work = Path(sys.argv[2])
+codes = [main(["tournament", "--config", str(work / "config.json"), "--agents",
+               str(work / "agents.json"), "--out", str(work / "run"), "--matches-per-pair", "2"])]
+codes += [main(["replay", str(log)]) for log in sorted((work / "run").glob("match_*.json"))]
+codes.append(main(["report", str(work / "run"), "--out", str(work / "report")]))
+loaded = sorted(name for name in ("requests", "urllib3") if sys.modules.get(name) is not None)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+CONFIG = {"lmfa_config": 1, "match_length_frames": 600, "seed": 7}
+SCRIPTED_AGENTS = {"lmfa_agents": 1, "agents": [
+    {"id": "idle", "kind": "scripted", "policy": "idle"},
+    {"id": "rush", "kind": "scripted", "policy": "rushdown"},
+    {"id": "zone", "kind": "scripted", "policy": "zoner"},
+]}
+
+
+def test_scripted_commands_give_the_same_bytes_without_requests(tmp_path):
+    files = {}
+    for mode in ("blocked", "available"):
+        work = tmp_path / mode
+        work.mkdir()
+        (work / "config.json").write_text(json.dumps(CONFIG))
+        (work / "agents.json").write_text(json.dumps(SCRIPTED_AGENTS))
+        proc = run_fresh(SCRIPTED, mode, str(work))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0] * (1 + 6 + 1), "loaded": []}
+        files[mode] = {
+            str(path.relative_to(work)): path.read_bytes()
+            for directory in ("run", "report")
+            for path in sorted((work / directory).iterdir())
+        }
+    assert len(files["blocked"]) == 6 + 6 + 6  # run/: six logs, six reports; report/: six reports
+    assert files["blocked"] == files["available"]
+
+
+REMOTE = """
+import sys
+sys.modules["requests"] = None  # any import of requests now raises ImportError
+from lmfa.cli import main
+
+command, config, agents, out = sys.argv[1:]
+sys.exit(main([command, "--config", config, "--agents", agents, "--out", out]))
+"""
+
+
+@pytest.mark.parametrize("command", ["run-match", "tournament"])
+def test_remote_agent_without_requests_exits_3_before_any_match(tmp_path, command):
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    (tmp_path / "agents.json").write_text(json.dumps({"lmfa_agents": 1, "agents": [
+        {"id": "remote", "kind": "remote", "endpoint": "http://127.0.0.1:9/"},
+        {"id": "idle", "kind": "scripted", "policy": "idle"},
+    ]}))
+    out = tmp_path / "out"
+    proc = run_fresh(
+        REMOTE, command, str(tmp_path / "config.json"), str(tmp_path / "agents.json"), str(out)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "setup error:" in proc.stderr and "requests" in proc.stderr
+    assert not out.exists()
