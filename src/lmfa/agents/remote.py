@@ -19,9 +19,9 @@ request of ``build_wire_request(...)``, whose frames are the WireText of
 pieces in and joins each body once, so a frame's text is never built.
 
 ``requests`` is imported only when an agent is remote: ``load_transport``
-binds it on first use, which ``load_agents_file`` does for an agents file
-that names a remote agent, so scripted tournaments, ``lmfa replay`` and
-``lmfa report`` never load it. A missing package is an AgentSetupError
+binds it on first use, which constructing a remote ``AgentSpec`` does, so
+scripted tournaments, ``lmfa replay`` and ``lmfa report`` never load it and
+no decision pays the import. A missing package is an AgentSetupError
 (exit 3) before any match.
 """
 
@@ -173,7 +173,6 @@ def query_remote(
     MAX_REPLY_BYTES or one nested too deep for ``json.loads``, are parse
     failures and are never retried.
     """
-    load_transport()
     from urllib3.exceptions import HTTPError, ReadTimeoutError
 
     body = encode_wire_request(build_wire_request(spec, obs, system_prompt))

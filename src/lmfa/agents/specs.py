@@ -67,6 +67,8 @@ class AgentSpec:
                 raise AgentSetupError(f"agent {self.id}: remote agent needs endpoint")
             if self.wire_format not in WIRE_FORMATS:
                 raise AgentSetupError(f"agent {self.id}: unknown wire_format {self.wire_format!r}")
+            from lmfa.agents.remote import load_transport  # remote imports this module
+            load_transport()  # setup pays the import, not the first decision
         else:
             if self.bot_policy is None:
                 raise AgentSetupError(f"agent {self.id}: scripted agent needs policy")
@@ -123,16 +125,11 @@ def _specs_from_dict(data: dict) -> List[AgentSpec]:
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
     """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]}; its
-    fixed_script files, and LMFA_AUTH_HEADER if an agent is remote, are checked too.
-
-    Only a file that names a remote agent imports ``requests``, here and so
-    before any match; without the package that is an AgentSetupError (exit 3).
-    Scripted tournaments, ``lmfa replay`` and ``lmfa report`` never need it."""
-    from lmfa.agents.remote import load_transport, request_headers  # remote imports this module
+    fixed_script files, and LMFA_AUTH_HEADER if an agent is remote, are checked too."""
+    from lmfa.agents.remote import request_headers  # remote imports this module
     specs = load_document(path, "agents", _specs_from_dict, AgentSetupError)
     if any(spec.kind is AgentKind.REMOTE for spec in specs):
         request_headers()
-        load_transport()
     return specs
 
 

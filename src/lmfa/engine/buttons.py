@@ -49,15 +49,11 @@ def encode_chord(mask: int) -> str:
 
 
 def decode_chord(text: str) -> int:
-    """Mask of a chord string; codes may come in any order and repeat."""
+    """Mask of a chord string as ``encode_chord`` spells it; ValueError on
+    any other text, codes out of order or repeated included."""
     mask = _MASK_BY_CODE.get(text)
     if mask is None:
-        mask = EMPTY_CHORD
-        for ch in text:
-            bit = _BIT_BY_CODE.get(ch)
-            if bit is None:
-                raise ValueError(f"unknown button code in chord {text!r}")
-            mask |= bit
+        raise ValueError(f"not a canonical chord {text!r}")
     return mask
 
 

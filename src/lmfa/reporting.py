@@ -104,10 +104,13 @@ def heatmap_table(
 
 @dataclass(frozen=True)
 class ReplayVerdict:
-    ok: bool
     kind: str  # "match" | "state_divergence" | "result_forgery" | "decision_mismatch"
     first_divergent_frame: Optional[int] = None
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.kind == "match"
 
 
 def verify_replay(log: MatchLog) -> ReplayVerdict:
@@ -124,9 +127,7 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
     logged = log.state_digests
     digest = initial_digest(log.config, state)
     if not logged or logged[0] != digest:
-        return ReplayVerdict(
-            False, "state_divergence", 0, "initial state digest mismatch"
-        )
+        return ReplayVerdict("state_divergence", 0, "initial state digest mismatch")
     hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
     for i, row in enumerate(log.input_trace):
         # A row is a list; a two-character string or a two-key object would
@@ -136,40 +137,28 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
             enc1, enc2 = pair
             m1, m2 = decode_chord(enc1), decode_chord(enc2)
         except (ValueError, TypeError):  # not a pair of strings, or an unknown code
-            return ReplayVerdict(
-                False, "state_divergence", i + 1, f"invalid chord encoding at frame {i}"
-            )
+            return ReplayVerdict("state_divergence", i + 1, f"invalid chord encoding at frame {i}")
         try:
             state = step(state, m1, m2)
         except RoundOverError:  # trace longer than the match it claims to be
             return ReplayVerdict(
-                False, "state_divergence", i + 1, f"trace continues past round end at frame {i}"
+                "state_divergence", i + 1, f"trace continues past round end at frame {i}"
             )
         digest = chain_digest(digest, enc1, enc2, trace_line(state))
         hist1[m1] += 1
         hist2[m2] += 1
         if i + 1 >= len(logged) or logged[i + 1] != digest:
             return ReplayVerdict(
-                False,
-                "state_divergence",
-                i + 1,
-                f"digest chain diverges at frame {i + 1}",
+                "state_divergence", i + 1, f"digest chain diverges at frame {i + 1}"
             )
     if len(logged) != len(log.input_trace) + 1:
         return ReplayVerdict(
-            False,
-            "state_divergence",
-            len(log.input_trace),
-            "digest list longer than replayed trace",
+            "state_divergence", len(log.input_trace), "digest list longer than replayed trace"
         )
     if state.round_over != log.result:
-        return ReplayVerdict(
-            False, "result_forgery", None, "logged result does not match replay"
-        )
+        return ReplayVerdict("result_forgery", None, "logged result does not match replay")
     if count_buttons(hist1, hist2) != log.button_counts:
-        return ReplayVerdict(
-            False, "result_forgery", None, "logged button_counts do not match replay"
-        )
+        return ReplayVerdict("result_forgery", None, "logged button_counts do not match replay")
     interval = log.config.decision_interval_frames
     ticks = -(-len(log.input_trace) // interval)
     expected = [(side, t, t * interval) for t in range(ticks) for side in ("P1", "P2")]
@@ -181,12 +170,11 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
         )
         tick = first // 2
         return ReplayVerdict(
-            False,
             "decision_mismatch",
             tick * interval,
             f"decision entries do not match tick {tick} at frame {tick * interval}",
         )
-    return ReplayVerdict(True, "match")
+    return ReplayVerdict("match")
 
 
 # -- report emission ---------------------------------------------------

@@ -58,35 +58,25 @@ def match_seed(base_seed: int, pair_index: int, repeat_index: int) -> int:
     return base_seed + pair_index * 1000 + repeat_index
 
 
-def _wins_for(log: MatchLog, agent_id: str) -> bool:
-    winner = log.result.winner
-    return winner is not None and log.agent_id(winner) == agent_id
-
-
-def _aggregate_cell(row: str, col: str, logs: Sequence[MatchLog]) -> dict:
-    """The matrix cell of one unordered pair, row earlier in agent order."""
-    row_wins = sum(_wins_for(log, row) for log in logs)
-    col_wins = sum(_wins_for(log, col) for log in logs)
-    draws = len(logs) - row_wins - col_wins
-    if row_wins > col_wins:
-        winner = "row"
-    elif col_wins > row_wins:
-        winner = "col"
-    else:
-        winner = "draw"
-    healths = [
-        log.result.winner_health
-        for log in logs
-        if log.result.winner_health is not None
-        and _wins_for(log, row if winner == "row" else col)
-    ]
-    # multi-match cells keep the integer mean of the winner's healths,
-    # written to 3 decimals as one match's outcome is
+def _aggregate_cell(
+    row: str, col: str, outcomes: Sequence[Tuple[Optional[str], Optional[int]]]
+) -> dict:
+    """The matrix cell of one unordered pair, row earlier in agent order,
+    from each match's winner id (None on a draw) and winner health."""
+    row_wins = sum(winner == row for winner, _ in outcomes)
+    col_wins = sum(winner == col for winner, _ in outcomes)
     fraction = None
-    if winner != "draw" and healths:
+    if row_wins == col_wins:
+        winner = "draw"
+    else:
+        winner, winner_id = ("row", row) if row_wins > col_wins else ("col", col)
+        healths = [health for w, health in outcomes if w == winner_id]
+        # multi-match cells keep the integer mean of the winner's healths,
+        # written to 3 decimals as one match's outcome is
         fraction = f"{sum(healths) // len(healths) / HEALTH_MAX:.3f}"
-    return dict(row=row, col=col, row_wins=row_wins, col_wins=col_wins, draws=draws,
-                winner=winner, winner_health_fraction=fraction)
+    return dict(row=row, col=col, row_wins=row_wins, col_wins=col_wins,
+                draws=len(outcomes) - row_wins - col_wins, winner=winner,
+                winner_health_fraction=fraction)
 
 
 _MISSING_SHOWN = 5  # schedule entries a "no log for" message names
@@ -108,11 +98,14 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     ``base_seed + pair_index * 1000 + repeat_index`` for one base seed.
     """
     ids = list(ids)
+    pairs = len(ids) * (len(ids) - 1) // 2
     by_key: Dict[Tuple[int, int], MatchLog] = {}
     first = config_to_dict(logs[0].config) if logs else {}
     for log in logs:
         if (log.pair_index, log.repeat_index) in by_key:
             raise ReportIntegrityError(f"{_where(log)} appears twice")
+        if not (0 <= log.pair_index < pairs and log.repeat_index >= 0):
+            raise ReportIntegrityError(f"{_where(log)} is outside the round-robin schedule")
         differs = [
             k for k, v in config_to_dict(log.config).items() if k != "seed" and v != first[k]
         ]
@@ -129,12 +122,11 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
             f"repeat index {repeats - 1} needs {repeats} logs per pair, more than"
             f" the {len(logs)} logs given"
         )
-    # and k repeats of n agents' n(n-1)/2 pairs take that many times k; with
-    # fewer logs some entry is missing, and only the entries the message
-    # names are laid out, so made-up agent ids cannot size the schedule
-    pairs = len(ids) * (len(ids) - 1) // 2
-    if pairs * repeats > len(logs):
-        found = sum(0 <= pair < pairs and repeat >= 0 for pair, repeat in by_key)
+    # every log is now a distinct entry of the schedule, so one is missing
+    # just when there are fewer logs than entries; only the entries the
+    # message names are laid out, so made-up agent ids cannot size it
+    absent = pairs * repeats - len(by_key)
+    if absent:
         missing = (
             e for e in _schedule_entries(ids, repeats)
             if (e["pair_index"], e["repeat_index"]) not in by_key
@@ -143,8 +135,8 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
             f"pair {e['pair_index']} {(e['row'], e['col'])} repeat {e['repeat_index']}"
             for e in islice(missing, _MISSING_SHOWN)
         ]
-        if pairs * repeats - found > _MISSING_SHOWN:
-            named.append(f"and {pairs * repeats - found - _MISSING_SHOWN} more")
+        if absent > _MISSING_SHOWN:
+            named.append(f"and {absent - _MISSING_SHOWN} more")
         raise ReportIntegrityError(f"no log for {'; '.join(named)}")
     # winner_health_sum, the ranking tiebreak, is the health retained in wins
     standings = {
@@ -153,45 +145,39 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     }
     counts = {aid: dict.fromkeys(BUTTON_NAMES.values(), 0) for aid in ids}
     cells: List[dict] = []
-    pair_logs: List[MatchLog] = []
-    base_seed: Optional[int] = None
+    outcomes: List[Tuple[Optional[str], Optional[int]]] = []
+    base_seed = by_key[0, 0].config.seed if by_key else 0  # no logs: no entries
     for entry in _schedule_entries(ids, repeats):
         key = (entry["pair_index"], entry["repeat_index"])
-        log = by_key.pop(key, None)
-        if log is None:
-            pass  # with no fewer logs than entries, one then lies outside: refused below
-        elif (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
+        log = by_key[key]
+        if (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
             raise ReportIntegrityError(
                 f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
             )
-        elif base_seed is not None and log.config.seed != match_seed(base_seed, *key):
+        if log.config.seed != match_seed(base_seed, *key):
             raise ReportIntegrityError(
                 f"{_where(log)} has seed {log.config.seed}, not {match_seed(base_seed, *key)}"
                 f" (base seed {base_seed})"
             )
-        else:
-            if base_seed is None:
-                base_seed = log.config.seed - match_seed(0, *key)
-            pair_logs.append(log)
-            for player in (Player.P1, Player.P2):
-                aid = log.agent_id(player)
-                s = standings[aid]
-                s["matches"] += 1
-                if log.result.winner is None:
-                    s["draws"] += 1
-                elif _wins_for(log, aid):
-                    s["wins"] += 1
-                    s["winner_health_sum"] += log.result.winner_health or 0
-                else:
-                    s["losses"] += 1
-                for button, n in log.button_counts[player.value].items():
-                    counts[aid][button] += n
+        outcome = log.result
+        winner = None if outcome.winner is None else log.agent_id(outcome.winner)
+        outcomes.append((winner, outcome.winner_health))
+        for player in (Player.P1, Player.P2):
+            aid = log.agent_id(player)
+            s = standings[aid]
+            s["matches"] += 1
+            if winner is None:
+                s["draws"] += 1
+            elif winner == aid:
+                s["wins"] += 1
+                s["winner_health_sum"] += outcome.winner_health
+            else:
+                s["losses"] += 1
+            for button, n in log.button_counts[player.value].items():
+                counts[aid][button] += n
         if key[1] == repeats - 1:
-            cells.append(_aggregate_cell(entry["row"], entry["col"], pair_logs))
-            pair_logs = []
-    outside = next(iter(by_key.values()), None)
-    if outside is not None:
-        raise ReportIntegrityError(f"{_where(outside)} is outside the round-robin schedule")
+            cells.append(_aggregate_cell(entry["row"], entry["col"], outcomes))
+            outcomes = []
 
     for s in standings.values():
         s["win_rate"] = (s["wins"] + 0.5 * s["draws"]) / s["matches"] if s["matches"] else 0.0

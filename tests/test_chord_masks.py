@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable
 
+import pytest
+
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig, config_from_dict
 from lmfa.engine.buttons import (
@@ -199,7 +201,7 @@ def test_chord_table_agrees_with_token_buttons():
             assert CHORD_OF[CHORDS[facing_sign][tokens]] == expected
 
 
-def test_non_canonical_chord_strings_still_replay():
+def test_non_canonical_chord_strings_are_refused():
     log = run_match(
         AgentSpec(id="r", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.RANDOM, seed=3),
         AgentSpec(id="i", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE),
@@ -208,16 +210,23 @@ def test_non_canonical_chord_strings_still_replay():
     data = log_to_dict(log)
     assert any(len(enc) >= 2 for row in data["input_trace"] for enc in row)
 
-    # "DA" -> "ADD", "A" -> "AA": same buttons, spelled out of order and twice
+    # "DA" -> "ADD", "A" -> "AA": same buttons, spelled out of order and twice;
+    # the chain is recomputed over the respelled text, so only the spelling is off
     trace = [[enc[::-1] + enc[:1] for enc in row] for row in data["input_trace"]]
     config = config_from_dict(data["config"])
     state = new_match(config)
     digests = [initial_digest(config, state)]
-    for enc1, enc2 in trace:
-        assert decode_chord_set(enc1) == CHORD_OF[decode_chord(enc1)]
+    for (enc1, enc2), respelled in zip(data["input_trace"], trace):
+        assert decode_chord_set(respelled[0]) == CHORD_OF[decode_chord(enc1)]
         state = step(state, decode_chord(enc1), decode_chord(enc2))
-        digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
+        digests.append(chain_digest(digests[-1], *respelled, trace_line(state)))
+    first = next(i for i, row in enumerate(trace) if row != data["input_trace"][i])
+    for text in ("AA", "AD", "X"):  # repeated, out of order, unknown
+        with pytest.raises(ValueError):
+            decode_chord(text)
     data = {**data, "input_trace": trace, "state_digests": digests}
 
     verdict = verify_replay(log_from_dict(data))
-    assert verdict.ok and verdict.kind == "match"
+    assert not verdict.ok and verdict.kind == "state_divergence"
+    assert verdict.first_divergent_frame == first + 1
+    assert verdict.detail == f"invalid chord encoding at frame {first}"

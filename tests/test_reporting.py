@@ -125,6 +125,13 @@ class TestMatrix:
         assert message.count("; pair ") == 4
         assert message.endswith(f"; and {7140 * 60 - 61 - 5} more")
 
+    def test_off_schedule_log_is_refused_as_it_is_read(self):
+        # pair 1 and 2 are missing too, but the pair-99 copy is met first
+        log = fixture_log(0, "a", "b", "a", 0.5)
+        with pytest.raises(ReportIntegrityError) as refused:
+            aggregate(["a", "b", "c"], records([log, {**log, "pair_index": 99}]))
+        assert "(pair 99, repeat 0) is outside the round-robin schedule" in str(refused.value)
+
     def test_draw_cell_renders_as_d(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
         logs[0]["result"].update(

@@ -2,10 +2,10 @@
 
 In a fresh interpreter where ``import numpy`` fails, the CLI imports and a
 remote match against the mock endpoint plays with no failed decision.
-``import lmfa.cli`` loads neither requests nor urllib3; where ``import
-requests`` fails, a scripted tournament, its replays and its report give the
-same bytes as with it, and an agents file naming a remote agent exits 3
-before any match."""
+``import lmfa.cli`` loads neither requests nor urllib3, and constructing a
+remote agent spec loads requests; where ``import requests`` fails, a
+scripted tournament, its replays and its report give the same bytes as with
+it, and an agents file naming a remote agent exits 3 before any match."""
 
 from __future__ import annotations
 
@@ -77,6 +77,16 @@ def test_cli_import_loads_no_transport():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_remote_spec_loads_the_transport_before_any_decision():
+    proc = run_fresh(
+        "import sys; from lmfa.agents.specs import AgentKind, AgentSpec; "
+        "AgentSpec(id='r', kind=AgentKind.REMOTE, endpoint='http://127.0.0.1:9/'); "
+        "print('requests' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 # argv: "blocked" or "available", then a directory holding config.json and
