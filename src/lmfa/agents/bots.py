@@ -3,18 +3,16 @@
 Every bot is a pure function of (observation, spec seed): replaying a
 match with the same specs reproduces every decision bit-exactly, and no
 bot ever inspects hidden engine state - only what a remote agent would
-see in the structured features.
+see in the structured features. A fixed_script bot plays the lines that
+``load_script`` read when its spec was made, from that function's cache.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
-from pathlib import Path
 from typing import Tuple
 
-from lmfa.actions import CommandError, parse
-from lmfa.agents.specs import AgentSetupError, AgentSpec, BotPolicy
+from lmfa.agents.specs import AgentSetupError, AgentSpec, BotPolicy, load_script
 from lmfa.observe.describe import Observation
 
 FALLBACK_COMMAND = "C"
@@ -54,28 +52,6 @@ def _seeded_index(seed: int, obs: Observation, modulus: int) -> int:
     return int.from_bytes(digest[:8], "big") % modulus
 
 
-@lru_cache(maxsize=32)
-def _load_script(path: str) -> Tuple[str, ...]:
-    p = Path(path)
-    if not p.is_file():
-        raise AgentSetupError(f"bot script not found: {p}")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise AgentSetupError(f"bot script {p} is not UTF-8 text: {exc}") from None
-    lines = []
-    for number, line in enumerate(map(str.strip, text.splitlines()), 1):
-        if line and not line.startswith("#"):
-            try:
-                parse(line)
-            except CommandError as exc:
-                raise AgentSetupError(f"bot script {p} line {number}: {exc}") from None
-            lines.append(line)
-    if not lines:
-        raise AgentSetupError(f"bot script {p} contains no commands")
-    return tuple(lines)
-
-
 def decide(spec: AgentSpec, obs: Observation) -> str:
     """Return the bot's command text for this decision."""
     policy = spec.bot_policy
@@ -93,6 +69,6 @@ def decide(spec: AgentSpec, obs: Observation) -> str:
         pool = RANDOM_COMMAND_POOL
         return pool[_seeded_index(spec.seed, obs, len(pool))]
     if policy is BotPolicy.FIXED_SCRIPT:
-        script = _load_script(spec.script_path)
+        script = load_script(spec.script_path)
         return script[obs.decision_index % len(script)]
     raise AgentSetupError(f"agent {spec.id}: no bot policy")

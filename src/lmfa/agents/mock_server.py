@@ -42,7 +42,6 @@ class MockAgentServer:
         self._lock = threading.Lock()
         self._counter = 0
         self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------
 
@@ -94,8 +93,7 @@ class MockAgentServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", self.port), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._server.serve_forever, daemon=True).start()
         return self
 
     def stop(self) -> None:

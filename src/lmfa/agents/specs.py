@@ -1,14 +1,20 @@
-"""Agent specifications and per-decision records."""
+"""Agent specifications and per-decision records.
+
+An ``AgentSpec`` is checked when it is made, however it is made: a
+fixed_script bot's script is read and each of its lines parsed then, so
+a bad script fails before any match is played, not at its first decision.
+"""
 
 from __future__ import annotations
 
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
-from lmfa.actions import Command
+from lmfa.actions import Command, CommandError, parse
 from lmfa.config import check_fields, load_document
 
 
@@ -72,8 +78,33 @@ class AgentSpec:
         else:
             if self.bot_policy is None:
                 raise AgentSetupError(f"agent {self.id}: scripted agent needs policy")
-            if self.bot_policy is BotPolicy.FIXED_SCRIPT and not self.script_path:
-                raise AgentSetupError(f"agent {self.id}: fixed_script policy needs script_path")
+            if self.bot_policy is BotPolicy.FIXED_SCRIPT:
+                if not self.script_path:
+                    raise AgentSetupError(f"agent {self.id}: fixed_script policy needs script_path")
+                load_script(self.script_path)
+
+
+@lru_cache(maxsize=32)
+def load_script(path: str) -> Tuple[str, ...]:
+    """The command lines of a fixed_script file; blank and ``#`` lines skipped."""
+    p = Path(path)
+    if not p.is_file():
+        raise AgentSetupError(f"bot script not found: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AgentSetupError(f"bot script {p} is not UTF-8 text: {exc}") from None
+    lines = []
+    for number, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if line and not line.startswith("#"):
+            try:
+                parse(line)
+            except CommandError as exc:
+                raise AgentSetupError(f"bot script {p} line {number}: {exc}") from None
+            lines.append(line)
+    if not lines:
+        raise AgentSetupError(f"bot script {p} contains no commands")
+    return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -113,19 +144,15 @@ def _spec_from_dict(raw: dict, where: str) -> AgentSpec:
 
 
 def _specs_from_dict(data: dict) -> List[AgentSpec]:
-    from lmfa.agents.bots import _load_script  # bots imports this module
     check_fields(data, {"lmfa_agents": (1,), "agents": list}, AgentSetupError, "")
     specs = [_spec_from_dict(raw, f"agents[{i}].") for i, raw in enumerate(data["agents"])]
     require_unique_ids(specs)
-    for spec in specs:
-        if spec.bot_policy is BotPolicy.FIXED_SCRIPT:
-            _load_script(spec.script_path)
     return specs
 
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
-    """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]}; its
-    fixed_script files, and LMFA_AUTH_HEADER if an agent is remote, are checked too."""
+    """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]};
+    LMFA_AUTH_HEADER is checked too if an agent is remote."""
     from lmfa.agents.remote import request_headers  # remote imports this module
     specs = load_document(path, "agents", _specs_from_dict, AgentSetupError)
     if any(spec.kind is AgentKind.REMOTE for spec in specs):

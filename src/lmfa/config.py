@@ -25,7 +25,8 @@ def check_fields(doc, kinds: dict, error: Type[Exception], where: str) -> None:
     keys of ``kinds``, each with a value of its kind. A kind is a type,
     matched exactly, so ``int`` refuses ``bool``; or a tuple of the allowed
     values, matched by type as well as value, so ``True`` is not ``1``; no
-    two of its values may be equal, as ``1`` and ``True`` are.
+    two of its values may be equal, as ``1`` and ``True`` are; or a dict of
+    kinds, for a nested object that is checked the same way.
     ``where`` is the path of ``doc`` in its document, ending in a dot (empty
     for the whole document); messages name each field by its full path."""
     if type(doc) is not dict:
@@ -39,6 +40,8 @@ def check_fields(doc, kinds: dict, error: Type[Exception], where: str) -> None:
             if type(kind) is tuple:
                 if value not in kind or type(kind[kind.index(value)]) is not type(value):
                     raise error(f"field '{where}{key}' is not {' or '.join(map(repr, kind))}")
+            elif type(kind) is dict:
+                check_fields(value, kind, error, f"{where}{key}.")
             elif type(value) is not kind:
                 raise error(f"field '{where}{key}' is not {_KIND_NAMES[kind]}")
     except KeyError:

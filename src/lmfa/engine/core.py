@@ -92,28 +92,16 @@ class RoundOverError(Exception):
 
 
 def new_match(config: MatchConfig) -> GameState:
-    """Symmetric initial state: full health, mirrored positions, timer set."""
-    half = config.arena_width // 2
-    p1 = FighterState(
-        health=HEALTH_MAX,
-        x=half - config.start_offset,
-        y=0,
-        facing=Facing.RIGHT,
-        phase=IDLE,
-    )
-    p2 = FighterState(
-        health=HEALTH_MAX,
-        x=half + config.start_offset,
-        y=0,
-        facing=Facing.LEFT,
-        phase=IDLE,
-    )
+    """Symmetric initial state: full health, timer set, and P2 the mirror
+    image of P1, by the same ``mirror_fighter`` that ``mirror`` uses."""
+    x = config.arena_width // 2 - config.start_offset
+    p1 = FighterState(health=HEALTH_MAX, x=x, y=0, facing=Facing.RIGHT, phase=IDLE)
     return GameState(
         frame=0,
         timer_frames=config.match_length_frames,
         arena_width=config.arena_width,
         p1=p1,
-        p2=p2,
+        p2=mirror_fighter(p1, config.arena_width),
         projectiles=(),
     )
 

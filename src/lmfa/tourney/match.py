@@ -270,9 +270,10 @@ class MalformedLogError(ValueError):
     odds with another."""
 
 
+_COUNT_KINDS = {name: int for name in BUTTON_NAMES.values()}
 _LOG_KINDS = {
     "schema": (LOG_SCHEMA,),
-    "config": dict,
+    "config": CONFIG_KINDS,
     "p1": str,
     "p2": str,
     "seed": int,
@@ -283,7 +284,7 @@ _LOG_KINDS = {
     "decisions": list,
     "input_trace": list,
     "state_digests": list,
-    "button_counts": dict,
+    "button_counts": {"P1": _COUNT_KINDS, "P2": _COUNT_KINDS},
 }
 # a won round; a drawn one is checked against _DRAW_KINDS
 _RESULT_KINDS = {
@@ -294,7 +295,6 @@ _RESULT_KINDS = {
     "frames_elapsed": int,
 }
 _DRAW_KINDS = {**_RESULT_KINDS, "winner_health": (None,), "winner_health_fraction": (None,)}
-_COUNT_KINDS = {name: int for name in BUTTON_NAMES.values()}
 # P1's and P2's entries alternate, each naming its own side's agent
 _DECISION_KINDS = {
     "player": ("P1", "P2"),
@@ -331,7 +331,6 @@ def log_from_dict(data: dict) -> MatchLog:
             f"unsupported log schema {schema!r} (want {LOG_SCHEMA})"
         )
     check_fields(data, _LOG_KINDS, MalformedLogError, "")
-    check_fields(data["config"], CONFIG_KINDS, MalformedLogError, "config.")
     try:
         config = MatchConfig(**{k: v for k, v in data["config"].items() if k != "lmfa_config"})
     except ConfigError as exc:
@@ -348,11 +347,6 @@ def log_from_dict(data: dict) -> MatchLog:
     outcome = outcome_from_dict(result)
     written = {key: (value,) for key, value in outcome_to_dict(outcome).items()}
     check_fields(result, written, MalformedLogError, "result.")
-
-    counts = data["button_counts"]
-    check_fields(counts, {"P1": dict, "P2": dict}, MalformedLogError, "button_counts.")
-    for side in ("P1", "P2"):
-        check_fields(counts[side], _COUNT_KINDS, MalformedLogError, f"button_counts.{side}.")
 
     decisions = data["decisions"]
     sides = [
@@ -373,7 +367,7 @@ def log_from_dict(data: dict) -> MatchLog:
         input_trace=data["input_trace"],
         state_digests=data["state_digests"],
         result=outcome,
-        button_counts=counts,
+        button_counts=data["button_counts"],
     )
 
 

@@ -93,9 +93,10 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     Raises ReportIntegrityError unless the logs are exactly
     ``pair_schedule(ids, k)``, k being one more than the largest repeat
     index: each log is the entry for its ``(pair_index, repeat_index)``
-    with that entry's sides, no entry comes twice, none is missing,
-    every log shares one config apart from its seed, and every seed is
-    ``base_seed + pair_index * 1000 + repeat_index`` for one base seed.
+    with that entry's sides, no entry comes twice, none is missing, every
+    log shares one prompt version and one config apart from its seed, and
+    every seed is ``base_seed + pair_index * 1000 + repeat_index`` for one
+    base seed.
     """
     ids = list(ids)
     pairs = len(ids) * (len(ids) - 1) // 2
@@ -112,6 +113,11 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
         if differs:  # seeds differ by design
             raise ReportIntegrityError(
                 f"{_where(log)} differs from {_where(logs[0])} in config {differs}"
+            )
+        if log.prompt_version != logs[0].prompt_version:  # prompts differ: not comparable
+            raise ReportIntegrityError(
+                f"{_where(log)} has prompt version {log.prompt_version!r},"
+                f" but {_where(logs[0])} has {logs[0].prompt_version!r}"
             )
         by_key[log.pair_index, log.repeat_index] = log
     repeats = 1 + max((log.repeat_index for log in logs), default=0)

@@ -109,15 +109,12 @@ class TestBots:
     def test_unparsable_script_line_is_setup_error(self, tmp_path):
         script = tmp_path / "moves.txt"
         script.write_text("A\nForward + Back\n")
-        spec = bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
         with pytest.raises(AgentSetupError, match="line 2: conflicting directions in chord 0"):
-            decide(spec, obs_for(new_match(MatchConfig())))
+            bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
 
     def test_missing_script_is_setup_error(self):
-        spec = bot(BotPolicy.FIXED_SCRIPT, script_path="/nonexistent/script.txt")
-        s = new_match(MatchConfig())
         with pytest.raises(AgentSetupError):
-            decide(spec, obs_for(s))
+            bot(BotPolicy.FIXED_SCRIPT, script_path="/nonexistent/script.txt")
 
 
 class TestPrompt:
@@ -534,6 +531,7 @@ class TestAgentsFile:
             {"id": ""},
             {"kind": AgentKind.REMOTE},
             {"bot_policy": BotPolicy.FIXED_SCRIPT},
+            {"bot_policy": BotPolicy.FIXED_SCRIPT, "script_path": "/nonexistent/script.txt"},
         ],
     )
     def test_an_invalid_spec_cannot_be_built(self, change):

@@ -15,8 +15,11 @@ from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import (
     EndReason,
     Facing,
+    FighterState,
     GameState,
+    HEALTH_MAX,
     Hitstun,
+    Idle,
     Jumping,
     KnockedDown,
     MoveActive,
@@ -63,6 +66,16 @@ class TestNewMatch:
         w = s.arena_width
         assert s.p1.x == w - s.p2.x
         assert s.p1.health == s.p2.health
+
+    @pytest.mark.parametrize("width, offset", [(2, 1), (10, 3), (400, 80), (400, 200), (1000, 7)])
+    def test_start_positions_by_arithmetic(self, width, offset):
+        # written out, not through mirror_fighter, so that the mirror tests
+        # compare the engine with an independent start
+        half = width // 2
+        p1 = FighterState(HEALTH_MAX, half - offset, 0, Facing.RIGHT, Idle(), 0, ())
+        p2 = FighterState(HEALTH_MAX, half + offset, 0, Facing.LEFT, Idle(), 0, ())
+        start = GameState(0, 5940, width, p1, p2, (), None)
+        assert new_match(MatchConfig(arena_width=width, start_offset=offset)) == start
 
     def test_zero_arena_width_rejected(self):
         with pytest.raises(ConfigError):

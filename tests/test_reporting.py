@@ -15,6 +15,7 @@ from outcome_fixture import (
     fixture_log,
     fixture_logs,
 )
+from lmfa.agents.prompt import PROMPT_VERSION
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
@@ -131,6 +132,19 @@ class TestMatrix:
         with pytest.raises(ReportIntegrityError) as refused:
             aggregate(["a", "b", "c"], records([log, {**log, "pair_index": 99}]))
         assert "(pair 99, repeat 0) is outside the round-robin schedule" in str(refused.value)
+
+    def test_log_of_another_prompt_version_is_refused(self):
+        # a whole tournament but for one log's prompt: its results are not
+        # comparable with the others'
+        logs = fixture_logs()
+        logs[3] = {**logs[3], "prompt_version": "prompt-v0"}
+        with pytest.raises(ReportIntegrityError) as refused:
+            result_from_logs(records(logs))
+        message = str(refused.value)
+        assert message == (
+            "log internvl vs claude (pair 3, repeat 0) has prompt version 'prompt-v0',"
+            f" but log claude vs gemini (pair 0, repeat 0) has {PROMPT_VERSION!r}"
+        )
 
     def test_draw_cell_renders_as_d(self):
         logs = [fixture_log(0, "a", "b", "a", 0.5)]
