@@ -3,8 +3,8 @@
 Every bot is a pure function of (observation, spec seed): replaying a
 match with the same specs reproduces every decision bit-exactly, and no
 bot ever inspects hidden engine state - only what a remote agent would
-see in the structured features. A fixed_script bot plays the lines that
-``load_script`` read when its spec was made, from that function's cache.
+see in the structured features. A fixed_script bot plays the lines its
+spec read and checked when it was made.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Tuple
 
-from lmfa.agents.specs import AgentSetupError, AgentSpec, BotPolicy, load_script
+from lmfa.agents.specs import AgentSetupError, AgentSpec, BotPolicy
 from lmfa.observe.describe import Observation
 
 FALLBACK_COMMAND = "C"
@@ -69,6 +69,6 @@ def decide(spec: AgentSpec, obs: Observation) -> str:
         pool = RANDOM_COMMAND_POOL
         return pool[_seeded_index(spec.seed, obs, len(pool))]
     if policy is BotPolicy.FIXED_SCRIPT:
-        script = load_script(spec.script_path)
+        script = spec.script
         return script[obs.decision_index % len(script)]
     raise AgentSetupError(f"agent {spec.id}: no bot policy")

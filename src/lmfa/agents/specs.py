@@ -2,15 +2,16 @@
 
 An ``AgentSpec`` is checked when it is made, however it is made: a
 fixed_script bot's script is read and each of its lines parsed then, so
-a bad script fails before any match is played, not at its first decision.
+a bad script fails before any match is played, not at its first decision,
+and the spec keeps the lines it checked: a later edit to the file does not
+reach it.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -60,6 +61,8 @@ class AgentSpec:
     timeout_ms: int = 10_000
     max_retries: int = 1
     wire_format: str = "lmfa"
+    # a fixed_script bot's command lines, read and checked as the spec is made
+    script: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not AGENT_ID.fullmatch(self.id):
@@ -81,10 +84,9 @@ class AgentSpec:
             if self.bot_policy is BotPolicy.FIXED_SCRIPT:
                 if not self.script_path:
                     raise AgentSetupError(f"agent {self.id}: fixed_script policy needs script_path")
-                load_script(self.script_path)
+                object.__setattr__(self, "script", load_script(self.script_path))
 
 
-@lru_cache(maxsize=32)
 def load_script(path: str) -> Tuple[str, ...]:
     """The command lines of a fixed_script file; blank and ``#`` lines skipped."""
     p = Path(path)

@@ -22,6 +22,7 @@ from lmfa.reporting import verify_replay, write_reports
 from lmfa.tourney.match import MatchLog, log_filename, read_log, run_match, write_log
 from lmfa.tourney.roundrobin import (
     ReportIntegrityError,
+    frames_dropped,
     pair_schedule,
     result_from_logs,
     run_round_robin,
@@ -87,12 +88,18 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     foreign = sorted(p.name for p in out.glob("match_*.json") if p.name not in names)
     if foreign:
         raise ConfigError(f"output directory {out} holds other match logs: {', '.join(foreign)}")
+
+    def write(log: MatchLog) -> MatchLog:
+        out.mkdir(parents=True, exist_ok=True)
+        write_log(log, out / log_filename(log.pair_index, log.repeat_index, log.p1_id, log.p2_id))
+        return frames_dropped(log)
+
+    # each log is written as its match ends, so an interrupted run keeps
+    # every finished log whole and writes no report
     logs = run_round_robin(
-        agents, config, matches_per_pair=args.matches_per_pair, parallel=args.parallel
+        agents, config, matches_per_pair=args.matches_per_pair, parallel=args.parallel,
+        on_log=write,
     )
-    out.mkdir(parents=True, exist_ok=True)
-    for name, log in zip(names, logs):  # the logs come in schedule order
-        write_log(log, out / name)
     doc = result_from_logs(logs)
     write_reports(doc, out)
     print(f"MATCHES={len(logs)} AGENTS={len(doc['agents'])} OUT={out}")
@@ -132,7 +139,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     # report writes into the log directory by default, so a non-empty
     # --out is normal
     out = _check_out_dir(args.out or args.logs, force=True)
-    logs = [_read_log(path) for path in paths]
+    # a log is checked whole as it is read; only what aggregation reads is kept
+    logs = [frames_dropped(_read_log(path)) for path in paths]
     # result_from_logs refuses logs that are not one round-robin schedule
     # before any file is opened, so a refused report leaves the output
     # directory as it was.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -272,7 +273,7 @@ class MalformedLogError(ValueError):
 
 _COUNT_KINDS = {name: int for name in BUTTON_NAMES.values()}
 _LOG_KINDS = {
-    "schema": (LOG_SCHEMA,),
+    "schema": str,  # its value is checked first, with its own message
     "config": CONFIG_KINDS,
     "p1": str,
     "p2": str,
@@ -372,9 +373,17 @@ def log_from_dict(data: dict) -> MatchLog:
 
 
 def write_log(log: MatchLog, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    """Write the log whole or not at all: the text goes to a hidden file in
+    the same directory, which then replaces ``path``. The hidden name never
+    matches ``match_*.json``, so no reader sees a half-written log."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.part")
+    try:
+        part.write_text(json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_log(path: Union[str, Path]) -> MatchLog:

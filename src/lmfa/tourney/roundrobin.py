@@ -13,19 +13,24 @@ is derived from that document and nothing else.
 With ``parallel > 1``, only matches with a remote agent go to a thread
 pool, because only they wait on I/O; a scripted match is pure computation
 that threads would only slow down, so those run on the calling thread
-while the pool works.
+while the pool works. Each log is handed to the caller in schedule order as
+soon as its turn comes, so a caller can write it and let its frames go.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
 from lmfa.engine.state import HEALTH_MAX, Player
 from lmfa.tourney.match import BUTTON_NAMES, MatchLog, run_match
+
+
+T = TypeVar("T")
 
 
 class ReportIntegrityError(ValueError):
@@ -209,14 +214,29 @@ def result_from_logs(logs: Sequence[MatchLog]) -> dict:
     return aggregate(list(ids), logs)
 
 
+def frames_dropped(log: MatchLog) -> MatchLog:
+    """The log without its per-frame data: everything ``aggregate`` reads
+    and nothing more, so a tournament's logs can be folded without keeping
+    each match's frames alive."""
+    return replace(log, decisions=(), input_trace=(), state_digests=())
+
+
 def run_round_robin(
     agents: Sequence[AgentSpec],
     config: MatchConfig,
     matches_per_pair: int = 1,
     parallel: int = 1,
-) -> List[MatchLog]:
-    """Play every match of ``pair_schedule`` over ``agents``; the logs come
-    in schedule order."""
+    on_log: Callable[[MatchLog], T] = lambda log: log,
+) -> List[T]:
+    """Play every match of ``pair_schedule`` over ``agents`` and hand each
+    log to ``on_log`` in schedule order, as soon as every earlier entry's
+    log has been handed over; returns what ``on_log`` returned, in schedule
+    order (by default the logs themselves).
+
+    With ``parallel > 1``, at most ``parallel`` remote matches are ahead of
+    the entry being handed over, so no more than that many finished logs
+    wait for an earlier one.
+    """
     if len(agents) < 2:
         raise AgentSetupError("a tournament needs at least 2 agents")
     require_unique_ids(agents)
@@ -239,11 +259,14 @@ def run_round_robin(
     def waits_on_io(entry: dict) -> bool:
         return AgentKind.REMOTE in (by_id[entry["p1"]].kind, by_id[entry["p2"]].kind)
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            pending = [pool.submit(play, e) if waits_on_io(e) else None for e in schedule]
-            played = [play(e) if f is None else None for e, f in zip(schedule, pending)]
-            logs = [log if f is None else f.result() for f, log in zip(pending, played)]
-    else:
-        logs = [play(entry) for entry in schedule]
-    return logs
+    if parallel == 1:
+        return [on_log(play(entry)) for entry in schedule]
+    handed = []
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        remote = (i for i, entry in enumerate(schedule) if waits_on_io(entry))
+        ahead: Dict[int, Future] = {}  # remote entries submitted, not yet handed over
+        for i, entry in enumerate(schedule):
+            for j in islice(remote, parallel - len(ahead)):
+                ahead[j] = pool.submit(play, schedule[j])
+            handed.append(on_log(ahead.pop(i).result() if i in ahead else play(entry)))
+    return handed

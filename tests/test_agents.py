@@ -116,6 +116,21 @@ class TestBots:
         with pytest.raises(AgentSetupError):
             bot(BotPolicy.FIXED_SCRIPT, script_path="/nonexistent/script.txt")
 
+    def test_a_spec_keeps_the_script_it_checked(self, tmp_path):
+        # each spec reads its file as it is made: a rewrite reaches a later
+        # spec, is checked there, and leaves an earlier spec's lines alone
+        script = tmp_path / "moves.txt"
+        script.write_text("A\n")
+        first = bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
+        script.write_text("Fly + Z\n")
+        with pytest.raises(AgentSetupError, match="line 1: unknown token 'Fly'"):
+            bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
+        script.write_text("B\nC\n")
+        second = bot(BotPolicy.FIXED_SCRIPT, script_path=str(script))
+        s = new_match(MatchConfig())
+        assert [decide(first, obs_for(s, decision_index=i)) for i in range(2)] == ["A", "A"]
+        assert [decide(second, obs_for(s, decision_index=i)) for i in range(2)] == ["B", "C"]
+
 
 class TestPrompt:
     def test_deterministic(self):

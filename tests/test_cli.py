@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from outcome_fixture import fixture_logs
 from lmfa import cli as cli_module
 from lmfa.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, EXIT_SETUP, main
 from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
-from lmfa.tourney.match import read_log
-from lmfa.tourney.roundrobin import result_from_logs
+from lmfa.tourney import roundrobin as roundrobin_module
+from lmfa.tourney.match import log_filename, read_log
+from lmfa.tourney.roundrobin import pair_schedule, result_from_logs
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -274,6 +276,77 @@ class TestTournament:
                 ["tournament", "--config", str(cfg), "--agents", str(agents), "--out", str(out), "--seed", "42"]
             ) == EXIT_OK
         assert tree_bytes(out1) == tree_bytes(out2)
+
+
+class Interrupted(Exception):
+    """Stands for a crash or a kill in the middle of a tournament."""
+
+
+class TestStreamedLogs:
+    """A tournament writes each log as its match ends, and a report folds
+    its logs one at a time: neither keeps more than one match's frames."""
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_an_interrupted_tournament_keeps_its_finished_logs(
+        self, tmp_path, capsys, monkeypatch, k
+    ):
+        cfg = write_config(tmp_path, match_length_frames=600)
+        agents = write_agents(tmp_path, BOTS_4)
+        argv = ["tournament", "--config", str(cfg), "--agents", str(agents), "--out"]
+        whole = tmp_path / "whole"
+        assert main(argv + [str(whole)]) == EXIT_OK
+        schedule = pair_schedule([b["id"] for b in BOTS_4], 1)
+        names = [log_filename(e["pair_index"], 0, e["p1"], e["p2"]) for e in schedule]
+        played = []
+        real = roundrobin_module.run_match
+
+        def interrupted(*args, **kwargs):
+            if len(played) == k:
+                raise Interrupted(f"schedule entry {k}")
+            played.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(roundrobin_module, "run_match", interrupted)
+        partial = tmp_path / "partial"
+        with pytest.raises(Interrupted):
+            main(argv + [str(partial)])
+        finished = tree_bytes(whole)
+        assert tree_bytes(partial) == {name: finished[name] for name in names[:k]}
+        capsys.readouterr()
+        assert main(["report", str(partial)]) == EXIT_CONFIG
+        assert "no log for" in capsys.readouterr().err
+        assert sorted(p.name for p in partial.iterdir()) == sorted(names[:k])
+
+    def test_memory_stays_within_one_match(self, tmp_path):
+        # idle bots play full-length matches to a draw on time; the peak of
+        # six matches, for tournament and for report, stays near one's
+        cfg = write_config(tmp_path, match_length_frames=5940)
+        bots = [{"id": f"idle{i}", "kind": "scripted", "policy": "idle"} for i in range(3)]
+        (tmp_path / "two").mkdir()
+        two = write_agents(tmp_path / "two", bots[:2])
+        three = write_agents(tmp_path, bots)
+
+        def tournament(agents, out, *flags):
+            return ["tournament", "--config", str(cfg), "--agents", str(agents),
+                    "--out", str(tmp_path / out), *flags]
+
+        def peak(argv) -> int:
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(tournament(two, "warm")) == EXIT_OK
+        assert main(["report", str(tmp_path / "warm")]) == EXIT_OK
+        one = peak(tournament(two, "one"))
+        six = peak(tournament(three, "six", "--matches-per-pair", "2"))
+        assert len(list((tmp_path / "six").glob("match_*.json"))) == 6
+        assert six <= 2 * one, (six, one)
+        one = peak(["report", str(tmp_path / "one")])
+        six = peak(["report", str(tmp_path / "six")])
+        assert six <= 2 * one, (six, one)
 
 
 class TestReplay:

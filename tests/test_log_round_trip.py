@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,39 @@ def test_rewriting_a_remote_log_is_byte_exact(tmp_path):
     path = tmp_path / "remote.json"
     write_log(log, path)
     assert_rewrites_exactly(path, tmp_path)
+
+
+class TestAtomicWrite:
+    """A log is written whole or not at all, and nothing half-written is
+    named like a log."""
+
+    @staticmethod
+    def failing_midway(monkeypatch):
+        real = Path.write_text
+
+        def half_then_raise(self, text, *args, **kwargs):
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_then_raise)
+
+    def test_a_write_that_raises_midway_leaves_no_file(self, tmp_path, monkeypatch):
+        log = remote_log()
+        self.failing_midway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            write_log(log, tmp_path / "match_0_0_remote_vs_idle.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_rewrite_keeps_the_old_log(self, tmp_path, monkeypatch):
+        log = remote_log()
+        path = tmp_path / "match_0_0_remote_vs_idle.json"
+        write_log(log, path)
+        before = path.read_bytes()
+        self.failing_midway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            write_log(log, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
 
 def test_top_level_seed_must_equal_config_seed():

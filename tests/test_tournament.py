@@ -231,6 +231,55 @@ class TestRoundRobin:
         assert len(logs) == 6
         assert threads == [threading.get_ident()] * 6
 
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_each_log_is_handed_over_before_the_next_scripted_match(
+        self, monkeypatch, parallel
+    ):
+        events = []
+
+        def recording(p1, p2, config, pair_index, repeat_index):
+            events.append(("play", pair_index))
+            return run_match(p1, p2, config, pair_index, repeat_index)
+
+        def on_log(log):
+            events.append(("log", log.pair_index))
+            return log.pair_index
+
+        monkeypatch.setattr(roundrobin_module, "run_match", recording)
+        cfg = with_seed(MatchConfig(match_length_frames=300), 3)
+        handed = run_round_robin([RUSH, ZONE, RAND, IDLE], cfg, parallel=parallel, on_log=on_log)
+        assert handed == list(range(6))
+        assert events == [event for i in range(6) for event in (("play", i), ("log", i))]
+
+    def test_remote_matches_run_at_most_parallel_ahead(self, monkeypatch):
+        # each log is handed over in schedule order, and by then no more
+        # than ``parallel`` remote matches have started past it
+        lock = threading.Lock()
+        started = []
+        ahead = []
+
+        def remote_stand_in(p1, p2, config, pair_index, repeat_index):
+            with lock:
+                started.append(pair_index)
+            idle2 = bot("idle2", BotPolicy.IDLE)
+            return run_match(IDLE, idle2, config, pair_index, repeat_index)
+
+        def on_log(log):
+            with lock:
+                ahead.append(len(started) - log.pair_index - 1)
+            return log.pair_index
+
+        monkeypatch.setattr(roundrobin_module, "run_match", remote_stand_in)
+        remotes = [
+            AgentSpec(id=f"r{i}", kind=AgentKind.REMOTE, endpoint=f"http://127.0.0.1:{i}/")
+            for i in range(1, 5)
+        ]
+        cfg = with_seed(MatchConfig(match_length_frames=120), 3)
+        handed = run_round_robin(remotes, cfg, parallel=2, on_log=on_log)
+        assert handed == list(range(6))
+        assert sorted(started) == list(range(6))
+        assert max(ahead) <= 1
+
     def test_seeds_follow_pair_and_repeat_indices(self):
         cfg = MatchConfig(match_length_frames=600)
         logs = run_round_robin([IDLE, bot("idle2", BotPolicy.IDLE), bot("idle3", BotPolicy.IDLE)], with_seed(cfg, 100), matches_per_pair=2)
