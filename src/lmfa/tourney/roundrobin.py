@@ -13,16 +13,17 @@ is derived from that document and nothing else.
 With ``parallel > 1``, only matches with a remote agent go to a thread
 pool, because only they wait on I/O; a scripted match is pure computation
 that threads would only slow down, so those run on the calling thread
-while the pool works. Each log is handed to the caller in schedule order as
-soon as its turn comes, so a caller can write it and let its frames go.
+while the pool works. Each log is handed to the caller as soon as the
+calling thread is free after its match ends, so a caller can write it and
+let its frames go; remote logs come in the order their matches end.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import replace
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
 from lmfa.config import MatchConfig, config_to_dict, with_seed
@@ -229,13 +230,16 @@ def run_round_robin(
     on_log: Callable[[MatchLog], T] = lambda log: log,
 ) -> List[T]:
     """Play every match of ``pair_schedule`` over ``agents`` and hand each
-    log to ``on_log`` in schedule order, as soon as every earlier entry's
-    log has been handed over; returns what ``on_log`` returned, in schedule
-    order (by default the logs themselves).
+    log to ``on_log`` on the calling thread as soon as it is free after the
+    match ends; returns what ``on_log`` returned, in schedule order (by
+    default the logs themselves).
 
-    With ``parallel > 1``, at most ``parallel`` remote matches are ahead of
-    the entry being handed over, so no more than that many finished logs
-    wait for an earlier one.
+    Serially the logs come in schedule order. With ``parallel > 1`` every
+    remote match is queued at once and its log is handed over when the
+    calling thread is between scripted matches, or once those are done, in
+    the order the remote matches end. If a match or ``on_log`` raises,
+    queued remote matches are cancelled, the running ones are waited for,
+    and each of those that ends with a log is still handed over.
     """
     if len(agents) < 2:
         raise AgentSetupError("a tournament needs at least 2 agents")
@@ -261,12 +265,26 @@ def run_round_robin(
 
     if parallel == 1:
         return [on_log(play(entry)) for entry in schedule]
-    handed = []
+    handed: List[T] = [None] * len(schedule)  # type: ignore[list-item]
     with ThreadPoolExecutor(max_workers=parallel) as pool:
-        remote = (i for i, entry in enumerate(schedule) if waits_on_io(entry))
-        ahead: Dict[int, Future] = {}  # remote entries submitted, not yet handed over
-        for i, entry in enumerate(schedule):
-            for j in islice(remote, parallel - len(ahead)):
-                ahead[j] = pool.submit(play, schedule[j])
-            handed.append(on_log(ahead.pop(i).result() if i in ahead else play(entry)))
+        # remote futures not yet handed over, by schedule position
+        pending: Dict[Future, int] = {
+            pool.submit(play, e): i for i, e in enumerate(schedule) if waits_on_io(e)
+        }
+
+        def hand_over(done: Iterable[Future]) -> None:
+            for future in done:
+                i = pending.pop(future)
+                handed[i] = on_log(future.result())
+
+        try:
+            for i, entry in enumerate(schedule):
+                if not waits_on_io(entry):
+                    handed[i] = on_log(play(entry))
+                    hand_over([f for f in pending if f.done()])
+            hand_over(as_completed(list(pending)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # waits for the running matches
+            hand_over([f for f in pending if not f.cancelled() and f.exception() is None])
+            raise
     return handed

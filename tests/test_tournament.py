@@ -251,34 +251,64 @@ class TestRoundRobin:
         assert handed == list(range(6))
         assert events == [event for i in range(6) for event in (("play", i), ("log", i))]
 
-    def test_remote_matches_run_at_most_parallel_ahead(self, monkeypatch):
-        # each log is handed over in schedule order, and by then no more
-        # than ``parallel`` remote matches have started past it
-        lock = threading.Lock()
-        started = []
-        ahead = []
+    def test_no_match_waits_for_an_earlier_remote_one(self, monkeypatch):
+        # remote entry 0 ends only once the scripted entry 5 and every other
+        # remote entry have been handed over; waiting on it in schedule
+        # order would stall both the calling thread and the free worker
+        others_handed = threading.Event()
+        handed_order = []
 
-        def remote_stand_in(p1, p2, config, pair_index, repeat_index):
-            with lock:
-                started.append(pair_index)
-            idle2 = bot("idle2", BotPolicy.IDLE)
-            return run_match(IDLE, idle2, config, pair_index, repeat_index)
+        def stand_in(p1, p2, config, pair_index, repeat_index):
+            if pair_index == 0:
+                assert others_handed.wait(timeout=10)
+            if p1.kind is AgentKind.REMOTE:
+                p1, p2 = IDLE, bot("idle2", BotPolicy.IDLE)
+            return run_match(p1, p2, config, pair_index, repeat_index)
 
         def on_log(log):
-            with lock:
-                ahead.append(len(started) - log.pair_index - 1)
+            handed_order.append(log.pair_index)
+            if len(handed_order) == 5:
+                others_handed.set()
             return log.pair_index
 
-        monkeypatch.setattr(roundrobin_module, "run_match", remote_stand_in)
+        monkeypatch.setattr(roundrobin_module, "run_match", stand_in)
+        r1, r2 = (
+            AgentSpec(id=f"r{i}", kind=AgentKind.REMOTE, endpoint=f"http://127.0.0.1:{i}/")
+            for i in (1, 2)
+        )
+        cfg = with_seed(MatchConfig(match_length_frames=120), 3)
+        handed = run_round_robin([r1, r2, RUSH, IDLE], cfg, parallel=2, on_log=on_log)
+        assert handed == list(range(6))
+        assert handed_order[0] == 5 and handed_order[-1] == 0
+
+    def test_a_failed_run_hands_over_the_matches_it_was_running(self, monkeypatch):
+        # entry 2 raises while entry 3 runs: entry 3's log is still handed
+        # over, and so is every other match that started and ended
+        lock = threading.Lock()
+        started = set()
+        entry_3_started = threading.Event()
+        handed = []
+
+        def stand_in(p1, p2, config, pair_index, repeat_index):
+            with lock:
+                started.add(pair_index)
+            if pair_index == 3:
+                entry_3_started.set()
+            if pair_index == 2:
+                assert entry_3_started.wait(timeout=10)
+                raise RuntimeError("entry 2 fails")
+            return run_match(IDLE, bot("idle2", BotPolicy.IDLE), config, pair_index, repeat_index)
+
+        monkeypatch.setattr(roundrobin_module, "run_match", stand_in)
         remotes = [
             AgentSpec(id=f"r{i}", kind=AgentKind.REMOTE, endpoint=f"http://127.0.0.1:{i}/")
             for i in range(1, 5)
         ]
         cfg = with_seed(MatchConfig(match_length_frames=120), 3)
-        handed = run_round_robin(remotes, cfg, parallel=2, on_log=on_log)
-        assert handed == list(range(6))
-        assert sorted(started) == list(range(6))
-        assert max(ahead) <= 1
+        with pytest.raises(RuntimeError, match="entry 2 fails"):
+            run_round_robin(remotes, cfg, parallel=2, on_log=lambda log: handed.append(log.pair_index))
+        assert {0, 1, 3} <= set(handed)
+        assert sorted(handed) == sorted(started - {2})
 
     def test_seeds_follow_pair_and_repeat_indices(self):
         cfg = MatchConfig(match_length_frames=600)
