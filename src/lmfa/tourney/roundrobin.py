@@ -265,7 +265,7 @@ def run_round_robin(
 
     if parallel == 1:
         return [on_log(play(entry)) for entry in schedule]
-    handed: List[T] = [None] * len(schedule)  # type: ignore[list-item]
+    handed: list = [None] * len(schedule)
     with ThreadPoolExecutor(max_workers=parallel) as pool:
         # remote futures not yet handed over, by schedule position
         pending: Dict[Future, int] = {
