@@ -14,6 +14,7 @@ import argparse
 import json
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Sequence
 
@@ -125,6 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     server = MockAgentServer(
         replies=args.reply or ["C"], delay_s=args.delay, port=args.port
     )
+    server.requests = deque(maxlen=0)  # a long-running server keeps no request
     server.start()
     print(f"mock agent serving on {server.url}")
     try:

@@ -15,8 +15,9 @@ AgentSetupError.
 
 The body is exactly ``json.dumps(request, default=str).encode()`` for the
 request of ``build_wire_request(...)``, whose frames are the WireText of
-``encode_frame_base64``: ``encode_wire_request`` splices their base64 row
-pieces in and joins each body once, so a frame's text is never built.
+``encode_frame_base64``. ``encode_wire_request`` returns it as a WireBody
+that ``requests`` streams one frame at a time: each block joins one
+frame's base64 row pieces, so the whole body is never built.
 
 ``requests`` is imported only when an agent is remote: ``load_transport``
 binds it on first use, which constructing a remote ``AgentSpec`` does, so
@@ -31,7 +32,7 @@ import json
 import os
 import re
 import time
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 from lmfa.agents.specs import AgentSetupError, AgentSpec, FailureKind
 from lmfa.observe.describe import Observation, WireText
@@ -88,38 +89,72 @@ def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) ->
     }
 
 
-def encode_wire_request(payload) -> bytes:
-    """``json.dumps(payload).encode()``, byte for byte, with every WireText
-    written as its text from its ``pieces``; the one copy is the final
-    join."""
-    out: List[bytes] = []
-    _write_json(payload, out)
-    return b"".join(out)
+def encode_wire_request(payload) -> WireBody:
+    """``json.dumps(payload).encode()``, byte for byte, as a WireBody that
+    writes every WireText as its text from its ``pieces``."""
+    frames: List[Tuple[bytes, WireText]] = []
+    glue: List[bytes] = []
+    for part in _write_json(payload):
+        if isinstance(part, WireText):
+            frames.append((b"".join(glue), part))
+            glue.clear()
+        else:
+            glue.append(part)
+    return WireBody(frames, b"".join(glue))
 
 
-def _write_json(value, out: List[bytes]) -> None:
+class WireBody:
+    """A request body sent in blocks, one per frame.
+
+    ``frames`` pairs each frame's WireText with the JSON text before it,
+    back to the previous frame; ``tail`` is the text after the last frame.
+    Each block is one such pair made by a single join, and ``tail`` is the
+    last block. ``len`` is the exact byte count, so ``requests`` sends a
+    ``Content-Length`` rather than chunked encoding. Each iteration starts
+    from the first byte, so a retried POST sends the whole body again.
+    """
+
+    __slots__ = ("_frames", "_tail", "_length")
+
+    def __init__(self, frames: List[Tuple[bytes, WireText]], tail: bytes) -> None:
+        self._frames = frames
+        self._tail = tail
+        self._length = len(tail) + sum(len(glue) + len(text) for glue, text in frames)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[bytes]:
+        for glue, text in self._frames:
+            yield b"".join((glue, *text.pieces))
+        yield self._tail
+
+
+def _write_json(value) -> Iterator[Union[bytes, WireText]]:
+    """The JSON text of ``value`` as ``bytes`` parts, with every WireText
+    yielded as it is between its quotes."""
     if isinstance(value, WireText):
-        out.append(b'"')
-        out.extend(value.pieces)
-        out.append(b'"')
+        yield b'"'
+        yield value
+        yield b'"'
     elif isinstance(value, dict):
-        out.append(b"{")
+        yield b"{"
         for i, (key, item) in enumerate(value.items()):
             if i:
-                out.append(b", ")
-            out.append(json.dumps(key).encode())
-            out.append(b": ")
-            _write_json(item, out)
-        out.append(b"}")
+                yield b", "
+            yield json.dumps(key).encode()
+            yield b": "
+            yield from _write_json(item)
+        yield b"}"
     elif isinstance(value, (list, tuple)):
-        out.append(b"[")
+        yield b"["
         for i, item in enumerate(value):
             if i:
-                out.append(b", ")
-            _write_json(item, out)
-        out.append(b"]")
+                yield b", "
+            yield from _write_json(item)
+        yield b"]"
     else:
-        out.append(json.dumps(value).encode())
+        yield json.dumps(value).encode()
 
 
 def extract_reply_text(spec: AgentSpec, body: dict) -> str:

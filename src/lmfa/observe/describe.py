@@ -71,9 +71,10 @@ class WireText:
     """ASCII text that needs no JSON escaping, held as its bytes in pieces.
 
     ``pieces`` are the text's bytes in order; nothing joins them until a
-    JSON writer splices them between quotes into a request body
-    (``lmfa.agents.remote.encode_wire_request``). Whoever builds one
-    guarantees that no piece holds a quote, a backslash or a control byte.
+    request body is streamed, one frame at a time: each block of a
+    ``lmfa.agents.remote.WireBody`` joins one text's pieces after the JSON
+    text before it. Whoever builds one guarantees that no piece holds a
+    quote, a backslash or a control byte.
     Base64 frames are WireText, and so are their prefixed forms. A frame's
     pieces are one header piece and then one piece per pixel row, and
     equal adjacent rows share one ``bytes`` object

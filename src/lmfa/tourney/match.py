@@ -379,7 +379,10 @@ def write_log(log: MatchLog, path: Union[str, Path]) -> None:
     path = Path(path)
     part = path.with_name(f".{path.name}.part")
     try:
-        part.write_text(json.dumps(log_to_dict(log), sort_keys=True, separators=(",", ":")) + "\n")
+        text = json.dumps(
+            log_to_dict(log), sort_keys=True, separators=(",", ":"), check_circular=False
+        )
+        part.write_text(text + "\n")
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -368,7 +374,36 @@ class TestRemoteGateway:
             d = act(remote_spec(url), obs_for(new_match(MatchConfig())), "sys")
         assert d.failure is None
         assert [posted for posted, _ in posts] == [url]
-        assert [kwargs["data"] for _, kwargs in posts] == [r["body"] for r in server.requests]
+        assert [b"".join(kwargs["data"]) for _, kwargs in posts] == [
+            r["body"] for r in server.requests
+        ]
+
+    def test_a_retry_sends_the_whole_body_again(self, monkeypatch):
+        # the body is streamed, so a POST that fails part-way through it
+        # must not leave the next attempt to send only the rest
+        requests = remote.load_transport()
+        attempts = []
+
+        class FailsMidBodyOnce:
+            def __getattr__(self, name):
+                return getattr(requests, name)
+
+            def post(self, url, data, **kwargs):
+                attempts.append(url)
+                if len(attempts) == 1:
+                    next(iter(data))
+                    raise requests.ConnectionError("connection reset while sending")
+                return requests.post(url, data=data, **kwargs)
+
+        monkeypatch.setattr(remote, "requests", FailsMidBodyOnce())
+        obs = describe_state(new_match(MatchConfig()), Player.P1, frames=rendered_frames(3))
+        with MockAgentServer(replies=["A"]) as server:
+            spec = remote_spec(server.url, retries=1)
+            d = act(spec, obs, "sys")
+        expected = json.dumps(build_wire_request(spec, obs, "sys"), default=str).encode()
+        assert d.failure is None
+        assert len(attempts) == 2
+        assert [r["body"] for r in server.requests] == [expected]
 
 
 class TestWireRequest:
@@ -433,8 +468,37 @@ class TestWireBody:
         request = build_wire_request(spec, obs, SYSTEM_PROMPT)
         expected = json.dumps(request, default=str).encode()
         assert decision.failure is None
-        assert encode_wire_request(request) == expected
+        assert b"".join(encode_wire_request(request)) == expected
         assert [r["body"] for r in server.requests] == [expected]
+
+    @pytest.mark.parametrize("wire_format", ["lmfa", "chat"])
+    def test_body_streams_one_frame_per_block(self, wire_format):
+        frames = rendered_frames(10)
+        obs = describe_state(new_match(MatchConfig()), Player.P1, frames=frames)
+        spec = AgentSpec(
+            id="w", kind=AgentKind.REMOTE, endpoint="http://x/", wire_format=wire_format
+        )
+        request = build_wire_request(spec, obs, build_system_prompt(MatchConfig()))
+        body = encode_wire_request(request)
+        blocks = list(body)
+        assert b"".join(blocks) == json.dumps(request, default=str).encode()
+        assert len(body) == len(b"".join(blocks))
+        assert list(body) == blocks  # a retry sends it all again
+        assert len(blocks) == len(frames) + 1
+        assert max(map(len, blocks)) <= len(frames[0]) + 8 * 1024
+
+    def test_streaming_holds_one_frame_at_a_time(self):
+        frames = rendered_frames(10)
+        obs = describe_state(new_match(MatchConfig()), Player.P1, frames=frames)
+        request = build_wire_request(remote_spec("http://x/"), obs, "sys")
+        tracemalloc.start()
+        try:
+            sent = sum(map(len, encode_wire_request(request)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sent > 10 * len(frames[0])
+        assert peak < 2 * len(frames[0])
 
     def test_chat_url_shares_frame_pieces(self):
         (frame,) = rendered_frames(1)
@@ -449,7 +513,7 @@ class TestWireBody:
         assert all(a is b for a, b in zip(url.pieces[1:], frame.pieces))
         assert str(url) == "data:image/x-portable-pixmap;base64," + str(frame)
         again = build_wire_request(spec, obs, "sys")
-        assert encode_wire_request(again) == encode_wire_request(request)
+        assert b"".join(encode_wire_request(again)) == b"".join(encode_wire_request(request))
 
     @pytest.mark.parametrize("wire_format", ["lmfa", "chat"])
     def test_json_dumps_refuses_a_rendered_frame(self, wire_format):
@@ -459,6 +523,46 @@ class TestWireBody:
         )
         with pytest.raises(TypeError):
             json.dumps(build_wire_request(spec, obs, "sys"))
+
+
+def rss_bytes(pid: int) -> int:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) * 1024
+    raise AssertionError(f"no VmRSS for process {pid}")
+
+
+class TestMockServerModule:
+    def test_standalone_server_keeps_no_request(self):
+        if not Path("/proc/self/status").exists():
+            pytest.skip("reads the server's resident size from /proc")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "lmfa.agents.mock_server", "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            url = proc.stdout.readline().split()[-1]
+            opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+            def post(body: bytes) -> bytes:
+                with opener.open(urllib.request.Request(url, data=body)) as response:
+                    return response.read()
+
+            assert json.loads(post(b"{}")) == {"reply": "C"}
+            before = rss_bytes(proc.pid)
+            body = json.dumps({"frames_b64": ["A" * 3_000_000]}).encode()
+            for _ in range(12):
+                assert json.loads(post(body)) == {"reply": "C"}
+            # a server that kept each body and its parsed text would have
+            # grown by twice the 36 MB posted; allow what three requests hold
+            assert rss_bytes(proc.pid) - before < 3 * 2 * len(body)
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestAgentsFile:
