@@ -1,10 +1,15 @@
-"""Uniform agent interface: one act() call per decision, never raises.
+"""Uniform agent interface: one act() call per decision.
 
-Remote transport/timeout/parse failures and unparseable replies are all
-captured inside the Decision; the fallback command (block) is what the
-match runner actually executes, so failure never turns into offense. Any
-other exception raised on the remote path is a transport failure, and
-its traceback goes to this module's logger.
+A bot's text parses by construction: ``fixed_script`` lines are parsed
+when the spec is made, and the other policies return fixed texts or
+``RANDOM_COMMAND_POOL`` entries. So a scripted decision's ``failure`` is
+always None, and a bot text that does not parse, an lmfa bug, raises.
+
+A remote decision never raises: transport/timeout/parse failures and
+unparseable replies are captured inside the Decision; the fallback command
+(block) is what the match runner executes, so failure never turns into
+offense. Any other exception raised on the remote path is a transport
+failure, and its traceback goes to this module's logger.
 """
 
 from __future__ import annotations
@@ -12,12 +17,7 @@ from __future__ import annotations
 import logging
 import time
 
-from lmfa.actions import (
-    CommandError,
-    NoCommandFoundError,
-    extract_command,
-    parse,
-)
+from lmfa.actions import NoCommandFoundError, extract_command, parse
 from lmfa.agents import bots
 from lmfa.agents.bots import FALLBACK_COMMAND
 from lmfa.agents.remote import query_remote
@@ -33,19 +33,8 @@ def act(spec: AgentSpec, obs: Observation, system_prompt: str) -> Decision:
 
 def _act_scripted(spec: AgentSpec, obs: Observation) -> Decision:
     text = bots.decide(spec, obs)
-    try:
-        command = parse(text)
-        failure = None
-    except CommandError:
-        command = parse(FALLBACK_COMMAND)
-        failure = FailureKind.PARSE_ERROR
     # scripted latency is identically zero to keep logs byte-reproducible
-    return Decision(
-        raw_reply=text,
-        command=command,
-        latency_ms=0,
-        failure=failure,
-    )
+    return Decision(text, parse(text), 0)
 
 
 def _act_remote(spec: AgentSpec, obs: Observation, system_prompt: str) -> Decision:

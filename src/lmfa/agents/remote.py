@@ -43,6 +43,9 @@ AUTH_ENV_VAR = "LMFA_AUTH_HEADER"
 FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
 MAX_REPLY_BYTES = 64 * 1024  # a longer response body is a parse failure
 HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
+# a non-empty RFC 9110 field-value: VCHAR and obs-text, with SP or HTAB only
+# between them; http.client sends each of its characters as one Latin-1 byte
+HEADER_VALUE = re.compile(r"[!-~\x80-\xff]+(?:[ \t]+[!-~\x80-\xff]+)*")
 
 requests = None  # the transport module, bound by load_transport
 
@@ -168,13 +171,14 @@ def extract_reply_text(spec: AgentSpec, body: dict) -> str:
 
 
 def request_headers() -> dict:
-    """Raises AgentSetupError if LMFA_AUTH_HEADER is set but not ``Name: value``."""
+    """Raises AgentSetupError if LMFA_AUTH_HEADER is set but not ``Name: value``,
+    the name a token and the value a field-value (RFC 9110)."""
     headers = {"Content-Type": "application/json"}
     raw = os.environ.get(AUTH_ENV_VAR, "")
     if raw:
         name, _, value = raw.partition(":")
         value = value.strip(" \t")
-        if not HEADER_NAME.fullmatch(name) or not value or set(value) & set("\r\n\0"):
+        if not HEADER_NAME.fullmatch(name) or not HEADER_VALUE.fullmatch(value):
             # the message leaves out the value: it is a credential
             raise AgentSetupError(f"{AUTH_ENV_VAR} must be 'Name: value'")
         headers[name] = value

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
+from urllib.parse import urlsplit
 
 from lmfa.actions import Command, CommandError, parse
 from lmfa.config import check_fields, load_document
@@ -74,6 +75,11 @@ class AgentSpec:
         if self.kind is AgentKind.REMOTE:
             if not self.endpoint:
                 raise AgentSetupError(f"agent {self.id}: remote agent needs endpoint")
+            if not _postable(self.endpoint):
+                raise AgentSetupError(
+                    f"agent {self.id}: endpoint {self.endpoint!r} is not an http or https URL"
+                    " with a host"
+                )
             if self.wire_format not in WIRE_FORMATS:
                 raise AgentSetupError(f"agent {self.id}: unknown wire_format {self.wire_format!r}")
             from lmfa.agents.remote import load_transport  # remote imports this module
@@ -85,6 +91,16 @@ class AgentSpec:
                 if not self.script_path:
                     raise AgentSetupError(f"agent {self.id}: fixed_script policy needs script_path")
                 object.__setattr__(self, "script", load_script(self.script_path))
+
+
+def _postable(url: str) -> bool:
+    """Whether ``url`` is http or https with a host, and a valid port if any."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # ValueError unless a number in 0-65535
+    except ValueError:  # as for an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def load_script(path: str) -> Tuple[str, ...]:

@@ -1,8 +1,9 @@
 """Match configuration, the versioned JSON config file format, and the
 field checker that every document lmfa reads goes through.
 
-Config files carry a ``"lmfa_config": 1`` schema key; unknown keys are
-hard errors so typos cannot silently fall back to defaults.
+Config files carry a ``"lmfa_config": 1`` schema key and may carry
+``"best_of": 1``, a constant of the format that every log's config holds;
+unknown keys are hard errors so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class MatchConfig:
     start_offset: int = 80
     match_length_frames: int = 5940  # 99 in-game seconds at 60 fps
     decision_interval_frames: int = 40
-    best_of: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -72,12 +72,13 @@ class MatchConfig:
             raise ConfigError("start_offset must be in (0, arena_width/2]")
         if self.decision_interval_frames < 1:
             raise ConfigError("decision_interval_frames must be >= 1")
-        if self.best_of != 1:
-            raise ConfigError("best_of values other than 1 are not supported")
 
 
+# keys whose one value the format fixes: the schema version, and best_of,
+# which every log's config holds until the schema drops it
+_FIXED_KEYS = {"lmfa_config": (1,), "best_of": (1,)}
 # a config document as config_to_dict writes it
-CONFIG_KINDS = {"lmfa_config": (1,), **{f.name: int for f in fields(MatchConfig)}}
+CONFIG_KINDS = {**_FIXED_KEYS, **{f.name: int for f in fields(MatchConfig)}}
 
 
 def load_document(path: Union[str, Path], name: str, parse: Callable, error: Type[Exception]):
@@ -98,7 +99,7 @@ def load_config_file(path: Union[str, Path]) -> MatchConfig:
 
 
 def config_to_dict(cfg: MatchConfig) -> dict:
-    return {"lmfa_config": 1, **vars(cfg)}
+    return {**{key: value for key, (value,) in _FIXED_KEYS.items()}, **vars(cfg)}
 
 
 def config_from_dict(data: dict) -> MatchConfig:
@@ -107,7 +108,7 @@ def config_from_dict(data: dict) -> MatchConfig:
     present = data if type(data) is dict else {}
     kinds = {k: kind for k, kind in CONFIG_KINDS.items() if k in present or k == "lmfa_config"}
     check_fields(data, kinds, ConfigError, "")
-    return MatchConfig(**{k: v for k, v in data.items() if k != "lmfa_config"})
+    return MatchConfig(**{k: v for k, v in data.items() if k not in _FIXED_KEYS})
 
 
 def with_seed(cfg: MatchConfig, seed: int) -> MatchConfig:

@@ -128,7 +128,6 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
     digest = initial_digest(log.config, state)
     if not logged or logged[0] != digest:
         return ReplayVerdict("state_divergence", 0, "initial state digest mismatch")
-    hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
     for i, row in enumerate(log.input_trace):
         # A row is a list; a two-character string or a two-key object would
         # unpack as well, so it counts as no pair.
@@ -145,8 +144,6 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
                 "state_divergence", i + 1, f"trace continues past round end at frame {i}"
             )
         digest = chain_digest(digest, enc1, enc2, trace_line(state))
-        hist1[m1] += 1
-        hist2[m2] += 1
         if i + 1 >= len(logged) or logged[i + 1] != digest:
             return ReplayVerdict(
                 "state_divergence", i + 1, f"digest chain diverges at frame {i + 1}"
@@ -157,7 +154,7 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
         )
     if state.round_over != log.result:
         return ReplayVerdict("result_forgery", None, "logged result does not match replay")
-    if count_buttons(hist1, hist2) != log.button_counts:
+    if count_buttons(log.input_trace) != log.button_counts:
         return ReplayVerdict("result_forgery", None, "logged button_counts do not match replay")
     interval = log.config.decision_interval_frames
     ticks = -(-len(log.input_trace) // interval)

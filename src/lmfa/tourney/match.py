@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -28,9 +29,10 @@ from lmfa.config import (
     ConfigError,
     MatchConfig,
     check_fields,
+    config_from_dict,
     config_to_dict,
 )
-from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, encode_chord
+from lmfa.engine.buttons import EMPTY_CHORD, ENCODE, Button, encode_chord
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import (
     EndReason,
@@ -88,16 +90,17 @@ def chain_digest(prev: str, enc1: str, enc2: str, line: str) -> str:
     return hashlib.sha256(f"{prev}|{enc1}|{enc2}|{line}".encode()).hexdigest()
 
 
-def count_buttons(hist1: List[int], hist2: List[int]) -> Dict[str, Dict[str, int]]:
-    """Held-frame count per side and button from each side's frame count
-    per chord mask."""
+def count_buttons(input_trace: Sequence[Sequence[str]]) -> Dict[str, Dict[str, int]]:
+    """Held-frame count per side and button, folded from an input trace of
+    canonical chord codes: a button counts on every frame whose code holds
+    its letter."""
     counts = {}
-    for side, histogram in (("P1", hist1), ("P2", hist2)):
-        held = [(mask, n) for mask, n in enumerate(histogram) if n]
-        counts[side] = per_button = {}
-        for b, name in BUTTON_NAMES.items():
-            bit = BIT[b]  # an enum-keyed lookup, kept out of the sum
-            per_button[name] = sum(n for mask, n in held if mask & bit)
+    for side, column in (("P1", 0), ("P2", 1)):
+        frames = Counter(row[column] for row in input_trace)  # frames per code
+        counts[side] = {
+            name: sum(n for code, n in frames.items() if b.value in code)
+            for b, name in BUTTON_NAMES.items()
+        }
     return counts
 
 
@@ -135,7 +138,6 @@ def run_match(
     input_trace: List[List[str]] = []
     # P1's and P2's last ACTION_SLOTS commands, oldest first
     last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
-    hist1, hist2 = [0] * 256, [0] * 256  # frames per chord mask
     digests = [initial_digest(config, state)]
     tick = 0
 
@@ -198,8 +200,6 @@ def run_match(
             m1, m2 = next(feed1, EMPTY_CHORD), next(feed2, EMPTY_CHORD)
             enc1, enc2 = ENCODE[m1], ENCODE[m2]
             input_trace.append([enc1, enc2])
-            hist1[m1] += 1
-            hist2[m2] += 1
 
             state = step(state, m1, m2)
             digests.append(chain_digest(digests[-1], enc1, enc2, trace_line(state)))
@@ -215,7 +215,7 @@ def run_match(
         input_trace=input_trace,
         state_digests=digests,
         result=state.round_over,
-        button_counts=count_buttons(hist1, hist2),
+        button_counts=count_buttons(input_trace),
     )
 
 
@@ -333,7 +333,7 @@ def log_from_dict(data: dict) -> MatchLog:
         )
     check_fields(data, _LOG_KINDS, MalformedLogError, "")
     try:
-        config = MatchConfig(**{k: v for k, v in data["config"].items() if k != "lmfa_config"})
+        config = config_from_dict(data["config"])
     except ConfigError as exc:
         raise MalformedLogError(f"field 'config': {exc}") from None
     if data["seed"] != config.seed:

@@ -156,14 +156,24 @@ class TestPrompt:
 
 
 class TestScriptedGateway:
-    def test_scripted_decision_latency_zero(self):
+    @pytest.mark.parametrize("distance", ["near", "far"])
+    @pytest.mark.parametrize("policy", list(BotPolicy), ids=lambda p: p.value)
+    def test_scripted_decision_latency_zero(self, tmp_path, policy, distance):
+        """Every policy's text parses, near (40 units) and far (160 units):
+        a scripted decision never fails."""
+        script = tmp_path / "script.txt"
+        script.write_text("# opener\nDown, Forward, A\nJump + Back\nB, B\n")
+        spec = bot(policy, seed=3, script_path=str(script))
         s = new_match(MatchConfig())
-        obs = obs_for(s)
-        d = act(bot(BotPolicy.IDLE), obs, "prompt")
-        assert d.latency_ms == 0
-        assert d.failure is None
-        assert d.command.normalized == "C"
-        assert obs.frame == 0 and d.raw_reply == "C"
+        if distance == "near":
+            s = dataclasses.replace(s, p2=dataclasses.replace(s.p2, x=160))
+        for i in range(8):  # every script line, and several random draws
+            obs = obs_for(s, decision_index=i)
+            d = act(spec, obs, "prompt")
+            assert d.latency_ms == 0
+            assert d.failure is None
+            assert d.raw_reply == decide(spec, obs)
+            assert d.command == parse(d.raw_reply) and d.command.steps
 
 
 def remote_spec(url: str, timeout_ms: int = 2000, retries: int = 1) -> AgentSpec:
@@ -329,8 +339,25 @@ class TestRemoteGateway:
             act(remote_spec(server.url), obs_for(s), "sys")
             assert server.requests[0]["headers"].get("X-Api-Key") == "sesame"
 
+    @pytest.mark.parametrize("value", ["s\u00e9same", "two words\there"])
+    def test_auth_header_value_with_obs_text_or_inner_space_is_sent(self, monkeypatch, value):
+        monkeypatch.setenv(AUTH_ENV_VAR, f"X-Api-Key: {value}")
+        with MockAgentServer(replies=["B"]) as server:
+            d = act(remote_spec(server.url), obs_for(new_match(MatchConfig())), "sys")
+            assert d.failure is None
+            assert server.requests[0]["headers"].get("X-Api-Key") == value
+
     @pytest.mark.parametrize(
-        "raw", ["X-Api-Key secret", ": secret", " X-Api-Key: v", "X-Api-Key: ", "K: a\nb", "K: v\r"]
+        "raw",
+        [
+            "X-Api-Key secret",
+            ": secret",
+            " X-Api-Key: v",
+            "X-Api-Key: ",
+            "K: a\nb",
+            "K: v\r",
+            "X-Key: tok\u20acn",
+        ],
     )
     def test_malformed_auth_header_is_setup_error(self, monkeypatch, raw):
         monkeypatch.setenv(AUTH_ENV_VAR, raw)
@@ -657,3 +684,15 @@ class TestAgentsFile:
         spec = AgentSpec(id="a", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
         with pytest.raises(AgentSetupError):
             dataclasses.replace(spec, **change)
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:8000/", "htp://127.0.0.1:9/", "http:///nohost", "http://[::1", "http://h:99999/"],
+    )
+    def test_an_endpoint_that_cannot_be_posted_to_is_refused(self, endpoint):
+        with pytest.raises(AgentSetupError, match="is not an http or https URL with a host"):
+            AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint=endpoint)
+
+    @pytest.mark.parametrize("endpoint", ["http://127.0.0.1:9/", "https://host/v1", "http://[::1]:8/"])
+    def test_an_http_or_https_endpoint_with_a_host_builds(self, endpoint):
+        assert AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint=endpoint).endpoint == endpoint

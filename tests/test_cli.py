@@ -873,6 +873,17 @@ class TestAgentsFileRefusedBeforeAnyMatch:
             f"bot script {path} line 4: unknown token 'Fly' at position 1\n"
         )
 
+    @pytest.mark.parametrize("endpoint", ["localhost:8000/", "htp://127.0.0.1:9/", "http:///nohost"])
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_endpoint_that_cannot_be_posted_to(self, tmp_path, capsys, monkeypatch, command, endpoint):
+        remote = {"id": "r", "kind": "remote", "endpoint": endpoint}
+        self.refused(tmp_path, monkeypatch, command, [remote, BOTS_4[3]])
+        err = capsys.readouterr().err
+        assert err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: agent r: "
+            f"endpoint {endpoint!r} is not an http or https URL with a host\n"
+        )
+
     @pytest.mark.parametrize("raw", ["X-Api-Key secret", ": secret", "X-Api-Key: a\nb"])
     @pytest.mark.parametrize("command", ["run-match", "tournament"])
     def test_malformed_auth_header(self, tmp_path, capsys, monkeypatch, command, raw):

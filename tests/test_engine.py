@@ -83,7 +83,7 @@ class TestNewMatch:
 
     @pytest.mark.parametrize(
         "change",
-        [{"arena_width": 401}, {"start_offset": 0}, {"match_length_frames": 0}, {"best_of": 3}],
+        [{"arena_width": 401}, {"start_offset": 0}, {"match_length_frames": 0}],
     )
     def test_an_invalid_config_cannot_be_built(self, change):
         with pytest.raises(ConfigError):

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from lmfa.agents.mock_server import MockAgentServer
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy, FailureKind
 from lmfa.cli import EXIT_CONFIG, EXIT_OK, main
-from lmfa.config import ConfigError, MatchConfig, load_config_file
+from lmfa.config import (
+    ConfigError,
+    MatchConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config_file,
+)
 from lmfa.tourney.match import (
     MalformedLogError,
     log_from_dict,
@@ -150,6 +156,10 @@ FORGED_FRACTIONS = ["0.999", 0.999, 1, None, True, [], {}, DELETED]
     + [
         (("result", "winner_health_fraction"), forged, "result.winner_health_fraction")
         for forged in FORGED_FRACTIONS
+    ]
+    + [
+        (("config", "best_of"), 2, "'config.best_of' is not 1"),
+        (("config", "best_of"), DELETED, "lacks field(s): config.best_of"),
     ],
 )
 def test_a_field_the_writer_never_writes_is_refused(tmp_path, path, value, named):
@@ -185,6 +195,20 @@ def test_version_keys_are_the_integer_one(tmp_path):
         else:
             with pytest.raises(ConfigError, match="'lmfa_config' is not 1"):
                 load_config_file(path)
+
+
+def test_best_of_is_a_fixed_key_of_the_format_not_a_setting():
+    assert config_to_dict(MatchConfig())["best_of"] == 1
+    for doc in ({"lmfa_config": 1}, {"lmfa_config": 1, "best_of": 1}):
+        assert config_from_dict(doc) == MatchConfig()
+    with pytest.raises(TypeError):
+        MatchConfig(best_of=1)
+
+
+@pytest.mark.parametrize("best_of", [3, True, 1.0])
+def test_best_of_is_the_integer_one(best_of):
+    with pytest.raises(ConfigError, match="'best_of' is not 1"):
+        config_from_dict({"lmfa_config": 1, "best_of": best_of})
 
 
 # A JSON value of each kind; bool and int count as different kinds.

@@ -22,7 +22,7 @@ from lmfa.agents.specs import (
     FailureKind,
 )
 from lmfa.config import MatchConfig, with_seed
-from lmfa.engine.buttons import BIT, EMPTY_CHORD, Button, decode_chord
+from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, decode_chord
 from lmfa.engine.state import EndReason, Player
 from lmfa.observe.describe import PPM_HEADER, describe_state
 from lmfa.observe.raster import annotate, render
@@ -32,6 +32,7 @@ from lmfa.tourney import roundrobin as roundrobin_module
 from lmfa.tourney.match import (
     BUTTON_NAMES,
     MalformedLogError,
+    count_buttons,
     log_from_dict,
     log_to_dict,
     run_match,
@@ -93,6 +94,15 @@ class TestRunMatch:
                     if decode_chord(enc) & BIT[b]:
                         recount[side][BUTTON_NAMES[b]] += 1
         assert recount == log.button_counts
+
+    def test_button_counts_fold_every_chord_code(self):
+        # every canonical code, held m % 3 + 1 frames, against its complement
+        trace = [[ENCODE[m], ENCODE[255 - m]] for m in range(256) for _ in range(m % 3 + 1)]
+        held = {}
+        for column, side in enumerate(("P1", "P2")):
+            masks = [decode_chord(row[column]) for row in trace]
+            held[side] = {name: sum(1 for m in masks if m & BIT[b]) for b, name in BUTTON_NAMES.items()}
+        assert count_buttons(trace) == held
 
     def test_digest_chain_length(self):
         log = run_match(RUSH, IDLE, MatchConfig(seed=1))
