@@ -19,7 +19,14 @@ from typing import Optional, Sequence
 from lmfa.agents.specs import AgentSetupError, load_agents_file
 from lmfa.config import ConfigError, load_config_file, with_seed
 from lmfa.reporting import verify_replay, write_reports
-from lmfa.tourney.match import MatchLog, log_filename, read_log, run_match, write_log
+from lmfa.tourney.match import (
+    MalformedLogError,
+    MatchLog,
+    log_filename,
+    read_log,
+    run_match,
+    write_log,
+)
 from lmfa.tourney.roundrobin import (
     ReportIntegrityError,
     frames_dropped,
@@ -69,7 +76,6 @@ def cmd_run_match(args: argparse.Namespace) -> int:
         )
     out = _check_out_dir(args.out, args.force)
     log = run_match(agents[0], agents[1], config)
-    out.mkdir(parents=True, exist_ok=True)
     write_log(log, out / log_filename(0, 0, log.p1_id, log.p2_id))
     print(_outcome_line(log))
     return EXIT_OK
@@ -90,7 +96,6 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         raise ConfigError(f"output directory {out} holds other match logs: {', '.join(foreign)}")
 
     def write(log: MatchLog) -> MatchLog:
-        out.mkdir(parents=True, exist_ok=True)
         write_log(log, out / log_filename(log.pair_index, log.repeat_index, log.p1_id, log.p2_id))
         return frames_dropped(log)
 
@@ -106,18 +111,8 @@ def cmd_tournament(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_log(path) -> MatchLog:
-    try:
-        return read_log(path)
-    except FileNotFoundError:
-        raise ConfigError(f"log file not found: {path}") from None
-    except (OSError, ValueError) as exc:
-        # a directory or unreadable file, bad JSON, wrong schema, missing field
-        raise ConfigError(f"unreadable match log {path}: {exc}") from exc
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
-    verdict = verify_replay(_read_log(args.log))
+    verdict = verify_replay(read_log(args.log))
     if verdict.ok:
         print("REPLAY=match")
         return EXIT_OK
@@ -140,7 +135,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # --out is normal
     out = _check_out_dir(args.out or args.logs, force=True)
     # a log is checked whole as it is read; only what aggregation reads is kept
-    logs = [frames_dropped(_read_log(path)) for path in paths]
+    logs = [frames_dropped(read_log(path)) for path in paths]
     # result_from_logs refuses logs that are not one round-robin schedule
     # before any file is opened, so a refused report leaves the output
     # directory as it was.
@@ -190,7 +185,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ReportIntegrityError) as exc:
+    except (ConfigError, MalformedLogError, ReportIntegrityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AgentSetupError as exc:

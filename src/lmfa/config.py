@@ -1,5 +1,7 @@
-"""Match configuration, the versioned JSON config file format, and the
-field checker that every document lmfa reads goes through.
+"""Match configuration, the versioned JSON config file format, the field
+checker that every document lmfa reads goes through, and the one reader and
+the one writer of lmfa's files: ``load_document`` reads every config, agents
+file and match log, and ``write_document`` writes every log and report.
 
 Config files carry a ``"lmfa_config": 1`` schema key and may carry
 ``"best_of": 1``, a constant of the format that every log's config holds;
@@ -9,6 +11,7 @@ unknown keys are hard errors so typos cannot silently fall back to defaults.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Type, Union
@@ -82,16 +85,40 @@ CONFIG_KINDS = {**_FIXED_KEYS, **{f.name: int for f in fields(MatchConfig)}}
 
 
 def load_document(path: Union[str, Path], name: str, parse: Callable, error: Type[Exception]):
-    """``parse`` of the JSON file at ``path``; each error names the file."""
+    """``parse`` of the JSON file at ``path``. A missing file, one that
+    cannot be read, text that is not JSON or nests too deep to parse, and
+    ``parse``'s own ``error`` all raise ``error``, naming the file."""
     p = Path(path)
-    if not p.is_file():
-        raise error(f"{name} file not found: {p}")
     try:
-        return parse(json.loads(p.read_text()))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
-        raise error(f"{name} file {p} is not valid JSON: {exc}") from exc
+        data = json.loads(p.read_text())
+    except FileNotFoundError:
+        raise error(f"{name} file not found: {p}") from None
+    except OSError as exc:  # a directory, or no permission
+        raise error(f"{name} file {p} cannot be read: {exc}") from None
+    except ValueError as exc:  # bad JSON, or text that is not UTF-8 (JSON text is)
+        raise error(f"{name} file {p} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{name} file {p} nests too deep to parse") from None
+    try:
+        return parse(data)
     except error as exc:
         raise error(f"{name} file {p}: {exc}") from None
+
+
+def write_document(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all, making its directory
+    first: the text goes to a hidden ``.NAME.part`` file beside it, which
+    then replaces ``path``. The hidden name never matches ``match_*.json``,
+    so no reader sees a half-written file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(f".{path.name}.part")
+    try:
+        part.write_text(text)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def load_config_file(path: Union[str, Path]) -> MatchConfig:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from lmfa.config import write_document
 from lmfa.engine.buttons import decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
 from lmfa.engine.state import trace_line
@@ -179,11 +180,10 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
 
 def write_reports(doc: dict, out_dir: Union[str, Path]) -> None:
     """Emit ``tournament.json``, the CSV reports and the plot grid into
-    out_dir; ``lmfa tournament`` and ``lmfa report`` both write through here."""
+    out_dir, each through ``write_document``; ``lmfa tournament`` and
+    ``lmfa report`` both write through here."""
     agents, counts = doc["agents"], doc["button_counts"]
     normalized = build_heatmap(doc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, text in (
         ("tournament.json", json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"),
         ("matrix.csv", matrix_csv(doc)),
@@ -192,4 +192,4 @@ def write_reports(doc: dict, out_dir: Union[str, Path]) -> None:
         ("heatmap_norm.csv", heatmap_table(agents, normalized, "agent", ",", ".4f")),
         ("heatmap_norm.dat", heatmap_table(agents, normalized, "# agent", " ", ".4f")),
     ):
-        (out / name).write_text(text)
+        write_document(Path(out_dir, name), text)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -31,6 +30,8 @@ from lmfa.config import (
     check_fields,
     config_from_dict,
     config_to_dict,
+    load_document,
+    write_document,
 )
 from lmfa.engine.buttons import EMPTY_CHORD, ENCODE, Button, encode_chord
 from lmfa.engine.core import new_match, step
@@ -373,24 +374,15 @@ def log_from_dict(data: dict) -> MatchLog:
 
 
 def write_log(log: MatchLog, path: Union[str, Path]) -> None:
-    """Write the log whole or not at all: the text goes to a hidden file in
-    the same directory, which then replaces ``path``. The hidden name never
-    matches ``match_*.json``, so no reader sees a half-written log."""
-    path = Path(path)
-    part = path.with_name(f".{path.name}.part")
-    try:
-        text = json.dumps(
-            log_to_dict(log), sort_keys=True, separators=(",", ":"), check_circular=False
-        )
-        part.write_text(text + "\n")
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+    """Write the log whole or not at all, through ``write_document``."""
+    text = json.dumps(
+        log_to_dict(log), sort_keys=True, separators=(",", ":"), check_circular=False
+    )
+    write_document(path, text + "\n")
 
 
 def read_log(path: Union[str, Path]) -> MatchLog:
-    return log_from_dict(json.loads(Path(path).read_text()))
+    return load_document(path, "log", log_from_dict, MalformedLogError)
 
 
 def log_filename(pair_index: int, repeat_index: int, p1_id: str, p2_id: str) -> str:

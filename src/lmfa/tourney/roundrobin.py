@@ -38,12 +38,8 @@ class ReportIntegrityError(ValueError):
     """Logs that are not one round-robin tournament; nothing is reported."""
 
 
-def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> List[dict]:
-    """Flat schedule: one entry per match, deterministic order."""
-    return list(_schedule_entries(ids, matches_per_pair))
-
-
-def _schedule_entries(ids: Sequence[str], matches_per_pair: int) -> Iterator[dict]:
+def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> Iterator[dict]:
+    """Flat schedule, made as it is walked: one entry per match, deterministic order."""
     pair_index = 0
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
@@ -140,7 +136,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     absent = pairs * repeats - len(by_key)
     if absent:
         missing = (
-            e for e in _schedule_entries(ids, repeats)
+            e for e in pair_schedule(ids, repeats)
             if (e["pair_index"], e["repeat_index"]) not in by_key
         )
         named = [
@@ -159,7 +155,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     cells: List[dict] = []
     outcomes: List[Tuple[Optional[str], Optional[int]]] = []
     base_seed = by_key[0, 0].config.seed if by_key else 0  # no logs: no entries
-    for entry in _schedule_entries(ids, repeats):
+    for entry in pair_schedule(ids, repeats):
         key = (entry["pair_index"], entry["repeat_index"])
         log = by_key[key]
         if (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
@@ -249,7 +245,7 @@ def run_round_robin(
     if parallel < 1:
         raise AgentSetupError("parallel must be >= 1")
     by_id = {a.id: a for a in agents}
-    schedule = pair_schedule([a.id for a in agents], matches_per_pair)
+    schedule = list(pair_schedule([a.id for a in agents], matches_per_pair))
 
     def play(entry: dict) -> MatchLog:
         return run_match(

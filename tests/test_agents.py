@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -41,6 +43,12 @@ from lmfa.engine.core import new_match, step
 from lmfa.engine.state import Player
 from lmfa.observe.describe import WireText, describe_state, encode_frame_base64
 from lmfa.observe.raster import annotate, render
+
+
+# the SHA-256 of build_system_prompt(MatchConfig()) under each PROMPT_VERSION
+PROMPT_SHA256 = {
+    "prompt-v1": "bc95d3503b98da865441ade5fd28915b4195909c5c32070cf9c5c672a716324f",
+}
 
 
 def bot(policy: BotPolicy, seed: int = 0, script_path: str = "") -> AgentSpec:
@@ -153,6 +161,27 @@ class TestPrompt:
 
     def test_versioned(self):
         assert PROMPT_VERSION in build_system_prompt(MatchConfig())
+
+    def test_text_is_pinned_to_its_version(self):
+        text = build_system_prompt(MatchConfig())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert PROMPT_VERSION in PROMPT_SHA256, f"pin {PROMPT_VERSION} as {digest}"
+        assert digest == PROMPT_SHA256[PROMPT_VERSION], (
+            f"the prompt text changed under {PROMPT_VERSION}: bump PROMPT_VERSION"
+        )
+
+    def test_state_report_is_in_exactly_the_promised_form(self):
+        lines = build_system_prompt(MatchConfig()).splitlines()
+        start = lines.index("this form:") + 1
+        promised = lines[start : start + 5]
+        state = new_match(MatchConfig())
+        last = (("A", "Down + B"), ("Forward + A",) * 6)
+        report = describe_state(state, Player.P2, last_actions=last).state_text.splitlines()
+        assert len(report) == len(promised) == 5
+        for form, line in zip(promised, report):
+            # each <...> placeholder, and the ... between action slots, is a wildcard
+            pattern = ".+".join(map(re.escape, re.split(r"<[^>]*>|\.\.\.", form)))
+            assert re.fullmatch(pattern, line), (form, line)
 
 
 class TestScriptedGateway:

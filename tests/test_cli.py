@@ -44,6 +44,8 @@ def rush_and_idle(**rush_overrides) -> list:
 
 
 DELETED = object()
+# a JSON document nested deeper than any parser's recursion limit
+DEEP = "[" * 200_000 + "]" * 200_000
 
 
 def write_logs(logs_dir: Path, logs) -> Path:
@@ -100,6 +102,27 @@ class TestRunMatch:
         argv = ["run-match", "--config", str(paths["config"]), "--agents", str(paths["agents"])]
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         assert f"{which} file {paths[which]} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, code", [("config", EXIT_CONFIG), ("agents", EXIT_SETUP)])
+    def test_document_nested_too_deep_exits_with_one_line(self, tmp_path, capsys, which, code):
+        paths = {"config": write_config(tmp_path), "agents": write_agents(tmp_path, BOTS_4[:2])}
+        paths[which].write_text(DEEP)
+        out = tmp_path / "o"
+        argv = ["run-match", "--config", str(paths["config"]), "--agents", str(paths["agents"])]
+        assert main(argv + ["--out", str(out)]) == code
+        prefix = "config error" if which == "config" else "setup error"
+        err = capsys.readouterr().err
+        assert err == f"{prefix}: {which} file {paths[which]} nests too deep to parse\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which, code", [("config", EXIT_CONFIG), ("agents", EXIT_SETUP)])
+    def test_document_that_cannot_be_read_exits_naming_it(self, tmp_path, capsys, which, code):
+        paths = {"config": write_config(tmp_path), "agents": write_agents(tmp_path, BOTS_4[:2])}
+        paths[which].unlink()
+        paths[which].mkdir()
+        argv = ["run-match", "--config", str(paths["config"]), "--agents", str(paths["agents"])]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        assert f"{which} file {paths[which]} cannot be read" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, typo_key=3)
@@ -427,7 +450,7 @@ class TestReplay:
         path.write_text(json.dumps(data))
         assert main(["replay", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: unreadable match log")
+        assert err.startswith("config error: log file ")
         assert "'seed' is not config.seed, 42" in err
 
     def test_missing_log_exit_2(self, tmp_path):
@@ -438,7 +461,7 @@ class TestReplay:
         path.write_text("{not json")
         assert main(["replay", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: unreadable match log")
+        assert err.startswith("config error: log file ")
         assert "broken.json" in err
 
     def test_wrong_schema_exit_2(self, tmp_path, capsys):
@@ -504,10 +527,23 @@ class TestReplay:
         log.write_text(json.dumps(data))
         assert main(["replay", str(log)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: unreadable match log") and named in err
+        assert err.startswith("config error: log file ") and named in err
 
 
 class TestReport:
+    def test_log_nested_too_deep_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        logs_dir = tmp_path / "logs"
+        logs_dir.mkdir()
+        log = logs_dir / "match_0_0_a_vs_b.json"
+        log.write_text(DEEP)
+        line = f"config error: log file {log} nests too deep to parse\n"
+        assert main(["replay", str(log)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == line
+        out = tmp_path / "reports"
+        assert main(["report", str(logs_dir), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
     def test_fixture_logs_produce_expected_rates(self, tmp_path, capsys):
         logs_dir = tmp_path / "logs"
         logs_dir.mkdir()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,18 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [("{not json", "is not valid JSON"), ("[" * 200_000 + "]" * 200_000, "nests too deep")],
+    ids=["not_json", "too_deep"],
+)
+def test_read_log_refuses_a_file_that_is_not_a_json_document(tmp_path, text, named):
+    path = tmp_path / "match.json"
+    path.write_text(text)
+    with pytest.raises(MalformedLogError, match=f"^log file {re.escape(str(path))} {named}"):
+        read_log(path)
+
+
 def test_top_level_seed_must_equal_config_seed():
     data = log_to_dict(remote_log())
     assert data["seed"] == data["config"]["seed"] == 3
@@ -174,7 +187,7 @@ def test_a_field_the_writer_never_writes_is_refused(tmp_path, path, value, named
         target[key] = value
     code, out, err = replay(written(tmp_path / "match.json", doc))
     assert (code, out) == (EXIT_CONFIG, "")
-    assert err.startswith("config error: unreadable match log") and named in err
+    assert err.startswith("config error: log file ") and named in err
 
 
 def test_three_forgeries_together_are_refused_not_rewritten(tmp_path):
@@ -257,4 +270,4 @@ def test_one_edited_field_is_refused_never_replayed(base_log, data):
         )
     code, out, err = replay(written(path, doc))
     assert (code, out) == (EXIT_CONFIG, ""), (area, key, err)
-    assert err.startswith("config error: unreadable match log"), err
+    assert err.startswith("config error: log file "), err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from lmfa.reporting import (
     matrix_csv,
     verify_replay,
     win_rates_csv,
+    write_reports,
 )
 from lmfa.tourney.match import (
     BUTTON_NAMES,
@@ -251,6 +253,41 @@ class TestHeatmap:
         text = heatmap_table(result["agents"], result["button_counts"], "agent", ",", "")
         header = text.splitlines()[0]
         assert header == "agent,Up,Down,Left,Right,A,B,C,Start"
+
+
+REPORTS = [
+    "heatmap.csv",
+    "heatmap_norm.csv",
+    "heatmap_norm.dat",
+    "matrix.csv",
+    "tournament.json",
+    "win_rates.csv",
+]
+
+
+class TestWriteReports:
+    """Each report is written whole or not at all, like a log."""
+
+    def test_a_write_interrupted_inside_a_report_keeps_the_old_one(self, tmp_path, monkeypatch):
+        write_reports(result_from_logs(records(fixture_logs())), tmp_path)
+        matrix, tournament = ((tmp_path / n).read_bytes() for n in ("matrix.csv", "tournament.json"))
+        real = Path.write_text
+        calls = []
+
+        def half_then_raise_on_the_second(self, text, *args, **kwargs):
+            calls.append(self)
+            if len(calls) < 2:
+                return real(self, text, *args, **kwargs)
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", half_then_raise_on_the_second)
+        other = result_from_logs(records([fixture_log(0, "a", "b", "a", 0.5)]))
+        with pytest.raises(KeyboardInterrupt):
+            write_reports(other, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == REPORTS
+        assert (tmp_path / "matrix.csv").read_bytes() == matrix
+        assert (tmp_path / "tournament.json").read_bytes() != tournament
 
 
 class TestVerifyReplay:

@@ -182,21 +182,21 @@ class TestRunMatch:
 class TestSchedule:
     def test_six_agents_fifteen_matches(self):
         ids = [f"a{i}" for i in range(6)]
-        schedule = pair_schedule(ids, 1)
+        schedule = list(pair_schedule(ids, 1))
         assert len(schedule) == 15
         assert len({e["pair_index"] for e in schedule}) == 15
 
     def test_two_agents_one_match(self):
-        assert len(pair_schedule(["x", "y"], 1)) == 1
+        assert len(list(pair_schedule(["x", "y"], 1))) == 1
 
     def test_sides_alternate_by_pair_index(self):
-        schedule = pair_schedule(["a", "b", "c"], 1)
+        schedule = list(pair_schedule(["a", "b", "c"], 1))
         assert (schedule[0]["p1"], schedule[0]["p2"]) == ("a", "b")
         assert (schedule[1]["p1"], schedule[1]["p2"]) == ("c", "a")
         assert (schedule[2]["p1"], schedule[2]["p2"]) == ("b", "c")
 
     def test_repeats_alternate_sides_within_pair(self):
-        schedule = pair_schedule(["a", "b"], 4)
+        schedule = list(pair_schedule(["a", "b"], 4))
         sides = [(e["p1"], e["p2"]) for e in schedule]
         assert sides == [("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")]
 
