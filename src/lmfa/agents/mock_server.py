@@ -4,6 +4,8 @@ Serves the wire protocol from remote.py: POST in, {"reply": ...} out.
 Replies cycle through a configured list; an optional artificial delay, a
 per-byte drip of the body, an error status and a raw body sent in place
 of the JSON document let tests exercise the timeout/retry/fallback paths.
+It speaks HTTP/1.1, so a client may send every request on one connection;
+``connections`` counts the connections it has accepted.
 
 Run standalone with:  python -m lmfa.agents.mock_server --port 8631 --reply C
 """
@@ -40,6 +42,7 @@ class MockAgentServer:
         self.port = port
         self.raw_body = raw_body  # sent verbatim instead of the reply document
         self.requests: List[dict] = []
+        self.connections = 0
         self._lock = threading.Lock()
         self._counter = 0
         self._server: Optional[ThreadingHTTPServer] = None
@@ -50,6 +53,20 @@ class MockAgentServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # the connection stays open for the next request
+            disable_nagle_algorithm = True  # no reply waits for the client's delayed ACK
+
+            def setup(self) -> None:
+                super().setup()
+                with outer._lock:
+                    outer.connections += 1
+
+            def handle(self) -> None:
+                try:
+                    super().handle()
+                except ConnectionError:
+                    pass  # the client stopped reading, or closed the connection
+
             def do_POST(self) -> None:  # noqa: N802  (http.server API)
                 length = int(self.headers.get("Content-Length", "0"))
                 body = self.rfile.read(length)
@@ -80,15 +97,12 @@ class MockAgentServer:
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
-                try:
-                    if outer.drip_s:
-                        for i in range(len(data)):
-                            time.sleep(outer.drip_s)
-                            self.wfile.write(data[i : i + 1])
-                    else:
-                        self.wfile.write(data)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass  # the client stopped reading
+                if outer.drip_s:
+                    for i in range(len(data)):
+                        time.sleep(outer.drip_s)
+                        self.wfile.write(data[i : i + 1])
+                else:
+                    self.wfile.write(data)
 
             def log_message(self, *args) -> None:  # silence test output
                 pass
@@ -128,7 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     server.requests = deque(maxlen=0)  # a long-running server keeps no request
     server.start()
-    print(f"mock agent serving on {server.url}")
+    print(f"mock agent serving on {server.url}", flush=True)
     try:
         while True:
             time.sleep(1)

@@ -16,23 +16,32 @@ AgentSetupError.
 The body is exactly ``json.dumps(request, default=str).encode()`` for the
 request of ``build_wire_request(...)``, whose frames are the WireText of
 ``encode_frame_base64``. ``encode_wire_request`` returns it as a WireBody
-that ``requests`` streams one frame at a time: each block joins one
-frame's base64 row pieces, so the whole body is never built.
+that ``post`` sends one frame at a time: each block joins one frame's
+base64 row pieces, so the whole body is never built.
 
-``requests`` is imported only when an agent is remote: ``load_transport``
+``post`` speaks HTTP/1.1 through ``http.client``. Inside ``keep_alive()``,
+as ``run_match`` holds it, each endpoint keeps one connection for the
+next decision; outside it every POST closes its connection. One deadline
+covers connect, send, status line, headers and body: the socket timeout
+is set to what is left of it before each of them.
+
+``http.client`` is imported only when an agent is remote: ``load_transport``
 binds it on first use, which constructing a remote ``AgentSpec`` does, so
 scripted tournaments, ``lmfa replay`` and ``lmfa report`` never load it and
-no decision pays the import. A missing package is an AgentSetupError
-(exit 3) before any match.
+no decision pays the import.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import time
-from typing import Iterator, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+from urllib.parse import urlsplit
 
 from lmfa.agents.specs import AgentSetupError, AgentSpec, FailureKind
 from lmfa.observe.describe import Observation, WireText
@@ -47,23 +56,35 @@ HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
 # between them; http.client sends each of its characters as one Latin-1 byte
 HEADER_VALUE = re.compile(r"[!-~\x80-\xff]+(?:[ \t]+[!-~\x80-\xff]+)*")
 
-requests = None  # the transport module, bound by load_transport
+client = None  # http.client, bound by load_transport
+# bench/tracing.py's Tracer.installed() saves and restores this name; lmfa never reads it
+requests = None
+# endpoint -> its open connection, while a keep_alive() block runs in this context
+_connections: ContextVar[Optional[Dict[str, object]]] = ContextVar("lmfa_connections", default=None)
 
 
-def load_transport():
-    """The ``requests`` module, imported on the first call; a module already
-    bound to ``requests`` here is returned as it is. Raises AgentSetupError
-    if the package is not installed."""
-    global requests
-    if requests is None:
-        try:
-            import requests as module
-        except ImportError as exc:
-            raise AgentSetupError(
-                f"remote agents need the requests package, which cannot be imported: {exc}"
-            ) from exc
-        requests = module
-    return requests
+def load_transport() -> None:
+    """Import ``http.client`` and bind it to ``client``, once."""
+    global client
+    if client is None:
+        import http.client as module
+
+        client = module
+
+
+@contextmanager
+def keep_alive() -> Iterator[None]:
+    """Within the block, ``post`` keeps one connection per endpoint open
+    for the next POST, in this context and in copies of it made with
+    ``contextvars.copy_context``; leaving the block closes them all."""
+    pool: Dict[str, object] = {}
+    token = _connections.set(pool)
+    try:
+        yield
+    finally:
+        _connections.reset(token)
+        for connection in pool.values():
+            connection.close()
 
 
 def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) -> dict:
@@ -112,9 +133,9 @@ class WireBody:
     ``frames`` pairs each frame's WireText with the JSON text before it,
     back to the previous frame; ``tail`` is the text after the last frame.
     Each block is one such pair made by a single join, and ``tail`` is the
-    last block. ``len`` is the exact byte count, so ``requests`` sends a
-    ``Content-Length`` rather than chunked encoding. Each iteration starts
-    from the first byte, so a retried POST sends the whole body again.
+    last block. ``len`` is the exact byte count, which ``post`` sends as the
+    ``Content-Length``. Each iteration starts from the first byte, so a
+    retried POST sends the whole body again.
     """
 
     __slots__ = ("_frames", "_tail", "_length")
@@ -185,19 +206,119 @@ def request_headers() -> dict:
     return headers
 
 
-def _read_reply(response: requests.Response, deadline: float) -> Optional[bytes]:
-    """The decoded body, read as chunks arrive; None once it passes
-    MAX_REPLY_BYTES. Raises TimeoutError when ``deadline`` (a
-    ``time.monotonic`` value) passes between chunks."""
-    body = bytearray()
-    while time.monotonic() < deadline:
-        chunk = response.raw.read1(MAX_REPLY_BYTES + 1, decode_content=True)
-        if not chunk:
-            return bytes(body)
-        body += chunk
-        if len(body) > MAX_REPLY_BYTES:
-            return None
-    raise TimeoutError("deadline passed while reading the reply")
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (a ``time.monotonic`` value); raises
+    TimeoutError once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the decision's deadline passed")
+    return left
+
+
+class _TimedReader(io.RawIOBase):
+    """Stands in for the socket that ``getresponse`` hands ``HTTPResponse``,
+    which reads the reply, status line and headers included, from its
+    ``makefile``: before every read the socket timeout is set to what is
+    left before ``deadline``, so no drip outlasts it."""
+
+    def __init__(self, sock, deadline: float) -> None:
+        super().__init__()
+        self._sock = sock
+        self._deadline = deadline
+        # a socket file keeps the descriptor open after the connection
+        # closes, as HTTPResponse's own would, for a reply that ends with it
+        self._file = sock.makefile("rb", buffering=0)
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._file.readinto(buffer)
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _send(connection, target: str, body: WireBody, headers: dict, deadline: float):
+    """Send the POST on ``connection``, opening it first if it is closed,
+    and return the response with its status line and headers read."""
+    if connection.sock is None:
+        connection.timeout = _time_left(deadline)
+        connection.connect()  # http.client sets TCP_NODELAY on the socket
+    connection.putrequest("POST", target)  # adds Host and Accept-Encoding: identity
+    for name, value in headers.items():
+        connection.putheader(name, value)
+    connection.putheader("Content-Length", str(len(body)))
+    connection.sock.settimeout(_time_left(deadline))
+    connection.endheaders()
+    for block in body:
+        connection.sock.settimeout(_time_left(deadline))
+        connection.send(block)
+    connection.response_class = lambda sock, method=None: client.HTTPResponse(
+        _TimedReader(sock, deadline), method=method
+    )
+    return connection.getresponse()
+
+
+def _read_reply(response) -> Optional[bytes]:
+    """The whole response body, or None once it passes MAX_REPLY_BYTES.
+    Raises IncompleteRead if the body ends before its Content-Length."""
+    body = response.read(MAX_REPLY_BYTES + 1)
+    if len(body) > MAX_REPLY_BYTES:
+        return None
+    if response.length:
+        raise client.IncompleteRead(body, response.length)
+    return body
+
+
+def post(
+    endpoint: str, body: WireBody, headers: dict, deadline: float
+) -> Tuple[int, Optional[bytes]]:
+    """POST ``body`` to ``endpoint``; returns the status and the whole
+    response body, or None for a body longer than MAX_REPLY_BYTES.
+
+    Inside ``keep_alive()`` the endpoint's open connection is reused, and
+    kept for the next call unless the reply was too long or ended it. A
+    kept connection that the server closed before replying is reopened
+    and the request sent again, once. Raises TimeoutError once
+    ``deadline`` (a ``time.monotonic`` value) passes, and another OSError
+    or an ``http.client.HTTPException`` if the exchange fails; the
+    connection is then closed.
+    """
+    pool = _connections.get()
+    connection = pool.pop(endpoint, None) if pool is not None else None
+    kept = connection is not None
+    parts = urlsplit(endpoint)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if connection is None:
+        kind = client.HTTPSConnection if parts.scheme == "https" else client.HTTPConnection
+        connection = kind(parts.hostname, parts.port)
+    try:
+        try:
+            response = _send(connection, target, body, headers, deadline)
+        except ConnectionError:
+            if not kept:
+                raise
+            connection.close()  # the server closed it while it was idle
+            response = _send(connection, target, body, headers, deadline)
+        with response:
+            reply = _read_reply(response)
+    except BaseException:
+        connection.close()
+        raise
+    if (
+        pool is None
+        or reply is None
+        or response.will_close
+        or pool.setdefault(endpoint, connection) is not connection
+    ):
+        connection.close()
+    return response.status, reply
 
 
 def query_remote(
@@ -206,34 +327,28 @@ def query_remote(
     """POST the observation; returns (reply_text, failure).
 
     ``timeout_ms`` is a wall-clock deadline for the whole exchange, retries
-    included; passing it is a timeout. Timeouts and transport errors are
-    retried while time remains, up to max_retries; malformed response
-    bodies, including a reply that is not a string, a body longer than
-    MAX_REPLY_BYTES or one nested too deep for ``json.loads``, are parse
-    failures and are never retried.
+    included; passing it is a timeout. Timeouts, transport errors and
+    statuses other than 200 are retried while time remains, up to
+    max_retries; malformed response bodies, including a reply that is not
+    a string, a body longer than MAX_REPLY_BYTES or one nested too deep
+    for ``json.loads``, are parse failures and are never retried.
     """
-    from urllib3.exceptions import HTTPError, ReadTimeoutError
-
     body = encode_wire_request(build_wire_request(spec, obs, system_prompt))
     headers = request_headers()
     deadline = time.monotonic() + spec.timeout_ms / 1000
     failure: Optional[FailureKind] = None
     for _ in range(spec.max_retries + 1):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if time.monotonic() >= deadline:
             return None, FailureKind.TIMEOUT
         try:
-            with requests.post(
-                spec.endpoint, data=body, headers=headers, timeout=remaining, stream=True
-            ) as response:
-                if response.status_code != 200:
-                    failure = FailureKind.TRANSPORT
-                    continue
-                reply = _read_reply(response, deadline)
-        except (requests.Timeout, ReadTimeoutError, TimeoutError):
+            status, reply = post(spec.endpoint, body, headers, deadline)
+        except TimeoutError:
             failure = FailureKind.TIMEOUT
             continue
-        except (requests.RequestException, HTTPError):
+        except (OSError, client.HTTPException):
+            failure = FailureKind.TRANSPORT
+            continue
+        if status != 200:
             failure = FailureKind.TRANSPORT
             continue
         if reply is None:

@@ -46,8 +46,9 @@ class FailureKind(enum.Enum):
 
 WIRE_FORMATS = ("lmfa", "chat")
 
-# ids name report rows and columns and log files, so no comma, space or slash
-AGENT_ID = re.compile(r"[A-Za-z0-9_.-]+")
+# ids name report rows and columns and log files, so no comma, space or
+# slash, and short enough that two fit in one file name
+AGENT_ID = re.compile(r"[A-Za-z0-9_.-]{1,64}")
 
 
 @dataclass(frozen=True)

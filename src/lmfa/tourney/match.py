@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from contextvars import copy_context
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
@@ -22,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from lmfa.actions import resolve
 from lmfa.agents.gateway import act
 from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
+from lmfa.agents.remote import keep_alive
 from lmfa.agents.specs import AGENT_ID, AgentKind, AgentSpec, FailureKind
 from lmfa.config import (
     CONFIG_KINDS,
@@ -143,7 +145,10 @@ def run_match(
     tick = 0
 
     helper_pool = ThreadPoolExecutor(1, "lmfa-p2") if side_by_side else nullcontext()
-    with helper_pool as helper:  # joins the helper thread even if the loop raises
+    # each remote side keeps one connection to its endpoint for the whole
+    # match; the helper thread is joined, even if the loop raises, before
+    # keep_alive closes them
+    with keep_alive(), helper_pool as helper:
         while state.round_over is None:
             frame = state.frame
             if frame in wanted:
@@ -169,8 +174,9 @@ def run_match(
                     for player in (Player.P1, Player.P2)
                 )
                 if helper is not None:
-                    # P1 is queried on this thread while P2's query runs on the helper
-                    pending = helper.submit(act, p2, obs2, prompt)
+                    # P1 is queried on this thread while P2's query runs on the
+                    # helper, in a copy of this context, which holds keep_alive's pool
+                    pending = helper.submit(copy_context().run, act, p2, obs2, prompt)
                     chosen = (act(p1, obs1, prompt), pending.result())
                 else:
                     chosen = (act(p1, obs1, prompt), act(p2, obs2, prompt))

@@ -411,47 +411,37 @@ class TestRemoteGateway:
             assert body["messages"][0]["role"] == "system"
 
     def test_posts_go_through_the_module_global(self, monkeypatch):
-        # a tracer swaps lmfa.agents.remote.requests for a proxy, so
-        # query_remote must look the module up there at every POST
-        requests = remote.load_transport()
+        # a tracer wraps lmfa.agents.remote.post, so query_remote must look
+        # the function up there at every attempt
         posts = []
+        real_post = remote.post
 
-        class RecordingRequests:
-            def __getattr__(self, name):
-                return getattr(requests, name)
+        def recording_post(endpoint, body, headers, deadline):
+            posts.append((endpoint, b"".join(body)))
+            return real_post(endpoint, body, headers, deadline)
 
-            def post(self, url, **kwargs):
-                posts.append((url, kwargs))
-                return requests.post(url, **kwargs)
-
-        monkeypatch.setattr(remote, "requests", RecordingRequests())
-        with MockAgentServer(replies=["A"]) as server:
+        monkeypatch.setattr(remote, "post", recording_post)
+        with MockAgentServer(replies=["A"], status=503) as server:
             url = server.url
-            d = act(remote_spec(url), obs_for(new_match(MatchConfig())), "sys")
-        assert d.failure is None
-        assert [posted for posted, _ in posts] == [url]
-        assert [b"".join(kwargs["data"]) for _, kwargs in posts] == [
-            r["body"] for r in server.requests
-        ]
+            d = act(remote_spec(url, retries=2), obs_for(new_match(MatchConfig())), "sys")
+        assert d.failure is FailureKind.TRANSPORT
+        assert [posted for posted, _ in posts] == [url] * 3
+        assert [body for _, body in posts] == [r["body"] for r in server.requests]
 
     def test_a_retry_sends_the_whole_body_again(self, monkeypatch):
         # the body is streamed, so a POST that fails part-way through it
         # must not leave the next attempt to send only the rest
-        requests = remote.load_transport()
         attempts = []
+        real_post = remote.post
 
-        class FailsMidBodyOnce:
-            def __getattr__(self, name):
-                return getattr(requests, name)
+        def fails_mid_body_once(endpoint, body, headers, deadline):
+            attempts.append(endpoint)
+            if len(attempts) == 1:
+                next(iter(body))
+                raise ConnectionResetError("connection reset while sending")
+            return real_post(endpoint, body, headers, deadline)
 
-            def post(self, url, data, **kwargs):
-                attempts.append(url)
-                if len(attempts) == 1:
-                    next(iter(data))
-                    raise requests.ConnectionError("connection reset while sending")
-                return requests.post(url, data=data, **kwargs)
-
-        monkeypatch.setattr(remote, "requests", FailsMidBodyOnce())
+        monkeypatch.setattr(remote, "post", fails_mid_body_once)
         obs = describe_state(new_match(MatchConfig()), Player.P1, frames=rendered_frames(3))
         with MockAgentServer(replies=["A"]) as server:
             spec = remote_spec(server.url, retries=1)

@@ -157,6 +157,18 @@ class TestRunMatch:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_ids_too_long_for_a_log_name_exit_3(self, tmp_path, capsys):
+        long_ids = ["p" * 130, "q" * 120]
+        cfg = write_config(tmp_path, match_length_frames=60)
+        agents = write_agents(
+            tmp_path, [{"id": i, "kind": "scripted", "policy": "idle"} for i in long_ids]
+        )
+        out = tmp_path / "o"
+        code = main(["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(out)])
+        assert code == EXIT_SETUP
+        assert long_ids[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_identical_logs(self, tmp_path):
         cfg = write_config(tmp_path)
         agents = write_agents(tmp_path, BOTS_4[:1] + BOTS_4[3:])
@@ -647,7 +659,7 @@ class TestReport:
             (("result", "winner_health"), "900", "'result.winner_health'"),
             (("button_counts", "P1"), [], "'button_counts.P1'"),
             (("p1",), 7, "'p1' is not a string"),
-            (("p2",), "intern vl", "'p2' does not match [A-Za-z0-9_.-]+"),
+            (("p2",), "intern vl", "'p2' does not match [A-Za-z0-9_.-]{1,64}"),
         ],
     )
     def test_wrong_type_field_exit_2(self, tmp_path, capsys, path, value, named):
@@ -680,7 +692,7 @@ class TestReport:
                 entry["agent_id"] = "id,le"
         path.write_text(json.dumps(data))
         before = tree_bytes(tmp_path)
-        named = f"field '{side.lower()}' does not match [A-Za-z0-9_.-]+"
+        named = f"field '{side.lower()}' does not match [A-Za-z0-9_.-]{{1,64}}"
         capsys.readouterr()
         assert main(["replay", str(path)]) == EXIT_CONFIG
         assert named in capsys.readouterr().err

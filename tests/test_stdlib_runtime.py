@@ -1,11 +1,11 @@
-"""lmfa runs without numpy, and without requests unless an agent is remote.
+"""lmfa runs on the standard library alone.
 
 In a fresh interpreter where ``import numpy`` fails, the CLI imports and a
 remote match against the mock endpoint plays with no failed decision.
-``import lmfa.cli`` loads neither requests nor urllib3, and constructing a
-remote agent spec loads requests; where ``import requests`` fails, a
-scripted tournament, its replays and its report give the same bytes as with
-it, and an agents file naming a remote agent exits 3 before any match."""
+``import lmfa.cli`` loads none of http.client, requests and urllib3, and
+constructing a remote agent spec loads http.client. Where ``import
+requests`` fails, a scripted tournament, its replays and its report give
+the same bytes as with it, and a remote-vs-idle match plays and replays."""
 
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 def test_cli_import_loads_no_transport():
     proc = run_fresh(
         "import json, sys; import lmfa.cli; "
-        "print(json.dumps(sorted({'requests', 'urllib3'} & set(sys.modules))))"
+        "print(json.dumps(sorted({'http.client', 'requests', 'urllib3'} & set(sys.modules))))"
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
@@ -83,7 +83,7 @@ def test_remote_spec_loads_the_transport_before_any_decision():
     proc = run_fresh(
         "import sys; from lmfa.agents.specs import AgentKind, AgentSpec; "
         "AgentSpec(id='r', kind=AgentKind.REMOTE, endpoint='http://127.0.0.1:9/'); "
-        "print('requests' in sys.modules)"
+        "print('http.client' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
@@ -104,7 +104,9 @@ codes = [main(["tournament", "--config", str(work / "config.json"), "--agents",
                str(work / "agents.json"), "--out", str(work / "run"), "--matches-per-pair", "2"])]
 codes += [main(["replay", str(log)]) for log in sorted((work / "run").glob("match_*.json"))]
 codes.append(main(["report", str(work / "run"), "--out", str(work / "report")]))
-loaded = sorted(name for name in ("requests", "urllib3") if sys.modules.get(name) is not None)
+loaded = sorted(
+    name for name in ("http.client", "requests", "urllib3") if sys.modules.get(name) is not None
+)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -136,27 +138,35 @@ def test_scripted_commands_give_the_same_bytes_without_requests(tmp_path):
     assert files["blocked"] == files["available"]
 
 
+# argv: a directory holding config.json; the last stdout line is the exit
+# codes and the third-party transport modules loaded
 REMOTE = """
-import sys
+import json, sys
+from pathlib import Path
 sys.modules["requests"] = None  # any import of requests now raises ImportError
+sys.modules["urllib3"] = None
+from lmfa.agents.mock_server import MockAgentServer
 from lmfa.cli import main
 
-command, config, agents, out = sys.argv[1:]
-sys.exit(main([command, "--config", config, "--agents", agents, "--out", out]))
+work = Path(sys.argv[1])
+with MockAgentServer(replies=["Forward + A", "B"]) as server:
+    (work / "agents.json").write_text(json.dumps({"lmfa_agents": 1, "agents": [
+        {"id": "remote", "kind": "remote", "endpoint": server.url},
+        {"id": "idle", "kind": "scripted", "policy": "idle"},
+    ]}))
+    codes = [main(["run-match", "--config", str(work / "config.json"), "--agents",
+                   str(work / "agents.json"), "--out", str(work / "run")])]
+    served = len(server.requests)
+codes += [main(["replay", str(log)]) for log in sorted((work / "run").glob("match_*.json"))]
+loaded = sorted(name for name in ("requests", "urllib3") if sys.modules.get(name) is not None)
+print(json.dumps({"codes": codes, "served": served, "loaded": loaded}))
 """
 
 
-@pytest.mark.parametrize("command", ["run-match", "tournament"])
-def test_remote_agent_without_requests_exits_3_before_any_match(tmp_path, command):
+def test_remote_match_plays_and_replays_without_requests(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(CONFIG))
-    (tmp_path / "agents.json").write_text(json.dumps({"lmfa_agents": 1, "agents": [
-        {"id": "remote", "kind": "remote", "endpoint": "http://127.0.0.1:9/"},
-        {"id": "idle", "kind": "scripted", "policy": "idle"},
-    ]}))
-    out = tmp_path / "out"
-    proc = run_fresh(
-        REMOTE, command, str(tmp_path / "config.json"), str(tmp_path / "agents.json"), str(out)
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert "setup error:" in proc.stderr and "requests" in proc.stderr
-    assert not out.exists()
+    proc = run_fresh(REMOTE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-1]) == {"codes": [0, 0], "served": 600 // 40, "loaded": []}
+    assert lines[-2] == "REPLAY=match"
