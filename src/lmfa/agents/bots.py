@@ -54,7 +54,7 @@ def _seeded_index(seed: int, obs: Observation, modulus: int) -> int:
 
 def decide(spec: AgentSpec, obs: Observation) -> str:
     """Return the bot's command text for this decision."""
-    policy = spec.bot_policy
+    policy = spec.policy
     if policy is BotPolicy.IDLE:
         return FALLBACK_COMMAND
     if policy is BotPolicy.RUSHDOWN:

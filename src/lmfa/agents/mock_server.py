@@ -108,7 +108,8 @@ class MockAgentServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", self.port), Handler)
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        # stop() waits up to one poll_interval for the loop to see shutdown()
+        threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True).start()
         return self
 
     def stop(self) -> None:

@@ -57,7 +57,7 @@ class AgentSpec:
     kind: AgentKind
     endpoint: str = ""
     model_name: str = ""
-    bot_policy: Optional[BotPolicy] = None
+    policy: Optional[BotPolicy] = None
     seed: int = 0
     script_path: str = ""
     timeout_ms: int = 10_000
@@ -86,9 +86,9 @@ class AgentSpec:
             from lmfa.agents.remote import load_transport  # remote imports this module
             load_transport()  # setup pays the import, not the first decision
         else:
-            if self.bot_policy is None:
+            if self.policy is None:
                 raise AgentSetupError(f"agent {self.id}: scripted agent needs policy")
-            if self.bot_policy is BotPolicy.FIXED_SCRIPT:
+            if self.policy is BotPolicy.FIXED_SCRIPT:
                 if not self.script_path:
                     raise AgentSetupError(f"agent {self.id}: fixed_script policy needs script_path")
                 object.__setattr__(self, "script", load_script(self.script_path))
@@ -136,8 +136,9 @@ class Decision:
     failure: Optional[FailureKind] = None
 
 
-# an agents-file entry; the table lets every key but id and kind be left
-# out, and AgentSpec then requires those its kind needs
+# an agents-file entry, whose keys are AgentSpec's fields; the table lets
+# every key but id and kind be left out, and AgentSpec then requires those
+# its kind needs
 _ENTRY_KINDS = {
     "id": str,
     "kind": tuple(k.value for k in AgentKind),
@@ -157,8 +158,8 @@ def _spec_from_dict(raw: dict, where: str) -> AgentSpec:
     kinds = {k: kind for k, kind in _ENTRY_KINDS.items() if k in present or k in ("id", "kind")}
     check_fields(raw, kinds, AgentSetupError, where)
     kwargs = dict(raw, kind=AgentKind(raw["kind"]))
-    if "policy" in kwargs:
-        kwargs["bot_policy"] = BotPolicy(kwargs.pop("policy"))
+    if "policy" in raw:
+        kwargs["policy"] = BotPolicy(raw["policy"])
     return AgentSpec(**kwargs)
 
 

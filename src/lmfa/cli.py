@@ -76,7 +76,7 @@ def cmd_run_match(args: argparse.Namespace) -> int:
         )
     out = _check_out_dir(args.out, args.force)
     log = run_match(agents[0], agents[1], config)
-    write_log(log, out / log_filename(0, 0, log.p1_id, log.p2_id))
+    write_log(log, out / log_filename(0, 0, log.p1, log.p2))
     print(_outcome_line(log))
     return EXIT_OK
 
@@ -96,7 +96,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         raise ConfigError(f"output directory {out} holds other match logs: {', '.join(foreign)}")
 
     def write(log: MatchLog) -> MatchLog:
-        write_log(log, out / log_filename(log.pair_index, log.repeat_index, log.p1_id, log.p2_id))
+        write_log(log, out / log_filename(log.pair_index, log.repeat_index, log.p1, log.p2))
         return frames_dropped(log)
 
     # each log is written as its match ends, so an interrupted run keeps

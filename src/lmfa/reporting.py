@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from lmfa.config import write_document
 from lmfa.engine.buttons import decode_chord
 from lmfa.engine.core import RoundOverError, new_match, step
-from lmfa.engine.state import trace_line
+from lmfa.engine.state import Player, trace_line
 from lmfa.tourney.match import BUTTON_NAMES, MatchLog, chain_digest, count_buttons, initial_digest
 
 
@@ -159,7 +159,8 @@ def verify_replay(log: MatchLog) -> ReplayVerdict:
         return ReplayVerdict("result_forgery", None, "logged button_counts do not match replay")
     interval = log.config.decision_interval_frames
     ticks = -(-len(log.input_trace) // interval)
-    expected = [(side, t, t * interval) for t in range(ticks) for side in ("P1", "P2")]
+    sides = [p.value for p in Player]
+    expected = [(side, t, t * interval) for t in range(ticks) for side in sides]
     entries = [(d["player"], d["decision_index"], d["frame"]) for d in log.decisions]
     if entries != expected:
         first = next(

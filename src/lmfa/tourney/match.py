@@ -16,7 +16,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from contextvars import copy_context
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -57,13 +57,14 @@ BUTTON_NAMES = {b: b.name.title() for b in Button}
 @dataclass(frozen=True)
 class MatchLog:
     """One match log: ``run_match`` returns it, ``write_log`` stores it and
-    ``read_log`` returns it again. Each decision entry is the dict the log
+    ``read_log`` returns it again. Each field is stored under its own name,
+    and ``_LOG_KINDS`` checks it. Each decision entry is the dict the log
     stores, with the fields of ``_DECISION_KINDS``: ``command`` is normalized,
     and ``plan`` holds the encoded chord per frame, from ``resolve``."""
 
     config: MatchConfig
-    p1_id: str
-    p2_id: str
+    p1: str
+    p2: str
     pair_index: int
     repeat_index: int
     prompt_version: str
@@ -74,7 +75,7 @@ class MatchLog:
     button_counts: Dict[str, Dict[str, int]]
 
     def agent_id(self, player: Player) -> str:
-        return self.p1_id if player is Player.P1 else self.p2_id
+        return self.p1 if player is Player.P1 else self.p2
 
 
 def initial_digest(config: MatchConfig, initial: GameState) -> str:
@@ -98,9 +99,9 @@ def count_buttons(input_trace: Sequence[Sequence[str]]) -> Dict[str, Dict[str, i
     canonical chord codes: a button counts on every frame whose code holds
     its letter."""
     counts = {}
-    for side, column in (("P1", 0), ("P2", 1)):
+    for column, side in enumerate(Player):
         frames = Counter(row[column] for row in input_trace)  # frames per code
-        counts[side] = {
+        counts[side.value] = {
             name: sum(n for code, n in frames.items() if b.value in code)
             for b, name in BUTTON_NAMES.items()
         }
@@ -213,8 +214,8 @@ def run_match(
 
     return MatchLog(
         config=config,
-        p1_id=p1.id,
-        p2_id=p2.id,
+        p1=p1.id,
+        p2=p2.id,
         pair_index=pair_index,
         repeat_index=repeat_index,
         prompt_version=PROMPT_VERSION,
@@ -253,23 +254,17 @@ def outcome_from_dict(data: dict) -> RoundOutcome:
 
 
 def log_to_dict(log: MatchLog) -> dict:
-    """The log document; its sequences are the log's own, not copies
-    (``json.dumps`` writes a tuple as a list)."""
-    return {
-        "schema": LOG_SCHEMA,
-        "config": config_to_dict(log.config),
-        "p1": log.p1_id,
-        "p2": log.p2_id,
-        "seed": log.config.seed,
-        "pair_index": log.pair_index,
-        "repeat_index": log.repeat_index,
-        "prompt_version": log.prompt_version,
-        "result": outcome_to_dict(log.result),
-        "decisions": log.decisions,
-        "input_trace": log.input_trace,
-        "state_digests": log.state_digests,
-        "button_counts": log.button_counts,
-    }
+    """The log document: the record's fields, with ``config`` and ``result``
+    as dicts, plus ``schema`` and the seed once more. Its sequences are the
+    log's own, not copies (``json.dumps`` writes a tuple as a list)."""
+    doc = {f.name: getattr(log, f.name) for f in fields(log)}
+    doc.update(
+        schema=LOG_SCHEMA,
+        seed=log.config.seed,
+        config=config_to_dict(log.config),
+        result=outcome_to_dict(log.result),
+    )
+    return doc
 
 
 class MalformedLogError(ValueError):
@@ -292,7 +287,7 @@ _LOG_KINDS = {
     "decisions": list,
     "input_trace": list,
     "state_digests": list,
-    "button_counts": {"P1": _COUNT_KINDS, "P2": _COUNT_KINDS},
+    "button_counts": {p.value: _COUNT_KINDS for p in Player},
 }
 # a won round; a drawn one is checked against _DRAW_KINDS
 _RESULT_KINDS = {
@@ -305,7 +300,7 @@ _RESULT_KINDS = {
 _DRAW_KINDS = {**_RESULT_KINDS, "winner_health": (None,), "winner_health_fraction": (None,)}
 # P1's and P2's entries alternate, each naming its own side's agent
 _DECISION_KINDS = {
-    "player": ("P1", "P2"),
+    "player": tuple(p.value for p in Player),
     "decision_index": int,
     "agent_id": str,
     "frame": int,
@@ -358,25 +353,14 @@ def log_from_dict(data: dict) -> MatchLog:
 
     decisions = data["decisions"]
     sides = [
-        {**_DECISION_KINDS, "player": (player,), "agent_id": (agent_id,)}
-        for player, agent_id in (("P1", data["p1"]), ("P2", data["p2"]))
+        {**_DECISION_KINDS, "player": (player.value,), "agent_id": (agent_id,)}
+        for player, agent_id in ((Player.P1, data["p1"]), (Player.P2, data["p2"]))
     ]
     for i, entry in enumerate(decisions):
         check_fields(entry, sides[i % 2], MalformedLogError, f"decisions[{i}].")
 
-    return MatchLog(
-        config=config,
-        p1_id=data["p1"],
-        p2_id=data["p2"],
-        pair_index=data["pair_index"],
-        repeat_index=data["repeat_index"],
-        prompt_version=data["prompt_version"],
-        decisions=decisions,
-        input_trace=data["input_trace"],
-        state_digests=data["state_digests"],
-        result=outcome,
-        button_counts=data["button_counts"],
-    )
+    stored = {f.name: data[f.name] for f in fields(MatchLog)}
+    return MatchLog(**dict(stored, config=config, result=outcome))
 
 
 def write_log(log: MatchLog, path: Union[str, Path]) -> None:
@@ -391,5 +375,5 @@ def read_log(path: Union[str, Path]) -> MatchLog:
     return load_document(path, "log", log_from_dict, MalformedLogError)
 
 
-def log_filename(pair_index: int, repeat_index: int, p1_id: str, p2_id: str) -> str:
-    return f"match_{pair_index}_{repeat_index}_{p1_id}_vs_{p2_id}.json"
+def log_filename(pair_index: int, repeat_index: int, p1: str, p2: str) -> str:
+    return f"match_{pair_index}_{repeat_index}_{p1}_vs_{p2}.json"

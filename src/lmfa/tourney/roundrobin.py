@@ -85,7 +85,7 @@ _MISSING_SHOWN = 5  # schedule entries a "no log for" message names
 
 
 def _where(log: MatchLog) -> str:
-    return f"log {log.p1_id} vs {log.p2_id} (pair {log.pair_index}, repeat {log.repeat_index})"
+    return f"log {log.p1} vs {log.p2} (pair {log.pair_index}, repeat {log.repeat_index})"
 
 
 def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
@@ -158,7 +158,7 @@ def aggregate(ids: Sequence[str], logs: Sequence[MatchLog]) -> dict:
     for entry in pair_schedule(ids, repeats):
         key = (entry["pair_index"], entry["repeat_index"])
         log = by_key[key]
-        if (log.p1_id, log.p2_id) != (entry["p1"], entry["p2"]):
+        if (log.p1, log.p2) != (entry["p1"], entry["p2"]):
             raise ReportIntegrityError(
                 f"{_where(log)} should be {entry['p1']} vs {entry['p2']}"
             )
@@ -207,7 +207,7 @@ def result_from_logs(logs: Sequence[MatchLog]) -> dict:
     for which it is not.
     """
     ordered = sorted(logs, key=lambda l: (l.pair_index, l.repeat_index))
-    ids = dict.fromkeys(aid for log in ordered for aid in (log.p1_id, log.p2_id))
+    ids = dict.fromkeys(aid for log in ordered for aid in (log.p1, log.p2))
     return aggregate(list(ids), logs)
 
 

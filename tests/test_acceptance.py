@@ -37,7 +37,7 @@ from test_chord_masks import token_sets
 
 
 def bot(name: str, policy: BotPolicy, seed: int = 0, **kw) -> AgentSpec:
-    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, bot_policy=policy, seed=seed, **kw)
+    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, policy=policy, seed=seed, **kw)
 
 
 def _write_inputs(tmp_path: Path, length: int = 5940) -> tuple:

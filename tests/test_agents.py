@@ -30,6 +30,7 @@ from lmfa.agents.remote import (
     request_headers,
 )
 from lmfa.agents.specs import (
+    _ENTRY_KINDS,
     AgentKind,
     AgentSetupError,
     AgentSpec,
@@ -55,7 +56,7 @@ def bot(policy: BotPolicy, seed: int = 0, script_path: str = "") -> AgentSpec:
     return AgentSpec(
         id=f"bot-{policy.value}",
         kind=AgentKind.SCRIPTED,
-        bot_policy=policy,
+        policy=policy,
         seed=seed,
         script_path=script_path,
     )
@@ -610,6 +611,15 @@ class TestMockServerModule:
             proc.wait(timeout=10)
             proc.stdout.close()
 
+    def test_stop_after_a_served_request_returns_at_once(self):
+        server = MockAgentServer().start()
+        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+        with opener.open(urllib.request.Request(server.url, data=b"{}")) as response:
+            assert json.loads(response.read()) == {"reply": "C"}
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.1
+
 
 class TestAgentsFile:
     def test_load_and_validate(self, tmp_path):
@@ -663,10 +673,14 @@ class TestAgentsFile:
         with pytest.raises(AgentSetupError):
             load_agents_file(path)
 
+    def test_the_entry_keys_are_the_spec_fields(self):
+        fields = {f.name for f in dataclasses.fields(AgentSpec) if f.init}
+        assert set(_ENTRY_KINDS) == fields
+
     @pytest.mark.parametrize("bad", ["has space", "", "id,le", "trailing\n"])
     def test_bad_id_rejected(self, bad):
         with pytest.raises(AgentSetupError, match="must match"):
-            AgentSpec(id=bad, kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+            AgentSpec(id=bad, kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE)
 
     @pytest.mark.parametrize(
         "doc, named",
@@ -695,12 +709,12 @@ class TestAgentsFile:
             {"max_retries": -1},
             {"id": ""},
             {"kind": AgentKind.REMOTE},
-            {"bot_policy": BotPolicy.FIXED_SCRIPT},
-            {"bot_policy": BotPolicy.FIXED_SCRIPT, "script_path": "/nonexistent/script.txt"},
+            {"policy": BotPolicy.FIXED_SCRIPT},
+            {"policy": BotPolicy.FIXED_SCRIPT, "script_path": "/nonexistent/script.txt"},
         ],
     )
     def test_an_invalid_spec_cannot_be_built(self, change):
-        spec = AgentSpec(id="a", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+        spec = AgentSpec(id="a", kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE)
         with pytest.raises(AgentSetupError):
             dataclasses.replace(spec, **change)
 

@@ -203,8 +203,8 @@ def test_chord_table_agrees_with_token_buttons():
 
 def test_non_canonical_chord_strings_are_refused():
     log = run_match(
-        AgentSpec(id="r", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.RANDOM, seed=3),
-        AgentSpec(id="i", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE),
+        AgentSpec(id="r", kind=AgentKind.SCRIPTED, policy=BotPolicy.RANDOM, seed=3),
+        AgentSpec(id="i", kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE),
         MatchConfig(seed=4, match_length_frames=400),
     )
     data = log_to_dict(log)

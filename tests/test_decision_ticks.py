@@ -38,7 +38,7 @@ def text_builds(monkeypatch):
 
 
 def bot(name: str, policy: BotPolicy) -> AgentSpec:
-    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, bot_policy=policy, seed=3)
+    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, policy=policy, seed=3)
 
 
 def test_state_text_is_built_once_on_first_read(text_builds):

@@ -4,6 +4,7 @@ log that lmfa would not have written is refused."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -24,7 +25,9 @@ from lmfa.config import (
     load_config_file,
 )
 from lmfa.tourney.match import (
+    _LOG_KINDS,
     MalformedLogError,
+    MatchLog,
     log_from_dict,
     log_to_dict,
     read_log,
@@ -47,7 +50,7 @@ def remote_log():
     cfg = MatchConfig(seed=3, match_length_frames=400, decision_interval_frames=40)
     with MockAgentServer(replies=REPLIES) as server:
         remote = AgentSpec(id="remote", kind=AgentKind.REMOTE, endpoint=server.url)
-        idle = AgentSpec(id="idle", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+        idle = AgentSpec(id="idle", kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE)
         return run_match(remote, idle, cfg)
 
 
@@ -78,6 +81,15 @@ def test_rewriting_a_remote_log_is_byte_exact(tmp_path):
     path = tmp_path / "remote.json"
     write_log(log, path)
     assert_rewrites_exactly(path, tmp_path)
+
+
+def test_the_log_document_is_the_record_plus_schema_and_seed():
+    rush = AgentSpec(id="rush", kind=AgentKind.SCRIPTED, policy=BotPolicy.RUSHDOWN)
+    idle = AgentSpec(id="idle", kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE)
+    scripted = run_match(rush, idle, MatchConfig(seed=5, match_length_frames=600))
+    record = {f.name for f in dataclasses.fields(MatchLog)} | {"schema", "seed"}
+    for log in (scripted, remote_log()):
+        assert set(log_to_dict(log)) == set(_LOG_KINDS) == record
 
 
 class TestAtomicWrite:
@@ -134,8 +146,8 @@ def test_top_level_seed_must_equal_config_seed():
 
 def scripted_doc() -> dict:
     """A fresh copy of one written scripted log: rush beats idle in 600 frames."""
-    rush = AgentSpec(id="rush", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.RUSHDOWN)
-    idle = AgentSpec(id="idle", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE)
+    rush = AgentSpec(id="rush", kind=AgentKind.SCRIPTED, policy=BotPolicy.RUSHDOWN)
+    idle = AgentSpec(id="idle", kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE)
     log = run_match(rush, idle, MatchConfig(seed=5, match_length_frames=600))
     return json.loads(json.dumps(log_to_dict(log)))
 

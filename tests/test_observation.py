@@ -268,8 +268,8 @@ class TestEncoding:
 def played_states():
     """Every state of a 555-frame scripted match with jumps, knockdowns and
     projectiles, ending in a knockout."""
-    rand = AgentSpec(id="rand", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.RANDOM, seed=1)
-    zone = AgentSpec(id="zone", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.ZONER, seed=6)
+    rand = AgentSpec(id="rand", kind=AgentKind.SCRIPTED, policy=BotPolicy.RANDOM, seed=1)
+    zone = AgentSpec(id="zone", kind=AgentKind.SCRIPTED, policy=BotPolicy.ZONER, seed=6)
     log = run_match(rand, zone, MatchConfig(seed=1))
     state = new_match(log.config)
     states = [state]

@@ -19,7 +19,7 @@ from lmfa.tourney.roundrobin import run_round_robin
 
 
 def scripted(agent_id: str, policy: BotPolicy, seed: int = 0) -> AgentSpec:
-    return AgentSpec(id=agent_id, kind=AgentKind.SCRIPTED, bot_policy=policy, seed=seed)
+    return AgentSpec(id=agent_id, kind=AgentKind.SCRIPTED, policy=policy, seed=seed)
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ BACKGROUND = raster_oracle._BACKGROUND.tobytes()
 
 
 def bot(name: str, policy: BotPolicy, seed: int = 0) -> AgentSpec:
-    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, bot_policy=policy, seed=seed)
+    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, policy=policy, seed=seed)
 
 
 MATCHES = [

@@ -40,7 +40,7 @@ from lmfa.tourney.roundrobin import ReportIntegrityError, aggregate, result_from
 
 
 def bot(name: str, policy: BotPolicy, **kw) -> AgentSpec:
-    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, bot_policy=policy, **kw)
+    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, policy=policy, **kw)
 
 
 def records(logs):

@@ -45,7 +45,7 @@ from lmfa.tourney.roundrobin import (
 
 
 def bot(name: str, policy: BotPolicy, seed: int = 0) -> AgentSpec:
-    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, bot_policy=policy, seed=seed)
+    return AgentSpec(id=name, kind=AgentKind.SCRIPTED, policy=policy, seed=seed)
 
 
 RUSH = bot("rush", BotPolicy.RUSHDOWN)
@@ -150,7 +150,7 @@ class TestRunMatch:
         fixed = AgentSpec(
             id="fixed",
             kind=AgentKind.SCRIPTED,
-            bot_policy=BotPolicy.FIXED_SCRIPT,
+            policy=BotPolicy.FIXED_SCRIPT,
             script_path=str(script),
         )
         observations = []

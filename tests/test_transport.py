@@ -191,7 +191,7 @@ class TestKeepAlive:
         with RawServer(one_reply_then_close) as server:
             log = run_match(
                 remote_spec(server.url, retries=0),
-                AgentSpec(id="idle", kind=AgentKind.SCRIPTED, bot_policy=BotPolicy.IDLE),
+                AgentSpec(id="idle", kind=AgentKind.SCRIPTED, policy=BotPolicy.IDLE),
                 TEN_TICKS,
             )
             served = server.requests
