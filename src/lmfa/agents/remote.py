@@ -15,9 +15,10 @@ AgentSetupError.
 
 The body is exactly ``json.dumps(request, default=str).encode()`` for the
 request of ``build_wire_request(...)``, whose frames are the WireText of
-``encode_frame_base64``. ``encode_wire_request`` returns it as a WireBody
-that ``post`` sends one frame at a time: each block joins one frame's
-base64 row pieces, so the whole body is never built.
+``encode_frame_base64``. ``encode_wire_request`` has ``json.JSONEncoder``
+write it and returns it as a WireBody that ``post`` sends one frame at a
+time: each block joins one frame's base64 row pieces, so the whole body is
+never built.
 
 ``post`` speaks HTTP/1.1 through ``http.client``. Inside ``keep_alive()``,
 as ``run_match`` holds it, each endpoint keeps one connection for the
@@ -40,16 +41,16 @@ import re
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from lmfa.agents.specs import AgentSetupError, AgentSpec, FailureKind
-from lmfa.observe.describe import Observation, WireText
+from lmfa.observe.describe import PPM_MEDIA_TYPE, Observation, WireText
 
 PROTOCOL = "lmfa/1"
 REPLY_FORMAT = "single_command_last_line"
 AUTH_ENV_VAR = "LMFA_AUTH_HEADER"
-FRAME_URL_PREFIX = "data:image/x-portable-pixmap;base64,"
+FRAME_URL_PREFIX = f"data:{PPM_MEDIA_TYPE};base64,"
 MAX_REPLY_BYTES = 64 * 1024  # a longer response body is a parse failure
 HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
 # a non-empty RFC 9110 field-value: VCHAR and obs-text, with SP or HTAB only
@@ -114,17 +115,33 @@ def build_wire_request(spec: AgentSpec, obs: Observation, system_prompt: str) ->
 
 
 def encode_wire_request(payload) -> WireBody:
-    """``json.dumps(payload).encode()``, byte for byte, as a WireBody that
-    writes every WireText as its text from its ``pieces``."""
+    """``json.dumps(payload).encode()``, byte for byte, as a WireBody.
+
+    ``json.JSONEncoder`` writes every byte but the frames' own: it hands
+    each WireText to ``default``, which keeps it and returns None, and the
+    ``null`` written for that is replaced by the text between quotes. Any
+    other object that is not JSON raises json's own TypeError.
+    """
+    texts: List[WireText] = []
+
+    def default(value):
+        if not isinstance(value, WireText):
+            return json.JSONEncoder.default(encoder, value)
+        texts.append(value)
+        return None
+
+    encoder = json.JSONEncoder(default=default)
     frames: List[Tuple[bytes, WireText]] = []
-    glue: List[bytes] = []
-    for part in _write_json(payload):
-        if isinstance(part, WireText):
-            frames.append((b"".join(glue), part))
-            glue.clear()
+    glue = ""
+    # without _one_shot, iterencode is the pure-Python encoder, which
+    # yields the null for a value of default as a chunk of its own
+    for chunk in encoder.iterencode(payload):
+        if texts:
+            frames.append(((glue + '"').encode(), texts.pop()))
+            glue = '"'
         else:
-            glue.append(part)
-    return WireBody(frames, b"".join(glue))
+            glue += chunk
+    return WireBody(frames, glue.encode())
 
 
 class WireBody:
@@ -152,33 +169,6 @@ class WireBody:
         for glue, text in self._frames:
             yield b"".join((glue, *text.pieces))
         yield self._tail
-
-
-def _write_json(value) -> Iterator[Union[bytes, WireText]]:
-    """The JSON text of ``value`` as ``bytes`` parts, with every WireText
-    yielded as it is between its quotes."""
-    if isinstance(value, WireText):
-        yield b'"'
-        yield value
-        yield b'"'
-    elif isinstance(value, dict):
-        yield b"{"
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                yield b", "
-            yield json.dumps(key).encode()
-            yield b": "
-            yield from _write_json(item)
-        yield b"}"
-    elif isinstance(value, (list, tuple)):
-        yield b"["
-        for i, item in enumerate(value):
-            if i:
-                yield b", "
-            yield from _write_json(item)
-        yield b"]"
-    else:
-        yield json.dumps(value).encode()
 
 
 def extract_reply_text(spec: AgentSpec, body: dict) -> str:

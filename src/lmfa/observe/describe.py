@@ -13,7 +13,7 @@ text recovers the structured features exactly (the tests hold the parser
 and check the round trip); prompt stability across agents depends on this
 template staying fixed. A frame, ``render``'s tuple of pixel rows, is sent
 as base64 of ``PPM_HEADER`` plus those rows (``encode_frame_base64``),
-the one frame container.
+the one frame container, of media type ``PPM_MEDIA_TYPE``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ ACTION_SLOTS = 5
 
 # binary portable pixmap (P6) header; 15 bytes, a multiple of 3
 PPM_HEADER = b"P6\n%d %d\n255\n" % (WIDTH, HEIGHT)
+PPM_MEDIA_TYPE = "image/x-portable-pixmap"
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,9 @@ class WireText:
     pieces are one header piece and then one piece per pixel row, and
     equal adjacent rows share one ``bytes`` object
     (``encode_frame_base64``). ``len`` is the character count and ``str``
-    the joined text. A WireText is not a ``str``: ``json.dumps`` refuses it.
+    the joined text. A WireText is not a ``str``: ``json.dumps`` refuses it,
+    and ``json.JSONEncoder`` hands it to the ``default`` of
+    ``lmfa.agents.remote.encode_wire_request``, which writes its pieces.
     """
 
     __slots__ = ("pieces",)

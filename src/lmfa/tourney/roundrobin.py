@@ -257,10 +257,10 @@ def run_round_robin(
         )
 
     def waits_on_io(entry: dict) -> bool:
-        return AgentKind.REMOTE in (by_id[entry["p1"]].kind, by_id[entry["p2"]].kind)
+        # serially nothing is submitted, so the pool starts no thread
+        kinds = (by_id[entry["p1"]].kind, by_id[entry["p2"]].kind)
+        return parallel > 1 and AgentKind.REMOTE in kinds
 
-    if parallel == 1:
-        return [on_log(play(entry)) for entry in schedule]
     handed: list = [None] * len(schedule)
     with ThreadPoolExecutor(max_workers=parallel) as pool:
         # remote futures not yet handed over, by schedule position

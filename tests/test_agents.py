@@ -562,6 +562,41 @@ class TestWireBody:
         again = build_wire_request(spec, obs, "sys")
         assert b"".join(encode_wire_request(again)) == b"".join(encode_wire_request(request))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{"frames": [WireText(b"AAAA")]}],
+            {"frame": WireText(b"AAAA", b"BBBB")},
+            [WireText(b"AAAA"), WireText(b"BBBB")],
+            WireText(b"AAAA"),
+            [],
+            {'kéy "q" \\': ['välue "q" \\ ✓\n', WireText(b"AAAA")], "\u2028": "\t"},
+            (1, None, WireText(b"AAAA"), -2.5, None, {"n": None, "i": 3, "f": WireText(b"B")}),
+        ],
+        ids=[
+            "in-a-list-in-a-dict-in-a-list",
+            "dict-value",
+            "adjacent",
+            "alone",
+            "empty-list",
+            "escaped-text",
+            "scalars-beside-frames",
+        ],
+    )
+    def test_any_payload_is_written_as_json_dumps_writes_it(self, payload):
+        body = encode_wire_request(payload)
+        assert b"".join(body) == json.dumps(payload, default=str).encode()
+        assert len(body) == len(b"".join(body))
+
+    @pytest.mark.parametrize(
+        "payload", [[WireText(b"AAAA"), object()], {"set": {1, 2}}, b"bytes"]
+    )
+    def test_what_is_neither_json_nor_a_frame_raises_type_error(self, payload):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(payload)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            encode_wire_request(payload)
+
     @pytest.mark.parametrize("wire_format", ["lmfa", "chat"])
     def test_json_dumps_refuses_a_rendered_frame(self, wire_format):
         obs = describe_state(new_match(MatchConfig()), Player.P1, frames=rendered_frames(1))

@@ -261,6 +261,32 @@ class TestRoundRobin:
         assert handed == list(range(6))
         assert events == [event for i in range(6) for event in (("play", i), ("log", i))]
 
+    def test_serially_every_match_stays_on_the_calling_thread(self, monkeypatch):
+        # remote matches too: with parallel=1 nothing goes to a pool thread,
+        # and each log is handed over before the next match starts
+        events = []
+        before = set(threading.enumerate())
+
+        def stand_in(p1, p2, config, pair_index, repeat_index):
+            events.append(("play", pair_index, threading.get_ident()))
+            assert set(threading.enumerate()) <= before
+            return run_match(IDLE, bot("idle2", BotPolicy.IDLE), config, pair_index, repeat_index)
+
+        def on_log(log):
+            events.append(("log", log.pair_index, threading.get_ident()))
+            return log.pair_index
+
+        monkeypatch.setattr(roundrobin_module, "run_match", stand_in)
+        r1, r2 = (
+            AgentSpec(id=f"r{i}", kind=AgentKind.REMOTE, endpoint=f"http://127.0.0.1:{i}/")
+            for i in (1, 2)
+        )
+        cfg = with_seed(MatchConfig(match_length_frames=120), 3)
+        handed = run_round_robin([r1, r2, RUSH, IDLE], cfg, parallel=1, on_log=on_log)
+        here = threading.get_ident()
+        assert handed == list(range(6))
+        assert events == [(kind, i, here) for i in range(6) for kind in ("play", "log")]
+
     def test_no_match_waits_for_an_earlier_remote_one(self, monkeypatch):
         # remote entry 0 ends only once the scripted entry 5 and every other
         # remote entry have been handed over; waiting on it in schedule

@@ -67,7 +67,7 @@ class RawServer(socketserver.ThreadingTCPServer):
         return "http://127.0.0.1:%d/" % self.server_address[1]
 
     def __enter__(self) -> "RawServer":
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        threading.Thread(target=self.serve_forever, args=(0.01,), daemon=True).start()
         return self
 
     def __exit__(self, *exc) -> None:
