@@ -39,7 +39,6 @@ class MoveKind(enum.Enum):
     LOW = "low"
     AERIAL = "aerial"
     PROJECTILE = "projectile"
-    THROW_RANGE = "throw-range"
 
 
 class CommandToken(enum.Enum):

@@ -94,13 +94,11 @@ _GLYPH_RUNS = {
 
 
 def x_span(lo: int, hi: int, arena_width: int) -> Tuple[int, int]:
-    """Pixel columns [c0, c1) covered by game interval [lo, hi).
+    """Pixel columns [c0, c1) covered by game interval [lo, hi), lo < hi.
 
     Exact rational overlap; reflecting the interval about the arena center
     yields exactly the horizontally flipped column range.
     """
-    if hi <= lo:
-        return 0, 0
     c0 = (lo * WIDTH) // arena_width
     c1 = -((-hi * WIDTH) // arena_width)
     return max(0, c0), min(WIDTH, c1)

@@ -14,7 +14,6 @@ import hashlib
 import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from contextvars import copy_context
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -121,11 +120,10 @@ def run_match(
     interval = config.decision_interval_frames
 
     specs = {Player.P1: p1, Player.P2: p2}
-    needs_frames = any(s.kind is AgentKind.REMOTE for s in specs.values())
-    # only frames that some decision tick's window samples are rendered
+    # only frames that some decision tick's window samples are rendered, if any side is remote
     wanted = (
         {f for t in range(0, config.match_length_frames, interval) for f in window_indices(t)}
-        if needs_frames
+        if any(s.kind is AgentKind.REMOTE for s in specs.values())
         else set()
     )
     rendered: Dict[int, WireText] = {}
@@ -143,13 +141,11 @@ def run_match(
     # P1's and P2's last ACTION_SLOTS commands, oldest first
     last_actions: Tuple[Tuple[str, ...], Tuple[str, ...]] = ((), ())
     digests = [initial_digest(config, state)]
-    tick = 0
 
-    helper_pool = ThreadPoolExecutor(1, "lmfa-p2") if side_by_side else nullcontext()
     # each remote side keeps one connection to its endpoint for the whole
-    # match; the helper thread is joined, even if the loop raises, before
-    # keep_alive closes them
-    with keep_alive(), helper_pool as helper:
+    # match. The helper thread starts only for a side-by-side query, and is
+    # joined, even if the loop raises, before keep_alive closes them
+    with keep_alive(), ThreadPoolExecutor(1, "lmfa-p2") as helper:
         while state.round_over is None:
             frame = state.frame
             if frame in wanted:
@@ -157,7 +153,7 @@ def run_match(
 
             if frame % interval == 0:
                 frames = ()
-                if needs_frames:
+                if wanted:
                     frames = tuple(sample_window_encoded(rendered, frame))
                     # no later window reaches back before the next one's start
                     start = frame + interval - WINDOW_SPAN
@@ -169,12 +165,12 @@ def run_match(
                         state,
                         player,
                         frames=frames if specs[player].kind is AgentKind.REMOTE else (),
-                        decision_index=tick,
+                        decision_index=frame // interval,
                         last_actions=last_actions,
                     )
                     for player in (Player.P1, Player.P2)
                 )
-                if helper is not None:
+                if side_by_side:
                     # P1 is queried on this thread while P2's query runs on the
                     # helper, in a copy of this context, which holds keep_alive's pool
                     pending = helper.submit(copy_context().run, act, p2, obs2, prompt)
@@ -187,7 +183,7 @@ def run_match(
                     decisions.append(
                         {
                             "player": player.value,
-                            "decision_index": tick,
+                            "decision_index": frame // interval,
                             "agent_id": specs[player].id,
                             "frame": frame,
                             "raw_reply": decision.raw_reply,
@@ -203,7 +199,6 @@ def run_match(
                     (mine + (decision.command.normalized,))[-ACTION_SLOTS:]
                     for mine, decision in zip(last_actions, chosen)
                 )
-                tick += 1
 
             m1, m2 = next(feed1, EMPTY_CHORD), next(feed2, EMPTY_CHORD)
             enc1, enc2 = ENCODE[m1], ENCODE[m2]

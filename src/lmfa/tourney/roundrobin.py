@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import replace
-from itertools import islice
+from itertools import combinations, islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, require_unique_ids
@@ -40,20 +40,17 @@ class ReportIntegrityError(ValueError):
 
 def pair_schedule(ids: Sequence[str], matches_per_pair: int) -> Iterator[dict]:
     """Flat schedule, made as it is walked: one entry per match, deterministic order."""
-    pair_index = 0
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            for k in range(matches_per_pair):
-                flip = (pair_index + k) % 2 == 1
-                yield {
-                    "pair_index": pair_index,
-                    "repeat_index": k,
-                    "row": ids[i],
-                    "col": ids[j],
-                    "p1": ids[j] if flip else ids[i],
-                    "p2": ids[i] if flip else ids[j],
-                }
-            pair_index += 1
+    for pair_index, (row, col) in enumerate(combinations(ids, 2)):
+        for k in range(matches_per_pair):
+            flip = (pair_index + k) % 2 == 1
+            yield {
+                "pair_index": pair_index,
+                "repeat_index": k,
+                "row": row,
+                "col": col,
+                "p1": col if flip else row,
+                "p2": row if flip else col,
+            }
 
 
 def match_seed(base_seed: int, pair_index: int, repeat_index: int) -> int:

@@ -455,6 +455,40 @@ class TestReplay:
             f"replay: decision entries do not match tick {frame // 40} at frame {frame}\n"
         )
 
+    @pytest.mark.parametrize(
+        "tamper, frame, detail",
+        [
+            (
+                lambda data: data["config"].update(match_length_frames=201),
+                0,
+                "initial state digest mismatch",
+            ),
+            (
+                lambda data: (data["input_trace"].append(["", ""]),
+                              data["state_digests"].append("0" * 64)),
+                201,
+                "trace continues past round end at frame 200",
+            ),
+            (
+                lambda data: data["state_digests"].append("0" * 64),
+                200,
+                "digest list longer than replayed trace",
+            ),
+        ],
+        ids=["config", "trace-past-round-end", "extra-digest"],
+    )
+    def test_chain_edits_exit_4_at_their_frame(self, tmp_path, capsys, tamper, frame, detail):
+        path = self.run_one(tmp_path, match_length_frames=200, seed=3)
+        data = json.loads(path.read_text())
+        assert data["result"]["end_reason"] == "timeout" and len(data["input_trace"]) == 200
+        tamper(data)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == f"REPLAY=divergence FRAME={frame}\n"
+        assert captured.err == f"replay: {detail}\n"
+
     def test_seed_other_than_config_seed_exit_2(self, tmp_path, capsys):
         path = self.run_one(tmp_path)
         data = json.loads(path.read_text())
@@ -464,6 +498,21 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("config error: log file ")
         assert "'seed' is not config.seed, 42" in err
+
+    def test_config_that_fails_its_value_checks_exit_2(self, tmp_path, capsys):
+        path = self.run_one(tmp_path, match_length_frames=200, seed=3)
+        data = json.loads(path.read_text())
+        data["config"]["arena_width"] = 401
+        path.write_text(json.dumps(data))
+        named = "field 'config': arena_width must be even for a symmetric start\n"
+        assert main(["replay", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: log file {path}") and err.endswith(named)
+        out = tmp_path / "reports"
+        assert main(["report", str(path.parent), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: log file {path}") and err.endswith(named)
+        assert not out.exists()
 
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", str(tmp_path / "missing.json")]) == EXIT_CONFIG

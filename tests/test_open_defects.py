@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
+from lmfa.agents.specs import AgentKind, AgentSetupError, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
 from lmfa.reporting import verify_replay
 from lmfa.tourney.match import log_from_dict, log_to_dict, run_match
@@ -91,3 +91,18 @@ def test_repeats_of_a_pair_are_different_games():
         matches_per_pair=4,
     )
     assert logs[0].input_trace != logs[2].input_trace
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP open defects: LMFA_AUTH_HEADER"
+)
+def test_a_malformed_auth_header_refuses_a_remote_spec(monkeypatch):
+    # the agents file is checked at setup; a spec built in Python is not, and
+    # act then plays every decision as a transport block
+    monkeypatch.setenv("LMFA_AUTH_HEADER", "X-Api-Key secret")
+    try:
+        AgentSpec(id="remote", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:9/")
+        refused = False
+    except AgentSetupError:
+        refused = True
+    assert refused

@@ -151,6 +151,18 @@ class TestDeadline:
         assert decision.failure is FailureKind.TIMEOUT
         assert elapsed < 0.4
 
+    def test_a_reply_shorter_than_its_content_length_is_a_transport_failure(self):
+        def short_body_then_close(server: RawServer, conn: socket.socket) -> None:
+            server.next_request(conn)
+            conn.sendall(HEAD % 100 + b'{"reply": "A"}')
+
+        with RawServer(short_body_then_close) as server:
+            decision, _ = act_within(remote_spec(server.url, retries=2))
+            connections = server.connections
+        assert decision.failure is FailureKind.TRANSPORT
+        assert decision.command.normalized == "C"
+        assert connections == 3
+
     def test_every_read_of_the_reply_checks_the_deadline(self):
         ours, theirs = socket.socketpair()
         with ours, theirs:
