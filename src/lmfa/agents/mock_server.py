@@ -7,6 +7,11 @@ of the JSON document let tests exercise the timeout/retry/fallback paths.
 It speaks HTTP/1.1, so a client may send every request on one connection;
 ``connections`` counts the connections it has accepted.
 
+The mock decodes nothing: it serves any body, JSON or not, with its
+configured reply. ``requests`` records each request as
+``{"path", "headers", "body"}``, ``body`` being the raw bytes; a test that
+checks the payload decodes it itself with ``json.loads(r["body"])``.
+
 Run standalone with:  python -m lmfa.agents.mock_server --port 8631 --reply C
 """
 
@@ -70,18 +75,9 @@ class MockAgentServer:
             def do_POST(self) -> None:  # noqa: N802  (http.server API)
                 length = int(self.headers.get("Content-Length", "0"))
                 body = self.rfile.read(length)
-                try:
-                    payload = json.loads(body)
-                except json.JSONDecodeError:
-                    payload = {"_raw": body.decode("utf-8", "replace")}
                 with outer._lock:
                     outer.requests.append(
-                        {
-                            "path": self.path,
-                            "headers": dict(self.headers),
-                            "body": body,
-                            "json": payload,
-                        }
+                        {"path": self.path, "headers": dict(self.headers), "body": body}
                     )
                     index = outer._counter
                     outer._counter += 1

@@ -225,8 +225,8 @@ class TestRemoteGateway:
             assert d.failure is None
             assert d.command.normalized == "Left + A"
             assert d.raw_reply == "I advance. Left + A"
-            assert server.requests[0]["json"]["protocol"] == "lmfa/1"
-            assert server.requests[0]["json"]["reply_format"] == "single_command_last_line"
+            assert json.loads(server.requests[0]["body"])["protocol"] == "lmfa/1"
+            assert json.loads(server.requests[0]["body"])["reply_format"] == "single_command_last_line"
 
     def test_timeout_falls_back_to_block(self):
         with MockAgentServer(replies=["A"], delay_s=0.6) as server:
@@ -407,7 +407,7 @@ class TestRemoteGateway:
             d = act(spec, obs_for(s), "sys")
             assert d.failure is None
             assert d.command.normalized == "Down, Forward, A"
-            body = server.requests[0]["json"]
+            body = json.loads(server.requests[0]["body"])
             assert body["model"] == "chat-model"
             assert body["messages"][0]["role"] == "system"
 
@@ -645,6 +645,17 @@ class TestMockServerModule:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+    def test_a_body_that_is_not_json_is_served_and_kept_as_sent(self):
+        body = b"\xff not json"
+        with MockAgentServer(replies=["B"]) as server:
+            opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+            with opener.open(urllib.request.Request(server.url, data=body)) as response:
+                assert response.status == 200
+                assert json.loads(response.read()) == {"reply": "B"}
+        [record] = server.requests
+        assert set(record) == {"path", "headers", "body"}
+        assert record["body"] == body
 
     def test_stop_after_a_served_request_returns_at_once(self):
         server = MockAgentServer().start()

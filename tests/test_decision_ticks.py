@@ -9,6 +9,7 @@ and text that fails to parse raises on every call.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_remote_decision_builds_the_text_it_sends(text_builds):
     with MockAgentServer(replies=["A"]) as server:
         remote = AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint=server.url, timeout_ms=5000)
         run_match(remote, bot("i", BotPolicy.IDLE), cfg)
-    sent = [r["json"]["state_text"] for r in server.requests]
+    sent = [json.loads(r["body"])["state_text"] for r in server.requests]
     assert len(sent) == 4
     assert sent == [BUILD_STATE_TEXT(features) for features in text_builds]
 

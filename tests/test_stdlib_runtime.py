@@ -42,7 +42,7 @@ print(json.dumps({
     "served": served,
     "decisions": len(log.decisions),
     "failures": [d["failure"] for d in log.decisions if d["failure"]],
-    "frames": sum(len(r["json"].get("frames_b64", ())) for r in a.requests),
+    "frames": sum(len(json.loads(r["body"]).get("frames_b64", ())) for r in a.requests),
 }))
 """
 

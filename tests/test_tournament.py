@@ -385,10 +385,10 @@ class TestRemoteIntegration:
             log = run_match(remote, IDLE, cfg)
         assert log.result is not None
         # remote agent saw base64 frames; window grows to 10 by frame 36
-        frame_counts = [len(r["json"]["frames_b64"]) for r in server.requests]
+        frame_counts = [len(json.loads(r["body"])["frames_b64"]) for r in server.requests]
         assert frame_counts[0] == 1
         assert frame_counts[1] == 10
-        assert all(isinstance(f, str) and f for r in server.requests for f in r["json"]["frames_b64"])
+        assert all(isinstance(f, str) and f for r in server.requests for f in json.loads(r["body"])["frames_b64"])
 
     def test_identical_prompt_and_frame_fairness(self):
         # both remote agents must receive byte-identical system prompts and
@@ -400,8 +400,8 @@ class TestRemoteIntegration:
             run_match(r1, r2, cfg)
             assert len(s1.requests) == len(s2.requests) >= 2
             for a, b in zip(s1.requests, s2.requests):
-                assert a["json"]["system_prompt"] == b["json"]["system_prompt"]
-                assert a["json"]["frames_b64"] == b["json"]["frames_b64"]
+                assert json.loads(a["body"])["system_prompt"] == json.loads(b["body"])["system_prompt"]
+                assert json.loads(a["body"])["frames_b64"] == json.loads(b["body"])["frames_b64"]
 
     def test_tournament_survives_a_raising_remote_path(self, monkeypatch):
         def broken(spec, obs, system_prompt):
@@ -532,14 +532,14 @@ class TestRemoteIntegration:
             log = run_match(remote, IDLE, cfg)
         assert len(rendered_states) == renders
         assert ticks == list(range(0, 240, interval))
-        counts = [len(r["json"]["frames_b64"]) for r in server.requests]
+        counts = [len(json.loads(r["body"])["frames_b64"]) for r in server.requests]
         first_full = -(-36 // interval)  # first tick at frame >= 36
         assert counts[first_full:] and set(counts[first_full:]) == {10}
         # each request carries its window's frames, drawn from the replayed states
         states = {s.frame: s for s in rendered_states}
         for now, request in zip(ticks, server.requests):
             frames = [annotate(render(states[f]), states[f]) for f in window_indices(now)]
-            assert request["json"]["frames_b64"] == [
+            assert json.loads(request["body"])["frames_b64"] == [
                 base64.b64encode(PPM_HEADER + b"".join(rows)).decode() for rows in frames
             ]
         assert len(log.decisions) == 2 * len(ticks)
