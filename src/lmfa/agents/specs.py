@@ -4,7 +4,7 @@ An ``AgentSpec`` is checked when it is made, however it is made: a
 fixed_script bot's script is read and each of its lines parsed then, so
 a bad script fails before any match is played, not at its first decision,
 and the spec keeps the lines it checked: a later edit to the file does not
-reach it.
+reach it. A remote spec checks ``LMFA_AUTH_HEADER`` the same way.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ class AgentSpec:
                 )
             if self.wire_format not in WIRE_FORMATS:
                 raise AgentSetupError(f"agent {self.id}: unknown wire_format {self.wire_format!r}")
-            from lmfa.agents.remote import load_transport  # remote imports this module
+            from lmfa.agents.remote import load_transport, request_headers  # imports this module
             load_transport()  # setup pays the import, not the first decision
+            request_headers()  # a malformed LMFA_AUTH_HEADER fails setup, not each decision
         else:
             if self.policy is None:
                 raise AgentSetupError(f"agent {self.id}: scripted agent needs policy")
@@ -171,13 +172,8 @@ def _specs_from_dict(data: dict) -> List[AgentSpec]:
 
 
 def load_agents_file(path: Union[str, Path]) -> List[AgentSpec]:
-    """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]};
-    LMFA_AUTH_HEADER is checked too if an agent is remote."""
-    from lmfa.agents.remote import request_headers  # remote imports this module
-    specs = load_document(path, "agents", _specs_from_dict, AgentSetupError)
-    if any(spec.kind is AgentKind.REMOTE for spec in specs):
-        request_headers()
-    return specs
+    """Read the versioned agents file {"lmfa_agents": 1, "agents": [...]}."""
+    return load_document(path, "agents", _specs_from_dict, AgentSetupError)
 
 
 def require_unique_ids(specs: List[AgentSpec]) -> None:

@@ -13,14 +13,16 @@ text recovers the structured features exactly (the tests hold the parser
 and check the round trip); prompt stability across agents depends on this
 template staying fixed. A frame, ``render``'s tuple of pixel rows, is sent
 as base64 of ``PPM_HEADER`` plus those rows (``encode_frame_base64``),
-the one frame container, of media type ``PPM_MEDIA_TYPE``.
+the one frame container, of media type ``PPM_MEDIA_TYPE``. Each distinct
+row is encoded once, equal rows anywhere in a frame share one piece, and
+a row's piece is reused by later frames that show the same row.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
@@ -78,27 +80,45 @@ class WireText:
     quote, a backslash or a control byte.
     Base64 frames are WireText, and so are their prefixed forms. A frame's
     pieces are one header piece and then one piece per pixel row, and
-    equal adjacent rows share one ``bytes`` object
-    (``encode_frame_base64``). ``len`` is the character count and ``str``
-    the joined text. A WireText is not a ``str``: ``json.dumps`` refuses it,
-    and ``json.JSONEncoder`` hands it to the ``default`` of
-    ``lmfa.agents.remote.encode_wire_request``, which writes its pieces.
+    equal rows anywhere in a frame share one ``bytes`` object
+    (``encode_frame_base64``). ``len`` is the character count, summed once
+    when the text is built, and ``str`` the joined text. A WireText is not
+    a ``str``: ``json.dumps`` refuses it, and ``json.JSONEncoder`` hands it
+    to the ``default`` of ``lmfa.agents.remote.encode_wire_request``, which
+    writes its pieces.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_length")
 
     def __init__(self, *pieces: bytes) -> None:
         self.pieces = pieces
+        self._length = sum(map(len, pieces))
 
     def __len__(self) -> int:
-        return sum(map(len, self.pieces))
+        return self._length
 
     def __str__(self) -> str:
         return b"".join(self.pieces).decode("ascii")
 
     def prefixed(self, prefix: str) -> "WireText":
         """``prefix`` followed by this text, sharing its pieces."""
-        return WireText(prefix.encode("ascii"), *self.pieces)
+        text = WireText(prefix.encode("ascii"))
+        text.pieces += self.pieces
+        text._length += self._length
+        return text
+
+
+_HEADER_BASE64 = base64.b64encode(PPM_HEADER)
+
+
+# Keyed by content, so frames and threads share it safely. The rows that
+# come back frame after frame are the background's and the HUD band's,
+# about ten at a time; fighters' and markers' rows recur only while
+# they hold still. In a remote match 32 entries already got 99% of the
+# hits of an unbounded cache; 64 leave room for matches rendering at once.
+@lru_cache(maxsize=64)
+def _row_base64(row: bytes) -> bytes:
+    return base64.b64encode(row)
 
 
 def encode_frame_base64(rows: Tuple[bytes, ...]) -> WireText:
@@ -106,17 +126,14 @@ def encode_frame_base64(rows: Tuple[bytes, ...]) -> WireText:
 
     Base64 turns each 3 input bytes into 4 characters independently, so
     ``b64(a + b) == b64(a) + b64(b)`` when ``len(a)`` is a multiple of 3,
-    as the header and each ``WIDTH * 3``-byte row are. A run of equal rows
-    (sky, floor, HUD) is encoded once and shares one piece; rows that
-    ``render`` shares compare equal by identity alone.
+    as the header and each ``WIDTH * 3``-byte row are. Each distinct row
+    is encoded once, and equal rows anywhere in the frame share its piece.
+    A row's piece is kept across frames, so the rows that frames share
+    (background, HUD band) are encoded once for many frames.
     """
-    pieces = [base64.b64encode(PPM_HEADER)]
-    row = piece = None
-    for nxt in rows:
-        if nxt != row:
-            row, piece = nxt, base64.b64encode(nxt)
-        pieces.append(piece)
-    return WireText(*pieces)
+    distinct = set(rows)
+    piece = dict(zip(distinct, map(_row_base64, distinct)))
+    return WireText(_HEADER_BASE64, *map(piece.__getitem__, rows))
 
 
 def _facing_word(facing: Facing) -> str:

@@ -2,8 +2,11 @@
 
 A frame is the tuple of ``HEIGHT`` rows, each ``WIDTH * 3`` RGB bytes,
 that ``render`` and ``annotate`` return. A row that nothing paints is the
-background's own object, and a fill builds one new row per run of rows
-sharing one object. Rendering is a pure function of the game state.
+background's own object, and a fill or a paste builds one new row per
+run of rows sharing one object. Frames are built from reused parts: the
+HUD band's rows for each displayed time and pair of bar fills are built
+once and kept while frames show them, and each marker box is built once
+and pasted whole. Rendering is a pure function of the game state.
 Horizontal geometry is computed by exact rational overlap between
 game-space intervals and pixel columns, which makes the scene
 pixel-exact under mirroring (render(mirror(s)) equals the horizontally
@@ -13,6 +16,7 @@ and, after annotation, the player marker boxes)."""
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from lmfa.engine.state import (
@@ -111,16 +115,22 @@ def fighter_center_px(x: int, arena_width: int) -> int:
 
 def _fill(rows: List[bytes], x0: int, y0: int, x1: int, y1: int, color) -> None:
     """Paint columns [x0, x1) of rows [y0, y1) in place. The caller clips
-    the rectangle to the canvas. A row whose source is the row above's
-    source reuses that row's result, so a run of shared rows stays shared."""
-    if x1 <= x0:
-        return
-    a, b, run = 3 * x0, 3 * x1, bytes(color) * (x1 - x0)
-    src = out = None
-    for y in range(y0, y1):
-        if rows[y] is not src:
-            src = rows[y]
-            out = src[:a] + run + src[b:]
+    the rectangle to the canvas."""
+    if x1 > x0:
+        _paste(rows, x0, y0, (bytes(color) * (x1 - x0),) * (y1 - y0))
+
+
+def _paste(rows: List[bytes], x0: int, y0: int, block: Tuple[bytes, ...]) -> None:
+    """Overwrite rows from ``y0`` with ``block``'s rows, each placed from
+    column ``x0``; the caller keeps the block inside the canvas. A row whose
+    source and block row are both the row above's reuses that row's result,
+    so a run of shared rows stays shared."""
+    a = 3 * x0
+    src = piece = out = None
+    for y, nxt in enumerate(block, y0):
+        if rows[y] is not src or nxt is not piece:
+            src, piece = rows[y], nxt
+            out = src[:a] + piece + src[a + len(piece) :]
         rows[y] = out
 
 
@@ -167,22 +177,32 @@ def _background() -> Tuple[bytes, ...]:
 _BACKGROUND = _background()
 
 
-def render(state: GameState) -> Tuple[bytes, ...]:
-    """Rasterize the scene onto the prebuilt background's rows: health-bar
-    fills, timer digits, projectiles, fighters."""
-    rows = list(_BACKGROUND)
-
-    # health bars fill from the outer ends: p1 rightward, p2 leftward
-    fill1 = BAR_WIDTH * state.p1.health // HEALTH_MAX
-    fill2 = BAR_WIDTH * state.p2.health // HEALTH_MAX
+# The clock only counts down and health only falls, so a match never comes
+# back to a band it has left: it needs one entry at a time, and 16 serve
+# that many matches rendering at once.
+@lru_cache(maxsize=16)
+def _hud_band(seconds: int, fill1: int, fill2: int) -> Tuple[bytes, ...]:
+    """The HUD's rows over the background's: health-bar fills from the
+    outer ends (p1 rightward, p2 leftward) and the two timer digits."""
+    rows = list(_BACKGROUND[:HUD_ROWS])
     _fill(rows, BAR_MARGIN, BAR_TOP, BAR_MARGIN + fill1, BAR_BOTTOM, COLOR_BAR_FILL)
     right = WIDTH - BAR_MARGIN
     _fill(rows, right - fill2, BAR_TOP, right, BAR_BOTTOM, COLOR_BAR_FILL)
-
-    # timer, two digits, seconds remaining (capped at 99 for display)
-    seconds = min(99, state.timer_seconds)
     _draw_glyph(rows, str(seconds // 10), 146, 2, 4, COLOR_TIMER)
     _draw_glyph(rows, str(seconds % 10), 162, 2, 4, COLOR_TIMER)
+    return tuple(rows)
+
+
+def render(state: GameState) -> Tuple[bytes, ...]:
+    """Rasterize the scene onto the prebuilt background's rows: the HUD
+    band for the displayed seconds (capped at 99) and bar fills, reused
+    from the last frame that showed them, then projectiles and fighters."""
+    rows = list(_BACKGROUND)
+    rows[:HUD_ROWS] = _hud_band(
+        min(99, state.timer_seconds),
+        BAR_WIDTH * state.p1.health // HEALTH_MAX,
+        BAR_WIDTH * state.p2.health // HEALTH_MAX,
+    )
 
     for proj in state.projectiles:
         c0, c1 = x_span(
@@ -214,12 +234,24 @@ def marker_rect(fs: FighterState, arena_width: int) -> Tuple[int, int, int, int]
     return x0, y0, x0 + MARKER_W, y0 + MARKER_H
 
 
+def _marker_box(label: str) -> Tuple[bytes, ...]:
+    """The ``MARKER_H`` rows of a marker box: "P" and the label's digit on
+    the box colour."""
+    rows = [bytes(COLOR_MARKER_BG) * MARKER_W] * MARKER_H
+    _draw_glyph(rows, "P", 2, 1, 2, COLOR_MARKER_FG)
+    _draw_glyph(rows, label, 10, 1, 2, COLOR_MARKER_FG)
+    return tuple(rows)
+
+
+_MARKER_BOXES = {label: _marker_box(label) for label in "12"}
+
+
 def annotate(pixels: Tuple[bytes, ...], state: GameState) -> Tuple[bytes, ...]:
-    """Overlay P1/P2 marker boxes above the fighters' screen positions."""
+    """Overlay P1/P2 marker boxes above the fighters' screen positions.
+    A box is opaque and ``marker_rect`` keeps it on the canvas, so it is
+    pasted whole."""
     rows = list(pixels)
     for fs, label in ((state.p1, "1"), (state.p2, "2")):
-        x0, y0, x1, y1 = marker_rect(fs, state.arena_width)
-        _fill(rows, x0, y0, x1, y1, COLOR_MARKER_BG)
-        _draw_glyph(rows, "P", x0 + 2, y0 + 1, 2, COLOR_MARKER_FG)
-        _draw_glyph(rows, label, x0 + 10, y0 + 1, 2, COLOR_MARKER_FG)
+        x0, y0, _, _ = marker_rect(fs, state.arena_width)
+        _paste(rows, x0, y0, _MARKER_BOXES[label])
     return tuple(rows)

@@ -988,4 +988,7 @@ class TestAgentsFileRefusedBeforeAnyMatch:
         remote = {"id": "r", "kind": "remote", "endpoint": "http://127.0.0.1:9/"}
         self.refused(tmp_path, monkeypatch, command, [remote, BOTS_4[3]])
         err = capsys.readouterr().err
-        assert err == "setup error: LMFA_AUTH_HEADER must be 'Name: value'\n"
+        assert err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: "
+            "LMFA_AUTH_HEADER must be 'Name: value'\n"
+        )

@@ -6,10 +6,13 @@ import base64
 import dataclasses
 import random
 import re
+import sys
+import threading
 from typing import Tuple
 
 import pytest
 
+import raster_oracle
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import Button, chord, decode_chord
@@ -22,7 +25,7 @@ from lmfa.observe.describe import (
     describe_state,
     encode_frame_base64,
 )
-from lmfa.observe import raster
+from lmfa.observe import describe, raster
 from lmfa.observe.raster import (
     BAR_BOTTOM,
     BAR_MARGIN,
@@ -280,8 +283,9 @@ def played_states():
 
 
 class TestRowRunEncoding:
-    """encode_frame_base64 encodes each run of identical rows once; base64
-    of the whole PPM buffer is the reference it must equal."""
+    """encode_frame_base64 encodes each distinct row once, and equal rows
+    anywhere in a frame share one piece; base64 of the whole PPM buffer is
+    the reference it must equal."""
 
     @staticmethod
     def assert_matches_reference(rows):
@@ -317,6 +321,45 @@ class TestRowRunEncoding:
         encoded = self.assert_matches_reference(rows)
         assert len(encoded.pieces) == 1 + HEIGHT
         assert len({id(p) for p in encoded.pieces[1:]}) == 1
+
+    def test_equal_rows_apart_share_one_piece(self):
+        pixels = random.Random(5).randbytes(WIDTH * HEIGHT * 3)
+        row = WIDTH * 3
+        rows = [pixels[i : i + row] for i in range(0, len(pixels), row)]
+        rows[HEIGHT - 1] = bytes(bytearray(rows[0]))  # equal, another object
+        assert rows[HEIGHT - 1] is not rows[0]
+        encoded = self.assert_matches_reference(tuple(rows))
+        assert encoded.pieces[1] is encoded.pieces[HEIGHT]
+        assert len({id(p) for p in encoded.pieces}) == HEIGHT
+
+    def test_threads_encode_what_one_thread_would(self, played_states):
+        """Four threads, switching often, render, annotate and encode their
+        own share of the states while they fill the shared caches."""
+        raster._hud_band.cache_clear()
+        describe._row_base64.cache_clear()
+        start = threading.Barrier(4)
+        results = {}
+
+        def work(k):
+            start.wait(timeout=30)
+            results[k] = [encode_frame_base64(annotate(render(s), s)) for s in played_states[k::4]]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for k, encoded in results.items():
+            for s, text in zip(played_states[k::4], encoded):
+                pixels = raster_oracle.annotate(raster_oracle.render(s), s)
+                assert b"".join(text.pieces) == base64.b64encode(PPM_HEADER + pixels)
 
 
 class TestDescribeState:

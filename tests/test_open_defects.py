@@ -2,7 +2,8 @@
 
 Each case asserts the behaviour that the ROADMAP item promises. The change
 that mends a defect turns its case into a pass, which a strict xfail
-reports as a failure, so that change has to remove the marker too.
+reports as a failure, so that change has to remove the marker too; the
+case then stays here as a plain test.
 """
 
 from __future__ import annotations
@@ -93,12 +94,9 @@ def test_repeats_of_a_pair_are_different_games():
     assert logs[0].input_trace != logs[2].input_trace
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="ROADMAP open defects: LMFA_AUTH_HEADER"
-)
 def test_a_malformed_auth_header_refuses_a_remote_spec(monkeypatch):
-    # the agents file is checked at setup; a spec built in Python is not, and
-    # act then plays every decision as a transport block
+    # a spec built in Python is checked as an agents file's is; unchecked,
+    # act would play every decision as a transport block
     monkeypatch.setenv("LMFA_AUTH_HEADER", "X-Api-Key secret")
     try:
         AgentSpec(id="remote", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:9/")

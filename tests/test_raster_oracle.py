@@ -20,6 +20,7 @@ from lmfa.observe.raster import (
     FIGHTER_HEIGHT,
     GROUND_ROW,
     HEIGHT,
+    HUD_ROWS,
     WIDTH,
     _BACKGROUND,
     annotate,
@@ -139,6 +140,15 @@ def test_a_fill_builds_one_row_per_run_of_shared_rows():
     # one run of shared HUD rows each; rows 1 and 3 cross a bar edge
     for top in (2, 10, 18):
         assert len({id(row) for row in rows[top : top + 4]}) == 1
+
+
+def test_frames_with_one_hud_share_its_rows():
+    s = new_match(MatchConfig())
+    moved = dataclasses.replace(s, p1=dataclasses.replace(s.p1, x=s.p1.x + 40))
+    assert moved.timer_seconds == s.timer_seconds
+    rows, moved_rows = render(s), render(moved)
+    assert rows[HUD_ROWS:] != moved_rows[HUD_ROWS:]
+    assert all(a is b for a, b in zip(rows[:HUD_ROWS], moved_rows[:HUD_ROWS]))
 
 
 def test_an_empty_fill_leaves_every_row():
