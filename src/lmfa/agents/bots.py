@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Tuple
 
-from lmfa.agents.specs import AgentSetupError, AgentSpec, BotPolicy
+from lmfa.agents.specs import AgentSpec, BotPolicy
 from lmfa.observe.describe import Observation
 
 FALLBACK_COMMAND = "C"
@@ -71,4 +71,3 @@ def decide(spec: AgentSpec, obs: Observation) -> str:
     if policy is BotPolicy.FIXED_SCRIPT:
         script = spec.script
         return script[obs.decision_index % len(script)]
-    raise AgentSetupError(f"agent {spec.id}: no bot policy")

@@ -10,8 +10,8 @@ Wire protocol (JSON POST, HTTP 200 only):
 An optional adapter reshapes the request into the common chat-completions
 form (system message plus one user message with interleaved image parts)
 for endpoints that only speak that dialect. The env var LMFA_AUTH_HEADER
-("Header-Name: value") is attached verbatim; any other set value is an
-AgentSetupError.
+("Header-Name: value") is attached verbatim; any other set value, or a
+name in RESERVED_HEADERS, is an AgentSetupError.
 
 The body is exactly ``json.dumps(request, default=str).encode()`` for the
 request of ``build_wire_request(...)``, whose frames are the WireText of
@@ -56,6 +56,11 @@ HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # an RFC 9110 token
 # a non-empty RFC 9110 field-value: VCHAR and obs-text, with SP or HTAB only
 # between them; http.client sends each of its characters as one Latin-1 byte
 HEADER_VALUE = re.compile(r"[!-~\x80-\xff]+(?:[ \t]+[!-~\x80-\xff]+)*")
+# headers that lmfa's requests set or that frame the body; a second one
+# beside lmfa's own would contradict it, so LMFA_AUTH_HEADER may not name one
+RESERVED_HEADERS = {
+    "host", "content-type", "content-length", "accept-encoding", "transfer-encoding", "connection"
+}
 
 client = None  # http.client, bound by load_transport
 # bench/tracing.py's Tracer.installed() saves and restores this name; lmfa never reads it
@@ -183,7 +188,8 @@ def extract_reply_text(spec: AgentSpec, body: dict) -> str:
 
 def request_headers() -> dict:
     """Raises AgentSetupError if LMFA_AUTH_HEADER is set but not ``Name: value``,
-    the name a token and the value a field-value (RFC 9110)."""
+    the name a token and the value a field-value (RFC 9110), or if the name
+    is one of RESERVED_HEADERS, in any case."""
     headers = {"Content-Type": "application/json"}
     raw = os.environ.get(AUTH_ENV_VAR, "")
     if raw:
@@ -192,6 +198,8 @@ def request_headers() -> dict:
         if not HEADER_NAME.fullmatch(name) or not HEADER_VALUE.fullmatch(value):
             # the message leaves out the value: it is a credential
             raise AgentSetupError(f"{AUTH_ENV_VAR} must be 'Name: value'")
+        if name.lower() in RESERVED_HEADERS:
+            raise AgentSetupError(f"{AUTH_ENV_VAR} may not set {name}, a header lmfa controls")
         headers[name] = value
     return headers
 

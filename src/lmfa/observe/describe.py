@@ -1,6 +1,11 @@
-"""State description: the versioned text template and structured features.
+"""What an agent is shown: the system prompt, the state report, the frame
+container and the window the frames are sampled from.
 
-Template v1, exactly five lines, self-perspective resolved per player:
+The system prompt (``build_system_prompt``) is one fixed text per config,
+byte-identical for every agent in a run; results should cite
+PROMPT_VERSION, since prompt drift would invalidate comparisons across
+runs. The state report, template v1, is exactly five lines,
+self-perspective resolved per player:
 
     TIMER: {ss} seconds
     YOU: health {h.hhh}, position ({x},{y}), facing {left|right}
@@ -15,7 +20,10 @@ template staying fixed. A frame, ``render``'s tuple of pixel rows, is sent
 as base64 of ``PPM_HEADER`` plus those rows (``encode_frame_base64``),
 the one frame container, of media type ``PPM_MEDIA_TYPE``. Each distinct
 row is encoded once, equal rows anywhere in a frame share one piece, and
-a row's piece is reused by later frames that show the same row.
+a row's piece is reused by later frames that show the same row. The
+window at engine frame F covers {F-36, F-32, ..., F}: ten frames at
+four-frame spacing, clipped at round start, taken from the frames
+rendered for the coming windows, never from re-simulation.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Tuple
+from typing import Dict, List, Tuple
 
+from lmfa.config import MatchConfig
 from lmfa.engine.state import HEALTH_MAX, Facing, GameState, Player
 from lmfa.observe.raster import HEIGHT, WIDTH
 
@@ -195,3 +204,72 @@ def describe_state(
         frames=frames,
         features=features,
     )
+
+
+PROMPT_VERSION = "prompt-v1"
+
+_TEMPLATE = """\
+ARENA SYSTEM PROMPT {version}
+
+OBJECTIVE
+You control one fighter in a mirror match. Reduce your opponent's health
+from 1.000 to 0.000 before the {seconds}-second timer runs out, or hold
+the higher health at timeout. Health never regenerates.
+
+OBSERVATIONS
+Each decision you receive up to 10 game frames (base64-encoded binary
+PPM, "P6"), oldest first, sampled every 4th engine frame, with marker
+boxes labeled P1/P2 above the fighters, plus a state report in exactly
+this form:
+TIMER: <seconds> seconds
+YOU: health <h.hhh>, position (<x>,<y>), facing <left|right>
+OPPONENT: health <h.hhh>, position (<x>,<y>), facing <left|right>
+YOUR LAST 5 ACTIONS: <oldest>; ...; <newest>
+OPPONENT LAST 5 ACTIONS: <oldest>; ...; <newest>
+
+ACTIONS
+A command is 1-5 chords separated by commas; each chord is 1-3 tokens
+joined by "+". Tokens: Up, Down, Left, Right, Forward, Back, A, B, C,
+Block, Jump, Crouch. Forward and Back are relative to your facing.
+Aliases: Block=C, Jump=Up, Crouch=Down.
+Moves: A = punch. B = kick (longer reach). Hold C = block (reduces damage
+to chip, prevents stun). Down + A = uppercut (hits jumping opponents).
+Down + B = crouch kick. Down, Forward, A = fireball projectile.
+Forward, Forward, C = flying kick (long advance, big damage).
+Movement: Forward/Back walk. Jump leaves the ground and clears fireballs
+at its peak; Jump + Forward or Jump + Back arcs sideways.
+
+REPLY FORMAT
+Reason as much as you like, then end your reply with exactly one command
+on the final line, for example:
+Left + A
+"""
+
+
+def build_system_prompt(config: MatchConfig) -> str:
+    """Deterministic prompt text; identical for every agent in a run."""
+    return _TEMPLATE.format(
+        version=PROMPT_VERSION,
+        seconds=(config.match_length_frames + 59) // 60,
+    )
+
+
+WINDOW_SIZE = 10
+WINDOW_SPACING = 4
+WINDOW_SPAN = WINDOW_SPACING * (WINDOW_SIZE - 1)  # how far back a window reaches
+
+
+def window_indices(now: int) -> Tuple[int, ...]:
+    """Engine frame indices sampled for a decision at frame ``now``."""
+    return tuple(i for i in range(now - WINDOW_SPAN, now + 1, WINDOW_SPACING) if i >= 0)
+
+
+def sample_window_encoded(rendered: Dict[int, WireText], now: int) -> List[WireText]:
+    """Encoded frames at the window indices, oldest first, from ``rendered``
+    (engine frame -> the ``WireText`` of ``encode_frame_base64``, returned
+    as is, so a sampled frame still shares its row pieces).
+
+    Raises KeyError if a required frame was never rendered (a runner
+    scheduling bug, not a game condition).
+    """
+    return [rendered[i] for i in window_indices(now)]

@@ -21,7 +21,6 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from lmfa.actions import resolve
 from lmfa.agents.gateway import act
-from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
 from lmfa.agents.remote import keep_alive
 from lmfa.agents.specs import AGENT_ID, AgentKind, AgentSpec, FailureKind
 from lmfa.config import (
@@ -43,9 +42,18 @@ from lmfa.engine.state import (
     RoundOutcome,
     trace_line,
 )
-from lmfa.observe.describe import ACTION_SLOTS, WireText, describe_state, encode_frame_base64
+from lmfa.observe.describe import (
+    ACTION_SLOTS,
+    PROMPT_VERSION,
+    WINDOW_SPAN,
+    WireText,
+    build_system_prompt,
+    describe_state,
+    encode_frame_base64,
+    sample_window_encoded,
+    window_indices,
+)
 from lmfa.observe.raster import annotate, render
-from lmfa.observe.window import WINDOW_SPAN, sample_window_encoded, window_indices
 
 LOG_SCHEMA = "lmfa-log/1"
 

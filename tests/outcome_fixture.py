@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from lmfa.agents.prompt import PROMPT_VERSION
 from lmfa.config import MatchConfig, config_to_dict
+from lmfa.observe.describe import PROMPT_VERSION
 from lmfa.tourney.match import BUTTON_NAMES, LOG_SCHEMA
 
 AGENTS: Tuple[str, ...] = (

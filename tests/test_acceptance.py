@@ -28,8 +28,7 @@ from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, MIRROR, Button, decode_chord, encode_chord
 from lmfa.engine.core import mirror, mirror_outcome, new_match, step
 from lmfa.engine.state import EndReason, Player, trace_line
-from lmfa.observe.describe import describe_state
-from lmfa.observe.window import window_indices
+from lmfa.observe.describe import describe_state, window_indices
 from lmfa.reporting import build_heatmap, verify_replay
 from lmfa.tourney.match import BUTTON_NAMES, log_from_dict, log_to_dict, run_match
 from lmfa.tourney.roundrobin import result_from_logs

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -21,7 +22,6 @@ from lmfa.agents import gateway, remote
 from lmfa.agents.bots import RANDOM_COMMAND_POOL, decide
 from lmfa.agents.gateway import act
 from lmfa.agents.mock_server import MockAgentServer
-from lmfa.agents.prompt import PROMPT_VERSION, build_system_prompt
 from lmfa.agents.remote import (
     AUTH_ENV_VAR,
     MAX_REPLY_BYTES,
@@ -42,7 +42,13 @@ from lmfa.config import MatchConfig
 from lmfa.engine.buttons import Button, chord
 from lmfa.engine.core import new_match, step
 from lmfa.engine.state import Player
-from lmfa.observe.describe import WireText, describe_state, encode_frame_base64
+from lmfa.observe.describe import (
+    PROMPT_VERSION,
+    WireText,
+    build_system_prompt,
+    describe_state,
+    encode_frame_base64,
+)
 from lmfa.observe.raster import annotate, render
 
 
@@ -394,6 +400,16 @@ class TestRemoteGateway:
         with pytest.raises(AgentSetupError, match=AUTH_ENV_VAR):
             request_headers()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["HOST", "content-type", "Content-LENGTH", "accept-Encoding", "Transfer-encoding", "cOnnection"],
+    )
+    def test_auth_header_naming_a_header_lmfa_controls_is_setup_error(self, monkeypatch, name):
+        monkeypatch.setenv(AUTH_ENV_VAR, f"{name}: sesame")
+        with pytest.raises(AgentSetupError) as raised:
+            AgentSpec(id="r", kind=AgentKind.REMOTE, endpoint="http://127.0.0.1:9/")
+        assert str(raised.value) == f"{AUTH_ENV_VAR} may not set {name}, a header lmfa controls"
+
     def test_chat_wire_format(self):
         with MockAgentServer(replies=["Down, Forward, A"], wire_format="chat") as server:
             s = new_match(MatchConfig())
@@ -644,6 +660,28 @@ class TestMockServerModule:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+
+    def test_standalone_server_serves_its_reply_and_exits_0_on_sigint(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lmfa.agents.mock_server", "--port", "0", "--reply", "Forward + A"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            url = proc.stdout.readline().split()[-1]
+            opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+            with opener.open(urllib.request.Request(url, data=b"\xff not json")) as response:
+                assert response.status == 200
+                assert json.loads(response.read()) == {"reply": "Forward + A"}
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
             proc.stdout.close()
 
     def test_a_body_that_is_not_json_is_served_and_kept_as_sent(self):

@@ -87,6 +87,18 @@ class TestRunMatch:
         assert line in capsys.readouterr().out
         assert (out / f"match_0_0_{specs[0]['id']}_vs_{specs[1]['id']}.json").is_file()
 
+    def test_zero_decision_interval_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_match", no_match)
+        cfg = write_config(tmp_path, decision_interval_frames=0)
+        agents = write_agents(tmp_path, BOTS_4[:2])
+        out = tmp_path / "o"
+        argv = ["run-match", "--config", str(cfg), "--agents", str(agents), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config file {cfg}: decision_interval_frames must be >= 1\n"
+        )
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         agents = write_agents(tmp_path, BOTS_4[:2])
         code = main(
@@ -618,6 +630,12 @@ class TestReport:
         ]
         assert column == ["1.0", "0.8", "0.6", "0.4", "0.2", "0.0"]
 
+    def test_missing_dir_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["report", str(missing)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: log directory not found: {missing}\n"
+        assert not missing.exists()
+
     def test_empty_dir_exit_2(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -991,4 +1009,42 @@ class TestAgentsFileRefusedBeforeAnyMatch:
         assert err == (
             f"setup error: agents file {tmp_path / 'agents.json'}: "
             "LMFA_AUTH_HEADER must be 'Name: value'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_auth_header_naming_a_header_lmfa_controls(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("LMFA_AUTH_HEADER", "content-LENGTH: 5")
+        remote = {"id": "r", "kind": "remote", "endpoint": "http://127.0.0.1:9/"}
+        self.refused(tmp_path, monkeypatch, command, [remote, BOTS_4[3]])
+        assert capsys.readouterr().err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: "
+            "LMFA_AUTH_HEADER may not set content-LENGTH, a header lmfa controls\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_unknown_wire_format(self, tmp_path, capsys, monkeypatch, command):
+        remote = {"id": "r", "kind": "remote", "endpoint": "http://127.0.0.1:9/", "wire_format": "grpc"}
+        self.refused(tmp_path, monkeypatch, command, [remote, BOTS_4[3]])
+        assert capsys.readouterr().err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: "
+            "agent r: unknown wire_format 'grpc'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_scripted_agent_without_policy(self, tmp_path, capsys, monkeypatch, command):
+        self.refused(tmp_path, monkeypatch, command, [{"id": "s", "kind": "scripted"}, BOTS_4[3]])
+        assert capsys.readouterr().err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: "
+            "agent s: scripted agent needs policy\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run-match", "tournament"])
+    def test_fixed_script_without_a_command(self, tmp_path, capsys, monkeypatch, command):
+        path = tmp_path / "script.txt"
+        path.write_text("# opener\n\n   \n# closer\n")
+        bot = {"id": "s", "kind": "scripted", "policy": "fixed_script", "script_path": str(path)}
+        self.refused(tmp_path, monkeypatch, command, [BOTS_4[3], bot])
+        assert capsys.readouterr().err == (
+            f"setup error: agents file {tmp_path / 'agents.json'}: "
+            f"bot script {path} contains no commands\n"
         )

@@ -24,6 +24,8 @@ from lmfa.observe.describe import (
     ObservationFeatures,
     describe_state,
     encode_frame_base64,
+    sample_window_encoded,
+    window_indices,
 )
 from lmfa.observe import describe, raster
 from lmfa.observe.raster import (
@@ -39,7 +41,6 @@ from lmfa.observe.raster import (
     marker_rect,
     render,
 )
-from lmfa.observe.window import sample_window_encoded, window_indices
 from lmfa.tourney.match import run_match
 
 

@@ -16,10 +16,10 @@ from outcome_fixture import (
     fixture_log,
     fixture_logs,
 )
-from lmfa.agents.prompt import PROMPT_VERSION
 from lmfa.agents.specs import AgentKind, AgentSpec, BotPolicy
 from lmfa.config import MatchConfig
 from lmfa.engine.buttons import BIT, Button, decode_chord, encode_chord
+from lmfa.observe.describe import PROMPT_VERSION
 from lmfa.reporting import (
     build_heatmap,
     build_win_rates,

@@ -24,9 +24,8 @@ from lmfa.agents.specs import (
 from lmfa.config import MatchConfig, with_seed
 from lmfa.engine.buttons import BIT, EMPTY_CHORD, ENCODE, Button, decode_chord
 from lmfa.engine.state import EndReason, Player
-from lmfa.observe.describe import PPM_HEADER, describe_state
+from lmfa.observe.describe import PPM_HEADER, describe_state, window_indices
 from lmfa.observe.raster import annotate, render
-from lmfa.observe.window import window_indices
 from lmfa.tourney import match as match_module
 from lmfa.tourney import roundrobin as roundrobin_module
 from lmfa.tourney.match import (
